@@ -23,6 +23,7 @@ rather than returning misleading values.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from scipy import integrate, optimize
 from scipy import special as sp_special
 
 from .errors import NumericError
-from .geometry import ElevationAngle, altitude_to_elevation
+from .geometry import ElevationAngle, default_psi2  # noqa: F401  (re-exported)
 from .mpc import Snapshot
 from .special import hyp1f1_neg_array, log_i0
 
@@ -83,15 +84,6 @@ class ShadowedRicianParams:
             raise ValueError("shape m must be positive")
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
-
-
-def default_psi2(arc_radius_km: float) -> ElevationAngle:
-    """Default shadowing threshold: elevation of the 100 km altitude point."""
-    if arc_radius_km <= 100.0:
-        raise ValueError(
-            "arc radius must exceed 100 km for the default threshold; set psi2 explicitly"
-        )
-    return altitude_to_elevation(100.0, arc_radius_km)
 
 
 def select_regime(snapshot: Snapshot, psi2: ElevationAngle) -> FadingRegime:
@@ -148,9 +140,6 @@ def _verbatim_terms(r: np.ndarray, p: ShadowedRicianParams) -> np.ndarray:
     return out
 
 
-_mass_cache: dict[tuple[float, float], float] = {}
-
-
 def shadowed_rician_mass(p: ShadowedRicianParams) -> float:
     """Total mass of the verbatim shadowed density, measured by quadrature.
 
@@ -160,30 +149,32 @@ def shadowed_rician_mass(p: ShadowedRicianParams) -> float:
     for m > 1 with K = 0, negative for even integer m, or numerically
     indeterminate when cancellation dominates the integral.
     """
-    key = (p.k, p.m)
-    if key in _mass_cache:
-        return _mass_cache[key]
-    if p.k == 0.0:
-        if abs(p.m - 1.0) <= _INTEGER_M_TOL:
-            mass = math.exp(-1.0)
-            _mass_cache[key] = mass
-            return mass
-        if p.m > 1.0:
+    return _mass(p.k, p.m)
+
+
+# Bounded so a long run cannot grow it without limit.  Repeats come from
+# fits that start from the same likelihood bracket, a few snapshots apart.
+@functools.lru_cache(maxsize=256)
+def _mass(k: float, m: float) -> float:
+    if k == 0.0:
+        if abs(m - 1.0) <= _INTEGER_M_TOL:
+            return math.exp(-1.0)
+        if m > 1.0:
             raise NumericError(
-                f"shadowed density has exactly zero total mass for K=0, m={p.m}; "
+                f"shadowed density has exactly zero total mass for K=0, m={m}; "
                 "normalisation is impossible"
             )
         raise NumericError(
-            f"shadowed density is not integrable for K=0, m={p.m} < 1"
+            f"shadowed density is not integrable for K=0, m={m} < 1"
         )
-    if abs(p.m - round(p.m)) > _INTEGER_M_TOL:
+    if abs(m - round(m)) > _INTEGER_M_TOL:
         raise NumericError(
-            f"shadowed density has a divergent tail for non-integer m={p.m} with K>0; "
+            f"shadowed density has a divergent tail for non-integer m={m} with K>0; "
             "normalisation is impossible"
         )
 
-    unit = ShadowedRicianParams(k=p.k, m=p.m, omega=1.0)
-    scale = math.exp(-(p.k + p.m) / (p.k + 1.0))
+    unit = ShadowedRicianParams(k=k, m=m, omega=1.0)
+    scale = math.exp(-(k + m) / (k + 1.0))
 
     def signed(r: float) -> float:
         return float(_verbatim_terms(np.array([r]), unit)[0]) / scale if r > 0.0 else 0.0
@@ -195,25 +186,23 @@ def shadowed_rician_mass(p: ShadowedRicianParams) -> float:
         net, net_err = integrate.quad(signed, 0.0, np.inf, limit=400)
         gross, _ = integrate.quad(lambda r: abs(signed(r)), 0.0, np.inf, limit=400)
     if gross <= 0.0 or not math.isfinite(net):
-        raise NumericError(f"shadowed mass quadrature failed for K={p.k}, m={p.m}")
+        raise NumericError(f"shadowed mass quadrature failed for K={k}, m={m}")
     if abs(net) < _MASS_CANCELLATION_LIMIT * gross:
         raise NumericError(
-            f"shadowed mass for K={p.k}, m={p.m} is cancellation-dominated "
+            f"shadowed mass for K={k}, m={m} is cancellation-dominated "
             f"(net {net:.3e} vs gross {gross:.3e}); not resolvable in double precision"
         )
     if net_err > _MASS_REL_ERR_LIMIT * abs(net):
         raise NumericError(
-            f"shadowed mass for K={p.k}, m={p.m} did not reach the required "
+            f"shadowed mass for K={k}, m={m} did not reach the required "
             f"quadrature accuracy (value {net:.6e}, error estimate {net_err:.1e})"
         )
     if net < 0.0:
         raise NumericError(
             f"shadowed density has negative total mass {net * scale:.3e} for "
-            f"K={p.k}, m={p.m} (even m); normalisation is impossible"
+            f"K={k}, m={m} (even m); normalisation is impossible"
         )
-    mass = net * scale
-    _mass_cache[key] = mass
-    return mass
+    return net * scale
 
 
 def shadowed_rician_pdf(

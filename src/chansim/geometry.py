@@ -65,12 +65,16 @@ class PassGeometry:
             raise ValueError("GS height must be non-negative")
         if self.direction not in _PASS_DIRECTIONS:
             raise ValueError(f"direction must be one of {_PASS_DIRECTIONS}")
-        object.__setattr__(self, "altitudes_km", tuple(self.altitudes_km))
-        for h in self.altitudes_km:
+        altitudes = tuple(self.altitudes_km)
+        for h in altitudes:
             if not 0.0 < h <= self.arc_radius_km:
                 raise ValueError(
                     f"altitude {h} km outside (0, {self.arc_radius_km}] km arc radius"
                 )
+        # Stored as Python floats so that numpy scalars never reach an output.
+        object.__setattr__(self, "arc_radius_km", float(self.arc_radius_km))
+        object.__setattr__(self, "gs_height_km", float(self.gs_height_km))
+        object.__setattr__(self, "altitudes_km", tuple(float(h) for h in altitudes))
 
     def elevations(self) -> list[ElevationAngle]:
         """Elevation angle for every altitude sample, in input order."""
@@ -97,6 +101,15 @@ def altitude_to_elevation(h_km: float, d_km: float) -> ElevationAngle:
     if h_km <= 0.0 or h_km > d_km:
         raise ValueError(f"altitude {h_km} km outside (0, {d_km}] km")
     return ElevationAngle(math.degrees(math.asin(h_km / d_km)))
+
+
+def default_psi2(arc_radius_km: float) -> ElevationAngle:
+    """Default shadowing threshold: elevation of the 100 km altitude point."""
+    if arc_radius_km <= 100.0:
+        raise ValueError(
+            "arc radius must exceed 100 km for the default threshold; set psi2 explicitly"
+        )
+    return altitude_to_elevation(100.0, arc_radius_km)
 
 
 def rain_slant_length(

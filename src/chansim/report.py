@@ -12,7 +12,7 @@ import json
 import math
 from pathlib import Path
 
-from . import clustering, dispersion, fading, ntn
+from . import clustering, dispersion, ntn
 from .config import ScenarioConfig
 from .errors import ConfigError
 from .link_budget import LINK_BUDGET_COLUMNS, fspl_db, sweep_pass
@@ -69,7 +69,7 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         if math.isinf(value):
             return UNBOUNDED if value > 0 else "-inf"
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -171,6 +171,9 @@ def _report_linkbudget(config: ScenarioConfig, snapshots: list[Snapshot]):
 
 
 def _report_fading(config: ScenarioConfig, snapshots: list[Snapshot]):
+    # Imported here so that only this subcommand pays scipy's import time.
+    from . import fading
+
     psi2 = config.psi2()
     rows = []
     fits = []

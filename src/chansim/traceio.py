@@ -167,7 +167,10 @@ def save_trace(snapshots: list[Snapshot], path: str | Path) -> None:
     for snap in snapshots:
         if snap.distance_km != arc_radius:
             raise ValueError("all snapshots of a trace must share one arc radius")
-    out = [f"{_HEADER_PREFIX} v{TRACE_VERSION} arc_radius_km={arc_radius!r} amplitude=linear"]
+    out = [
+        f"{_HEADER_PREFIX} v{TRACE_VERSION} arc_radius_km={float(arc_radius)!r}"
+        " amplitude=linear"
+    ]
     out.append(",".join(_COLUMNS))
     for snap in snapshots:
         altitude = snap.altitude_km
@@ -175,14 +178,14 @@ def save_trace(snapshots: list[Snapshot], path: str | Path) -> None:
             out.append(
                 ",".join(
                     [
-                        repr(altitude),
-                        repr(ray.amplitude),
-                        repr(ray.phase_rad),
-                        repr(ray.delay_s),
-                        repr(ray.aod_az_deg),
-                        repr(ray.aod_el_deg),
-                        repr(ray.aoa_az_deg),
-                        repr(ray.aoa_el_deg),
+                        repr(float(altitude)),
+                        repr(float(ray.amplitude)),
+                        repr(float(ray.phase_rad)),
+                        repr(float(ray.delay_s)),
+                        repr(float(ray.aod_az_deg)),
+                        repr(float(ray.aod_el_deg)),
+                        repr(float(ray.aoa_az_deg)),
+                        repr(float(ray.aoa_el_deg)),
                         "0" if ray.is_los else "1",
                     ]
                 )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from chansim import fading
 from chansim.errors import NumericError
 from chansim.fading import (
     FadingRegime,
@@ -239,3 +240,20 @@ class TestSelectRegime:
         assert default_psi2(400.0).psi_deg == pytest.approx(14.477512185929925)
         with pytest.raises(ValueError):
             default_psi2(80.0)
+
+
+class TestMassCache:
+    def test_cache_stays_within_bound(self, monkeypatch):
+        # A constant stand-in for the quadrature keeps hundreds of fits cheap;
+        # the cache is emptied on both sides so no stand-in mass outlives it.
+        bound = fading._mass.cache_info().maxsize
+        monkeypatch.setattr(integrate, "quad", lambda f, a, b, limit: (1.0, 0.0))
+        fading._mass.cache_clear()
+        rng = np.random.default_rng(11)
+        try:
+            for _ in range(bound + 1):
+                fit(rng.rayleigh(size=100), FadingRegime.SHADOWED_RICIAN)
+                assert fading._mass.cache_info().currsize <= bound
+            assert fading._mass.cache_info().misses > bound
+        finally:
+            fading._mass.cache_clear()

@@ -2,12 +2,15 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from chansim import config as config_mod
 from chansim.cli import main
 from chansim.config import ScenarioConfig, apply_overrides, load_config
 from chansim.errors import ConfigError
+from chansim.geometry import PassGeometry
 from chansim.report import run_report
 
 BASE_CONFIG = {
@@ -64,6 +67,28 @@ class TestConfig:
         path.write_text("modes: {coherent: octopus}\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_invalid_yaml_rejected(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("pass: {altitudes_km: [5.0, 25.0}\n")
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            load_config(path)
+
+    def test_libyaml_and_python_loaders_agree(self, tmp_path, monkeypatch):
+        path = tmp_path / "full.yaml"
+        path.write_text(
+            "pass: {arc_radius_km: 500, gs_height_km: 0.023, altitudes_km: [5, 2.5e+1, 499.5]}\n"
+            "fc_ghz: 10.0\n"
+            "weather: [rain, snow]\n"
+            "misalign_az_deg: -0.3\n"
+            "fading: {psi2_deg: null, fit_samples: 1000}\n"
+            "ntn: {psi1_deg: 10, psi2_deg: 15.0, sigma_db: {A: 8.0, B: 6, C: 4.0}}\n"
+            "modes: {coherent: phasor-sum, slant: itu-piecewise}\n"
+            "seed: 7\n"
+        )
+        fast = load_config(path)
+        monkeypatch.setattr(config_mod, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_config(path) == fast
 
     def test_flag_overrides_beat_file(self, config_file):
         cfg = load_config(config_file)
@@ -232,3 +257,18 @@ class TestCli:
         _, rows_b = read_csv(out_b / "linkbudget.csv")
         for a, b in zip(rows_a, rows_b):
             assert float(b[2]) - float(a[2]) == pytest.approx(3.0, rel=1e-9)
+
+
+class TestNumpyInputs:
+    def test_numpy_geometry_writes_plain_numbers(self, tmp_path):
+        geo = PassGeometry(
+            arc_radius_km=np.float64(400.0),
+            gs_height_km=np.float64(0.023),
+            altitudes_km=np.array([5.0, 50.0, 136.0, 371.0]),
+        )
+        run_report(ScenarioConfig(geometry=geo), "linkbudget", tmp_path)
+        text = (tmp_path / "linkbudget.csv").read_text()
+        assert "np." not in text
+        _, rows = read_csv(tmp_path / "linkbudget.csv")
+        assert len(rows) == 4
+        assert "np." not in (tmp_path / "summary.json").read_text()

@@ -1,0 +1,57 @@
+"""Start-up cost: only the fading fits may pull in scipy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import chansim
+
+PUBLIC_NAMES = [
+    "AntennaModel", "AtmosphereParams", "ChansimError", "ClusterResult", "ConfigError",
+    "ElevationAngle", "ElevationFloorError", "FadingRegime", "LinkBudgetRow", "Mpc",
+    "NumericError", "PassGeometry", "RicianParams", "ScenarioConfig",
+    "ShadowedRicianParams", "Snapshot", "SpreadReport", "TdlProfile", "TraceError",
+    "altitude_to_elevation", "azimuth_spread", "build_features", "cloud_attenuation_db",
+    "cluster_snapshot", "coherent_power_dbm", "dbscan", "elevation_spread", "evaluate",
+    "fit", "fspl_db", "gain_dbi", "k_factor", "load_config", "load_tap_table",
+    "load_trace", "misalignment_loss_db", "ntn_attenuation_db", "rain_attenuation_db",
+    "rain_slant_length", "rician_pdf", "rms_delay_spread", "run_report", "sample",
+    "save_trace", "select_profile", "select_regime", "shadowed_rician_pdf",
+    "snow_attenuation_db", "spatial_filter", "spread_report", "sweep_pass",
+    "synth_scenario", "total_atmospheric_db",
+]
+
+PROBE = """
+import json, sys
+import chansim.cli
+scipy_after_cli = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import chansim
+from chansim import FadingRegime, fit
+import chansim.fading
+print(json.dumps({
+    "scipy_after_cli": scipy_after_cli,
+    "fit": chansim.fit is chansim.fading.fit is fit,
+    "regime": FadingRegime is chansim.fading.FadingRegime,
+    "default_psi2": chansim.fading.default_psi2(400.0).psi_deg,
+    "all": sorted(chansim.__all__),
+    "missing": [n for n in chansim.__all__ if not hasattr(chansim, n)],
+}))
+"""
+
+
+def test_cli_import_loads_no_scipy_and_keeps_public_names():
+    src = str(Path(chansim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    probe = json.loads(out.stdout)
+    assert probe["scipy_after_cli"] == []
+    assert probe["fit"] and probe["regime"]
+    assert probe["default_psi2"] == 14.477512185929925
+    assert probe["all"] == PUBLIC_NAMES
+    assert probe["missing"] == []

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from chansim.errors import TraceError
-from chansim.geometry import ElevationAngle
+from chansim.fading import default_psi2
+from chansim.geometry import ElevationAngle, PassGeometry
 from chansim.mpc import Mpc, Snapshot
+from chansim.synth import synth_scenario
 from chansim.traceio import load_trace, save_trace
 
 
@@ -153,3 +156,19 @@ class TestSave:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_trace([], tmp_path / "t.csv")
+
+
+class TestNumpyBuiltPass:
+    def test_numpy_geometry_round_trips(self, tmp_path):
+        geo = PassGeometry(
+            arc_radius_km=np.float64(400.0),
+            gs_height_km=np.float64(0.023),
+            altitudes_km=np.array([25.0, 136.0, 371.0]),
+        )
+        snapshots = synth_scenario(geo, 10.0, default_psi2(400.0), seed=1)
+        path = tmp_path / "trace.csv"
+        save_trace(snapshots, path)
+        assert "np." not in path.read_text()
+        loaded = load_trace(path)
+        assert loaded == snapshots
+        assert [s.altitude_km for s in loaded] == [25.0, 136.0, 371.0]
