@@ -28,7 +28,7 @@ from .errors import ChansimError, ConfigError, ElevationFloorError, NumericError
 from .geometry import ElevationAngle, PassGeometry, altitude_to_elevation, rain_slant_length
 from .link_budget import LinkBudgetRow, evaluate, fspl_db, sweep_pass
 from .mpc import Mpc, Snapshot, coherent_power_dbm, k_factor
-from .ntn import TdlProfile, load_tap_table, ntn_attenuation_db, select_profile
+from .ntn import ntn_attenuation_db, select_profile
 from .report import run_report
 from .synth import synth_scenario
 from .traceio import load_trace, save_trace
@@ -74,7 +74,6 @@ __all__ = [
     "ShadowedRicianParams",
     "Snapshot",
     "SpreadReport",
-    "TdlProfile",
     "TraceError",
     "altitude_to_elevation",
     "azimuth_spread",
@@ -90,7 +89,6 @@ __all__ = [
     "gain_dbi",
     "k_factor",
     "load_config",
-    "load_tap_table",
     "load_trace",
     "misalignment_loss_db",
     "ntn_attenuation_db",

@@ -25,10 +25,16 @@ WEATHER_CLOUDS = "clouds"
 WEATHER_SNOW = "snow"
 ALL_WEATHER = frozenset({WEATHER_RAIN, WEATHER_CLOUDS, WEATHER_SNOW})
 
+# Carrier frequency of the modelled X-band downlink; the scenario's
+# ``fc_ghz`` defaults to it and is the only source of the frequency.
+DEFAULT_FC_GHZ = 10.0
+
 
 @dataclass(frozen=True)
 class AtmosphereParams:
     """Weather model constants for a 10 GHz circularly polarised link.
+
+    The carrier frequency is the scenario's and is passed to the rain terms.
 
     Defaults describe a moderate Northern-European operating point:
     32 mm/h rain at the 0.01% exceedance level, 1.5 km thick clouds with
@@ -48,7 +54,6 @@ class AtmosphereParams:
     snow_rate_mmh: float = 4.0
     h_snow_km: float = 5.0
     l_fixed_db: float = 1.5
-    fc_ghz: float = 10.0
     r_earth_km: float = 6371.0
 
     def __post_init__(self) -> None:
@@ -69,8 +74,6 @@ class AtmosphereParams:
         ):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.fc_ghz <= 0.0:
-            raise ValueError("carrier frequency must be positive")
 
 
 def specific_rain_attenuation(p: AtmosphereParams) -> float:
@@ -100,20 +103,24 @@ def rain_attenuation_db(
     geo: PassGeometry,
     slant_mode: str = SLANT_AS_PRINTED,
     floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG,
+    fc_ghz: float = DEFAULT_FC_GHZ,
 ) -> float:
     """Rain attenuation in dB, including the polarisation constant.
 
     The effective path length is computed as L_s * r_0.01, which is the
     algebraically cancelled form of (L_s cos(psi)) * r_0.01 / cos(psi)
-    and therefore stays finite at zenith.
+    and therefore stays finite at zenith.  The carrier frequency enters
+    through the horizontal reduction factor.
     """
+    if fc_ghz <= 0.0:
+        raise ValueError("carrier frequency must be positive")
     _check_floor(psi, floor_deg)
     gamma_r = specific_rain_attenuation(p)
     l_s = rain_slant_length(
         psi, p.h_rain_km, geo.gs_height_km, p.r_earth_km, mode=slant_mode, floor_deg=floor_deg
     )
     l_g = l_s * psi.cos
-    r001 = horizontal_reduction_factor(l_g, gamma_r, p.fc_ghz)
+    r001 = horizontal_reduction_factor(l_g, gamma_r, fc_ghz)
     l_e = l_s * r001
     return gamma_r * l_e + p.beta_db
 
@@ -145,6 +152,7 @@ def total_atmospheric_db(
     weather: frozenset[str] | set[str] = frozenset(),
     slant_mode: str = SLANT_AS_PRINTED,
     floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG,
+    fc_ghz: float = DEFAULT_FC_GHZ,
 ) -> float:
     """Sum of the enabled weather terms plus the fixed atmospheric loss."""
     unknown = set(weather) - ALL_WEATHER
@@ -152,7 +160,9 @@ def total_atmospheric_db(
         raise ValueError(f"unknown weather terms {sorted(unknown)}")
     total = p.l_fixed_db
     if WEATHER_RAIN in weather:
-        total += rain_attenuation_db(psi, p, geo, slant_mode=slant_mode, floor_deg=floor_deg)
+        total += rain_attenuation_db(
+            psi, p, geo, slant_mode=slant_mode, floor_deg=floor_deg, fc_ghz=fc_ghz
+        )
     if WEATHER_CLOUDS in weather:
         total += cloud_attenuation_db(psi, p, floor_deg=floor_deg)
     if WEATHER_SNOW in weather:

@@ -7,13 +7,14 @@ with isotropic antennas and clear sky.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
 
 from .antenna import AntennaModel
-from .atmosphere import ALL_WEATHER, AtmosphereParams
+from .atmosphere import ALL_WEATHER, DEFAULT_FC_GHZ, AtmosphereParams
 from .errors import ConfigError
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
@@ -34,7 +35,6 @@ DEFAULT_ALTITUDES_KM = (5.0, 25.0, 50.0, 90.0, 136.0, 200.0, 264.0, 330.0, 371.0
 @dataclass(frozen=True)
 class FadingConfig:
     psi2_deg: float | None = None      # None -> elevation of the 100 km point
-    m_shadow: float = 1.0
     fit_samples: int = 20000
     designate_strongest_los: bool = False
 
@@ -43,8 +43,23 @@ class FadingConfig:
 class NtnConfig:
     psi1_deg: float = DEFAULT_PSI1_DEG
     psi2_deg: float = DEFAULT_PSI2_DEG
-    tap_file: str | None = None
-    sigma_db: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SHADOW_SIGMA_DB))
+    sigma_db: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # Given sigmas override the defaults profile by profile.
+        if not isinstance(self.sigma_db, dict):
+            raise ValueError("sigma_db must map profile names to sigmas")
+        unknown = self.sigma_db.keys() - DEFAULT_SHADOW_SIGMA_DB.keys()
+        if unknown:
+            raise ValueError(f"unknown profile names {sorted(unknown, key=str)} in sigma_db")
+        merged = dict(DEFAULT_SHADOW_SIGMA_DB)
+        for name, sigma in self.sigma_db.items():
+            if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
+                raise ValueError(f"sigma_db[{name!r}] must be a number, got {sigma!r}")
+            if not (math.isfinite(sigma) and sigma >= 0.0):
+                raise ValueError(f"sigma_db[{name!r}] must be finite and non-negative")
+            merged[name] = float(sigma)
+        object.__setattr__(self, "sigma_db", merged)
 
 
 @dataclass(frozen=True)
@@ -66,7 +81,7 @@ class ScenarioConfig:
             arc_radius_km=400.0, gs_height_km=0.023, altitudes_km=DEFAULT_ALTITUDES_KM
         )
     )
-    fc_ghz: float = 10.0
+    fc_ghz: float = DEFAULT_FC_GHZ
     p_tx_dbm: float = 30.0
     l_hd_db: float = 1.5
     sat_antenna: AntennaModel = field(default_factory=AntennaModel)
@@ -115,10 +130,6 @@ def _build_section(cls, data: dict, section: str):
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config section {section!r}: {exc}") from exc
-
-
-def _build_antenna(data: dict, section: str) -> AntennaModel:
-    return _build_section(AntennaModel, data, section)
 
 
 def load_config(path: str | Path | None) -> ScenarioConfig:
@@ -173,10 +184,9 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
         ants = data["antennas"]
         if not isinstance(ants, dict) or set(ants) - {"satellite", "ground"}:
             raise ConfigError("config section 'antennas' takes 'satellite' and 'ground'")
-        if "satellite" in ants:
-            kwargs["sat_antenna"] = _build_antenna(ants["satellite"], "antennas.satellite")
-        if "ground" in ants:
-            kwargs["gs_antenna"] = _build_antenna(ants["ground"], "antennas.ground")
+        for key, attr in (("satellite", "sat_antenna"), ("ground", "gs_antenna")):
+            if key in ants:
+                kwargs[attr] = _build_section(AntennaModel, ants[key], f"antennas.{key}")
     if "atmosphere" in data:
         kwargs["atmosphere"] = _build_section(AtmosphereParams, data["atmosphere"], "atmosphere")
     if "weather" in data:

@@ -19,8 +19,6 @@ SLANT_AS_PRINTED = "as-printed"
 SLANT_ITU_PIECEWISE = "itu-piecewise"
 _SLANT_MODES = (SLANT_AS_PRINTED, SLANT_ITU_PIECEWISE)
 
-_PASS_DIRECTIONS = ("ascending", "descending", "full-pass")
-
 
 @dataclass(frozen=True)
 class ElevationAngle:
@@ -56,15 +54,12 @@ class PassGeometry:
     arc_radius_km: float
     gs_height_km: float = 0.0
     altitudes_km: tuple[float, ...] = field(default_factory=tuple)
-    direction: str = "full-pass"
 
     def __post_init__(self) -> None:
         if self.arc_radius_km <= 0.0:
             raise ValueError("arc radius must be positive")
         if self.gs_height_km < 0.0:
             raise ValueError("GS height must be non-negative")
-        if self.direction not in _PASS_DIRECTIONS:
-            raise ValueError(f"direction must be one of {_PASS_DIRECTIONS}")
         altitudes = tuple(self.altitudes_km)
         for h in altitudes:
             if not 0.0 < h <= self.arc_radius_km:

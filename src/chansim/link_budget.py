@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .antenna import AntennaModel, misalignment_loss_db, spatial_filter
-from .atmosphere import AtmosphereParams, total_atmospheric_db
+from .atmosphere import DEFAULT_FC_GHZ, AtmosphereParams, total_atmospheric_db
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
@@ -73,6 +73,7 @@ def evaluate(
     slant_mode: str = SLANT_AS_PRINTED,
     misalign_mode: str = MISALIGN_AGGREGATE,
     floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG,
+    fc_ghz: float = DEFAULT_FC_GHZ,
 ) -> LinkBudgetRow:
     """Evaluate the full budget for one snapshot.
 
@@ -102,6 +103,7 @@ def evaluate(
         weather=weather,
         slant_mode=slant_mode,
         floor_deg=floor_deg,
+        fc_ghz=fc_ghz,
     )
     p_rx = p_coh - l_hd_db - l_am - l_atm
     return LinkBudgetRow(
@@ -113,7 +115,7 @@ def evaluate(
         l_hd_db=l_hd_db,
         l_am_db=l_am,
         l_atm_db=l_atm,
-        fspl_db=fspl_db(snapshot.distance_km, atmosphere.fc_ghz),
+        fspl_db=fspl_db(snapshot.distance_km, fc_ghz),
     )
 
 
@@ -131,6 +133,7 @@ def sweep_pass(
     slant_mode: str = SLANT_AS_PRINTED,
     misalign_mode: str = MISALIGN_AGGREGATE,
     floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG,
+    fc_ghz: float = DEFAULT_FC_GHZ,
 ) -> list[LinkBudgetRow]:
     """Evaluate every snapshot of a pass; rows come back ordered by altitude."""
     rows = [
@@ -148,6 +151,7 @@ def sweep_pass(
             slant_mode=slant_mode,
             misalign_mode=misalign_mode,
             floor_deg=floor_deg,
+            fc_ghz=fc_ghz,
         )
         for snap in snapshots
     ]

@@ -8,17 +8,12 @@ any deterministic antenna gain offsets; weather and hardware terms are
 deliberately excluded so the curve is comparable against the ray-based
 budget without them.
 
-Tap tables are loaded from a data file; the packaged example table is a
-placeholder with plausible shapes, not standard data.
+Each profile is a name plus its shadowing sigma; tap delays and powers
+are not modelled, since the comparison reads only the large-scale
+attenuation.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,95 +31,6 @@ DEFAULT_PSI2_DEG = 15.0
 
 DEFAULT_SHADOW_SIGMA_DB = {PROFILE_A: 8.0, PROFILE_B: 6.0, PROFILE_C: 4.0}
 
-_POWER_NORM_TOL = 1e-9
-
-
-class TdlTap(NamedTuple):
-    delay_norm: float
-    power_db: float
-    is_los: bool
-
-
-@dataclass(frozen=True)
-class TdlProfile:
-    """One tapped-delay-line profile with unit total linear tap power."""
-
-    name: str
-    taps: tuple[TdlTap, ...]
-    shadow_sigma_db: float
-
-    def __post_init__(self) -> None:
-        if self.name not in PROFILE_NAMES:
-            raise ConfigError(f"unknown TDL profile name {self.name!r}")
-        if not self.taps:
-            raise ConfigError(f"profile {self.name} has no taps")
-        if self.shadow_sigma_db < 0.0:
-            raise ConfigError("shadowing sigma must be non-negative")
-        total = sum(10.0 ** (t.power_db / 10.0) for t in self.taps)
-        if abs(total - 1.0) > _POWER_NORM_TOL:
-            raise ConfigError(
-                f"profile {self.name} tap powers sum to {total}, expected 1"
-            )
-
-
-def _normalized_taps(raw: list[TdlTap]) -> tuple[TdlTap, ...]:
-    total = sum(10.0 ** (t.power_db / 10.0) for t in raw)
-    if total <= 0.0:
-        raise ConfigError("tap powers must not all vanish")
-    shift = 10.0 * math.log10(total)
-    return tuple(
-        TdlTap(t.delay_norm, t.power_db - shift, t.is_los) for t in raw
-    )
-
-
-def load_tap_table(
-    path: str | Path | None = None,
-    sigma_db: dict[str, float] | None = None,
-) -> dict[str, TdlProfile]:
-    """Load TDL profiles from a tap table file.
-
-    The file holds one record per tap: ``profile,delay_norm,power_db,tap_type``
-    with tap_type LOS or NLOS; ``#`` lines are comments.  Tap powers are
-    renormalised to unit total linear power per profile.  Without a path
-    the packaged placeholder table is used.
-    """
-    sigmas = dict(DEFAULT_SHADOW_SIGMA_DB)
-    if sigma_db:
-        sigmas.update(sigma_db)
-    if path is None:
-        source = resources.files("chansim.data").joinpath("ntn_tdl_example.csv")
-        text = source.read_text(encoding="utf-8")
-    else:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"tap table file not found: {p}")
-        text = p.read_text(encoding="utf-8")
-
-    raw: dict[str, list[TdlTap]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = [f.strip() for f in stripped.split(",")]
-        if len(parts) != 4:
-            raise ConfigError(f"tap table line {lineno}: expected 4 fields, got {len(parts)}")
-        name, delay_s, power_s, tap_type = parts
-        if name not in PROFILE_NAMES:
-            raise ConfigError(f"tap table line {lineno}: unknown profile {name!r}")
-        if tap_type.upper() not in ("LOS", "NLOS"):
-            raise ConfigError(f"tap table line {lineno}: tap type must be LOS or NLOS")
-        try:
-            tap = TdlTap(float(delay_s), float(power_s), tap_type.upper() == "LOS")
-        except ValueError as exc:
-            raise ConfigError(f"tap table line {lineno}: {exc}") from exc
-        raw.setdefault(name, []).append(tap)
-    if not raw:
-        raise ConfigError("tap table holds no taps")
-    return {
-        name: TdlProfile(name=name, taps=_normalized_taps(taps), shadow_sigma_db=sigmas[name])
-        for name, taps in raw.items()
-    }
-
 
 def select_profile(
     psi: ElevationAngle,
@@ -141,19 +47,19 @@ def select_profile(
     return PROFILE_C
 
 
-def shadowing_draws(profile: TdlProfile, n: int, seed: int) -> np.ndarray:
+def shadowing_draws(sigma_db: float, n: int, seed: int) -> np.ndarray:
     """n log-normal shadowing draws (dB domain), reproducible under seed."""
     if n < 1:
         raise ValueError("need at least one draw")
     rng = np.random.default_rng(seed)
-    return rng.normal(0.0, profile.shadow_sigma_db, size=n)
+    return rng.normal(0.0, sigma_db, size=n)
 
 
 def ntn_attenuation_db(
     psi: ElevationAngle,
     d_km: float,
     fc_ghz: float,
-    profile: TdlProfile,
+    sigma_db: float,
     antenna_gains_db: float = 0.0,
     seed: int = 0,
 ) -> float:
@@ -162,5 +68,5 @@ def ntn_attenuation_db(
     Deterministic under the seed; with zero sigma the value is exactly
     FSPL - gains, which is also the expectation over draws.
     """
-    shadow = float(shadowing_draws(profile, 1, seed)[0]) if profile.shadow_sigma_db > 0.0 else 0.0
+    shadow = float(shadowing_draws(sigma_db, 1, seed)[0]) if sigma_db > 0.0 else 0.0
     return fspl_db(d_km, fc_ghz) + shadow - antenna_gains_db

@@ -160,6 +160,7 @@ def _report_linkbudget(config: ScenarioConfig, snapshots: list[Snapshot]):
         slant_mode=config.slant_mode,
         misalign_mode=config.misalign_mode,
         floor_deg=config.elevation_floor_deg,
+        fc_ghz=config.fc_ghz,
     )
     rows = [[getattr(r, c) for c in LINK_BUDGET_COLUMNS] for r in budget_rows]
     extra = {
@@ -193,9 +194,8 @@ def _report_fading(config: ScenarioConfig, snapshots: list[Snapshot]):
             if regime is fading.FadingRegime.RICIAN:
                 params = fading.RicianParams(k=k_direct, omega=omega)
             else:
-                params = fading.ShadowedRicianParams(
-                    k=k_direct, m=config.fading.m_shadow, omega=omega
-                )
+                # m = 1, the shape that fading.fit pins.
+                params = fading.ShadowedRicianParams(k=k_direct, m=1.0, omega=omega)
             draws = fading.sample(params, n_samples, _row_seed(config.seed, idx))
             fitted = fading.fit(draws, regime)
             k_fit = fitted.k
@@ -294,22 +294,18 @@ def _report_cluster(config: ScenarioConfig, snapshots: list[Snapshot]):
 
 
 def _report_ntn(config: ScenarioConfig, snapshots: list[Snapshot]):
-    profiles = ntn.load_tap_table(config.ntn.tap_file, config.ntn.sigma_db)
     gains_db = config.sat_antenna.peak_gain_dbi + config.gs_antenna.peak_gain_dbi
     rows = []
     for idx, snap in enumerate(snapshots):
         name = ntn.select_profile(snap.psi, config.ntn.psi1_deg, config.ntn.psi2_deg)
-        if name not in profiles:
-            raise ConfigError(f"tap table is missing profile {name}")
-        profile = profiles[name]
+        sigma = config.ntn.sigma_db[name]
         base = fspl_db(snap.distance_km, config.fc_ghz)
         mean = base - gains_db
-        sigma = profile.shadow_sigma_db
         draw = ntn.ntn_attenuation_db(
             snap.psi,
             snap.distance_km,
             config.fc_ghz,
-            profile,
+            sigma,
             antenna_gains_db=gains_db,
             seed=_row_seed(config.seed, idx),
         )
@@ -328,7 +324,7 @@ def _report_ntn(config: ScenarioConfig, snapshots: list[Snapshot]):
     extra = {
         "psi1_deg": config.ntn.psi1_deg,
         "psi2_deg": config.ntn.psi2_deg,
-        "sigma_db": {n: p.shadow_sigma_db for n, p in sorted(profiles.items())},
+        "sigma_db": dict(sorted(config.ntn.sigma_db.items())),
         "antenna_gains_db": gains_db,
     }
     return NTN_COLUMNS, rows, extra

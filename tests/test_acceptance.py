@@ -20,6 +20,7 @@ from chansim.atmosphere import (
     specific_rain_attenuation,
 )
 from chansim.clustering import cluster_snapshot, dbscan
+from chansim.config import ScenarioConfig
 from chansim.dispersion import azimuth_spread, elevation_spread, rms_delay_spread
 from chansim.fading import (
     FadingRegime,
@@ -34,7 +35,7 @@ from chansim.fading import (
 from chansim.geometry import ElevationAngle, PassGeometry
 from chansim.link_budget import evaluate, fspl_db, sweep_pass
 from chansim.mpc import coherent_power_dbm, k_factor
-from chansim.ntn import load_tap_table, select_profile, shadowing_draws
+from chansim.ntn import select_profile, shadowing_draws
 from chansim.synth import synth_scenario
 
 from conftest import make_snapshot
@@ -101,7 +102,7 @@ def test_criterion_03_weather_sweep_reproduction():
             altitudes_km=tuple(d * math.sin(math.radians(p)) for p in psi_grid),
         )
         psi2 = default_psi2(d)
-        snaps = synth_scenario(geo, ATM.fc_ghz, psi2, los_only=True, seed=1)
+        snaps = synth_scenario(geo, 10.0, psi2, los_only=True, seed=1)
         clear = sweep_pass(geo, snaps, ISO, ISO, ATM, p_tx_dbm=30.0, l_hd_db=1.5)
 
         # above the shadowing region the clear-sky budget is FSPL + 3 dB
@@ -209,11 +210,10 @@ def test_criterion_08_ntn_gating_and_shadowing():
         for psi_deg, expected in cases.items():
             assert select_profile(ElevationAngle(psi_deg), 10.0, 15.0) == expected
 
-        profiles = load_tap_table()
+        sigmas = ScenarioConfig().ntn.sigma_db
         for name, sigma in (("NTN-TDL-A", 8.0), ("NTN-TDL-B", 6.0), ("NTN-TDL-C", 4.0)):
-            profile = profiles[name]
-            assert profile.shadow_sigma_db == sigma
-            draws = shadowing_draws(profile, 100_000, seed=31)
+            assert sigmas[name] == sigma
+            draws = shadowing_draws(sigmas[name], 100_000, seed=31)
             assert float(np.std(draws)) == pytest.approx(sigma, rel=0.02)
     report(8, "profile gating at 9.99/10/14.99/15 deg; sigma recovered within "
               f"2% at 1e5 draws for all profiles ({watch.elapsed:.1f}s)")

@@ -145,5 +145,8 @@ class TestParamsValidation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             AtmosphereParams(rain_rate_mmh=-1.0)
-        with pytest.raises(ValueError):
-            AtmosphereParams(fc_ghz=0.0)
+
+    def test_nonpositive_carrier_rejected(self):
+        for fc_ghz in (0.0, -10.0):
+            with pytest.raises(ValueError, match="carrier frequency"):
+                rain_attenuation_db(ElevationAngle(45.0), PARAMS, GEO, fc_ghz=fc_ghz)

@@ -108,7 +108,3 @@ class TestTypes:
             PassGeometry(arc_radius_km=400.0, altitudes_km=(401.0,))
         geo = PassGeometry(arc_radius_km=400.0, altitudes_km=(5.0, 400.0))
         assert [e.psi_deg for e in geo.elevations()][1] == pytest.approx(90.0)
-
-    def test_pass_geometry_direction(self):
-        with pytest.raises(ValueError):
-            PassGeometry(arc_radius_km=400.0, altitudes_km=(5.0,), direction="sideways")

@@ -8,9 +8,6 @@ from chansim.ntn import (
     PROFILE_A,
     PROFILE_B,
     PROFILE_C,
-    TdlProfile,
-    TdlTap,
-    load_tap_table,
     ntn_attenuation_db,
     select_profile,
     shadowing_draws,
@@ -61,75 +58,25 @@ class TestSelectProfile:
             assert select_profile(ElevationAngle(psi_deg), 10.0, psi2) == PROFILE_C
 
 
-class TestTapTable:
-    def test_packaged_table_loads_and_normalises(self):
-        profiles = load_tap_table()
-        assert set(profiles) == {PROFILE_A, PROFILE_B, PROFILE_C}
-        for profile in profiles.values():
-            total = sum(10.0 ** (t.power_db / 10.0) for t in profile.taps)
-            assert total == pytest.approx(1.0, abs=1e-9)
-        assert profiles[PROFILE_A].shadow_sigma_db == 8.0
-        assert profiles[PROFILE_B].shadow_sigma_db == 6.0
-        assert profiles[PROFILE_C].shadow_sigma_db == 4.0
-        assert any(t.is_los for t in profiles[PROFILE_C].taps)
-
-    def test_sigma_override(self):
-        profiles = load_tap_table(sigma_db={PROFILE_A: 2.5})
-        assert profiles[PROFILE_A].shadow_sigma_db == 2.5
-        assert profiles[PROFILE_B].shadow_sigma_db == 6.0
-
-    def test_missing_file(self):
-        with pytest.raises(ConfigError):
-            load_tap_table("/nonexistent/taps.csv")
-
-    def test_malformed_rows(self, tmp_path):
-        bad = tmp_path / "taps.csv"
-        bad.write_text("NTN-TDL-A,0.0,0.0\n")
-        with pytest.raises(ConfigError, match="expected 4 fields"):
-            load_tap_table(bad)
-        bad.write_text("NTN-TDL-X,0.0,0.0,NLOS\n")
-        with pytest.raises(ConfigError, match="unknown profile"):
-            load_tap_table(bad)
-        bad.write_text("NTN-TDL-A,0.0,0.0,SCATTER\n")
-        with pytest.raises(ConfigError, match="LOS or NLOS"):
-            load_tap_table(bad)
-
-    def test_profile_invariant_enforced(self):
-        with pytest.raises(ConfigError, match="sum"):
-            TdlProfile(
-                name=PROFILE_A,
-                taps=(TdlTap(0.0, 0.0, False), TdlTap(1.0, 0.0, False)),
-                shadow_sigma_db=8.0,
-            )
-
-
 class TestAttenuation:
-    def _profile(self, sigma):
-        return TdlProfile(
-            name=PROFILE_C, taps=(TdlTap(0.0, 0.0, True),), shadow_sigma_db=sigma
-        )
-
     def test_zero_sigma_is_exact(self):
         psi = ElevationAngle(30.0)
-        value = ntn_attenuation_db(psi, 400.0, 10.0, self._profile(0.0),
-                                   antenna_gains_db=7.0, seed=123)
+        value = ntn_attenuation_db(psi, 400.0, 10.0, 0.0, antenna_gains_db=7.0, seed=123)
         assert value == pytest.approx(fspl_db(400.0, 10.0) - 7.0, rel=1e-12)
 
     def test_deterministic_under_seed(self):
         psi = ElevationAngle(30.0)
-        p = self._profile(4.0)
-        a = ntn_attenuation_db(psi, 400.0, 10.0, p, seed=9)
-        b = ntn_attenuation_db(psi, 400.0, 10.0, p, seed=9)
+        a = ntn_attenuation_db(psi, 400.0, 10.0, 4.0, seed=9)
+        b = ntn_attenuation_db(psi, 400.0, 10.0, 4.0, seed=9)
         assert a == b
-        assert a != ntn_attenuation_db(psi, 400.0, 10.0, p, seed=10)
+        assert a != ntn_attenuation_db(psi, 400.0, 10.0, 4.0, seed=10)
 
     def test_mean_converges_to_fspl_minus_gains(self):
-        p = self._profile(4.0)
-        draws = shadowing_draws(p, 100_000, seed=3)
+        draws = shadowing_draws(4.0, 100_000, seed=3)
         mean = fspl_db(400.0, 10.0) - 11.0 + float(np.mean(draws))
         assert mean == pytest.approx(fspl_db(400.0, 10.0) - 11.0, abs=0.1)
 
     @pytest.mark.parametrize("sigma", [8.0, 6.0, 4.0])
     def test_sigma_recovery(self, sigma):
-        draws = shadowing_draws(self._profile(sigma), 100_000, seed=17)
+        draws = shadowing_draws(sigma, 100_000, seed=17)
         assert float(np.std(draws)) == pytest.approx(sigma, rel=0.02)

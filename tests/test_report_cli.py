@@ -82,7 +82,8 @@ class TestConfig:
             "weather: [rain, snow]\n"
             "misalign_az_deg: -0.3\n"
             "fading: {psi2_deg: null, fit_samples: 1000}\n"
-            "ntn: {psi1_deg: 10, psi2_deg: 15.0, sigma_db: {A: 8.0, B: 6, C: 4.0}}\n"
+            "ntn: {psi1_deg: 10, psi2_deg: 15.0,"
+            " sigma_db: {NTN-TDL-A: 8.0, NTN-TDL-B: 6, NTN-TDL-C: 4.0}}\n"
             "modes: {coherent: phasor-sum, slant: itu-piecewise}\n"
             "seed: 7\n"
         )
@@ -97,6 +98,47 @@ class TestConfig:
         assert out.seed == 99
         # original untouched
         assert cfg.weather == frozenset()
+
+    @pytest.mark.parametrize("text,key", [
+        ("pass: {arc_radius_km: 400.0, altitudes_km: [5.0], direction: ascending}\n", "direction"),
+        ("atmosphere: {fc_ghz: 20.0}\n", "fc_ghz"),
+        ("fading: {m_shadow: 1.0}\n", "m_shadow"),
+        ("ntn: {tap_file: taps.csv}\n", "tap_file"),
+    ], ids=["pass.direction", "atmosphere.fc_ghz", "fading.m_shadow", "ntn.tap_file"])
+    def test_removed_keys_rejected(self, tmp_path, capsys, text, key):
+        path = tmp_path / "old.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"unknown keys .*'{key}'"):
+            load_config(path)
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_nonpositive_carrier_rejected(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("fc_ghz: 0\n")
+        with pytest.raises(ConfigError, match="fc_ghz"):
+            load_config(path)
+
+    def test_ntn_sigma_partial_override_keeps_defaults(self, tmp_path):
+        path = tmp_path / "sigma.yaml"
+        path.write_text("ntn: {sigma_db: {NTN-TDL-A: 2}}\n")
+        sigmas = load_config(path).ntn.sigma_db
+        assert sigmas == {"NTN-TDL-A": 2.0, "NTN-TDL-B": 6.0, "NTN-TDL-C": 4.0}
+        assert all(type(v) is float for v in sigmas.values())
+
+    @pytest.mark.parametrize("sigma_db,match", [
+        ("{A: 8.0}", "unknown profile names"),
+        ("{NTN-TDL-B: -1.0}", "non-negative"),
+        ("{NTN-TDL-B: .nan}", "non-negative"),
+        ("{NTN-TDL-C: loud}", "must be a number"),
+        ("{NTN-TDL-C: true}", "must be a number"),
+        ("[8.0, 6.0, 4.0]", "must map profile names"),
+    ], ids=["unknown-name", "negative", "nan", "string", "bool", "list"])
+    def test_ntn_sigma_rejected(self, tmp_path, sigma_db, match):
+        path = tmp_path / "sigma.yaml"
+        path.write_text(f"ntn: {{sigma_db: {sigma_db}}}\n")
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
 
     def test_ntn_threshold_validation(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -156,6 +198,27 @@ class TestRunReport:
         assert profiles <= {"NTN-TDL-A", "NTN-TDL-B", "NTN-TDL-C"}
         assert summary["sigma_db"]["NTN-TDL-A"] == 8.0
 
+    def test_carrier_frequency_reaches_fspl_and_rain(self, tmp_path):
+        # fc_ghz is the only carrier frequency: the FSPL column and the rain
+        # reduction factor both follow it.
+        from chansim.atmosphere import total_atmospheric_db
+        from chansim.geometry import ElevationAngle
+        from chansim.link_budget import fspl_db
+
+        cfg = apply_overrides(ScenarioConfig(fc_ghz=20.0), weather_add={"rain"})
+        run_report(cfg, "linkbudget", tmp_path)
+        _, rows = read_csv(tmp_path / "linkbudget.csv")
+        assert len(rows) == len(cfg.geometry.altitudes_km)
+        d_km = cfg.geometry.arc_radius_km
+        for row in rows:
+            psi = ElevationAngle(float(row[0]))
+            assert float(row[8]) == pytest.approx(fspl_db(d_km, 20.0), rel=1e-12)
+            l_atm = total_atmospheric_db(psi, cfg.atmosphere, cfg.geometry, weather={"rain"},
+                                         slant_mode=cfg.slant_mode, fc_ghz=20.0)
+            assert float(row[7]) == pytest.approx(l_atm, rel=1e-12)
+            assert l_atm != total_atmospheric_db(psi, cfg.atmosphere, cfg.geometry,
+                                                 weather={"rain"}, slant_mode=cfg.slant_mode)
+
     def test_rain_delta_is_rain_term(self, tmp_path):
         cfg = ScenarioConfig()
         run_report(cfg, "linkbudget", tmp_path / "clear")
@@ -212,11 +275,16 @@ class TestCli:
         assert code == 3
         assert "input error" in capsys.readouterr().err
 
-    def test_numeric_error_exit_code(self, tmp_path, capsys):
+    def test_numeric_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        from chansim import fading
+        from chansim.errors import NumericError
+
+        def failing_fit(samples, regime):
+            raise NumericError("fit did not converge")
+
+        monkeypatch.setattr(fading, "fit", failing_fit)
         cfg = tmp_path / "numeric.yaml"
-        # even shadowing shape: the normalised density does not exist
-        cfg.write_text("fading: {m_shadow: 2.0}\n"
-                       "pass: {arc_radius_km: 400.0, altitudes_km: [5.0]}\n")
+        cfg.write_text("pass: {arc_radius_km: 400.0, altitudes_km: [5.0]}\n")
         code = main(["fading", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 4
         assert "numeric error" in capsys.readouterr().err

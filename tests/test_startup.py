@@ -12,10 +12,10 @@ PUBLIC_NAMES = [
     "AntennaModel", "AtmosphereParams", "ChansimError", "ClusterResult", "ConfigError",
     "ElevationAngle", "ElevationFloorError", "FadingRegime", "LinkBudgetRow", "Mpc",
     "NumericError", "PassGeometry", "RicianParams", "ScenarioConfig",
-    "ShadowedRicianParams", "Snapshot", "SpreadReport", "TdlProfile", "TraceError",
+    "ShadowedRicianParams", "Snapshot", "SpreadReport", "TraceError",
     "altitude_to_elevation", "azimuth_spread", "build_features", "cloud_attenuation_db",
     "cluster_snapshot", "coherent_power_dbm", "dbscan", "elevation_spread", "evaluate",
-    "fit", "fspl_db", "gain_dbi", "k_factor", "load_config", "load_tap_table",
+    "fit", "fspl_db", "gain_dbi", "k_factor", "load_config",
     "load_trace", "misalignment_loss_db", "ntn_attenuation_db", "rain_attenuation_db",
     "rain_slant_length", "rician_pdf", "rms_delay_spread", "run_report", "sample",
     "save_trace", "select_profile", "select_regime", "shadowed_rician_pdf",
