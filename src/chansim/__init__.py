@@ -27,7 +27,7 @@ from .dispersion import (
 from .errors import ChansimError, ConfigError, ElevationFloorError, NumericError, TraceError
 from .geometry import ElevationAngle, PassGeometry, altitude_to_elevation, rain_slant_length
 from .link_budget import LinkBudgetRow, evaluate, fspl_db, sweep_pass
-from .mpc import Mpc, Snapshot, coherent_power_dbm, k_factor
+from .mpc import Mpc, RayTable, Snapshot, coherent_power_dbm, k_factor
 from .ntn import ntn_attenuation_db, select_profile
 from .report import run_report
 from .synth import synth_scenario
@@ -69,6 +69,7 @@ __all__ = [
     "Mpc",
     "NumericError",
     "PassGeometry",
+    "RayTable",
     "RicianParams",
     "ScenarioConfig",
     "ShadowedRicianParams",

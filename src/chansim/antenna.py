@@ -11,9 +11,12 @@ broadside broadens the beam through the sine-space projection.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
-from .mpc import Mpc, Snapshot
+import numpy as np
+
+from .mpc import RayTable, Snapshot, as_table
 
 KIND_ISOTROPIC = "isotropic"
 KIND_SINGLE = "single-element"
@@ -59,45 +62,50 @@ class AntennaModel:
         return replace(self, steer_az_deg=az_deg, steer_el_deg=el_deg)
 
 
-def _wrap_deg(angle: float) -> float:
+def _wrap_deg(angle):
     """Wrap an angle difference into [-180, 180)."""
     return (angle + 180.0) % 360.0 - 180.0
 
 
-def _af_plane_db(n: int, spacing: float, steer_deg: float, offset_deg: float) -> float:
+def _af_plane_db(n: int, spacing: float, steer_deg: float, offset_deg: np.ndarray) -> np.ndarray:
     """Normalised uniform linear array factor in one plane, in dB (<= 0)."""
     if n == 1:
-        return 0.0
-    u = math.sin(math.radians(steer_deg + offset_deg)) - math.sin(math.radians(steer_deg))
+        return np.zeros_like(offset_deg)
+    u = np.sin(np.radians(steer_deg + offset_deg)) - math.sin(math.radians(steer_deg))
     x = math.pi * spacing * u
-    sin_x = math.sin(x)
-    if abs(sin_x) < 1e-15:
-        # Main lobe or a grating direction: |AF| = n exactly.
-        return 0.0
-    af = math.sin(n * x) / (n * sin_x)
-    if af == 0.0:
-        return -math.inf
-    return 20.0 * math.log10(abs(af))
+    sin_x = np.sin(x)
+    # Main lobe or a grating direction: |AF| = n exactly.
+    main_lobe = np.abs(sin_x) < 1e-15
+    with np.errstate(divide="ignore", invalid="ignore"):
+        af = np.abs(np.sin(n * x) / (n * sin_x))
+        af_db = np.where(af == 0.0, -math.inf, 20.0 * np.log10(af))
+    return np.where(main_lobe, 0.0, af_db)
 
 
-def gain_dbi(model: AntennaModel, az_off_deg: float, el_off_deg: float) -> float:
+def gain_dbi(model: AntennaModel, az_off_deg, el_off_deg):
     """Antenna gain at an offset from the current beam pointing, in dBi.
 
     Offsets are angles in the azimuth and elevation planes measured from
-    the steered boresight, each in [-180, 180].
+    the steered boresight, each in [-180, 180].  Scalars give a float,
+    arrays an array of the broadcast shape.
     """
-    for off in (az_off_deg, el_off_deg):
-        if not -180.0 <= off <= 180.0:
-            raise ValueError(f"offset {off} outside [-180, 180] deg")
+    az_off, el_off = np.broadcast_arrays(np.asarray(az_off_deg, dtype=float),
+                                         np.asarray(el_off_deg, dtype=float))
+    for off in (az_off, el_off):
+        outside = ~((-180.0 <= off) & (off <= 180.0))
+        if outside.any():
+            raise ValueError(f"offset {float(off[outside].flat[0])} outside [-180, 180] deg")
     if model.kind == KIND_ISOTROPIC:
-        return 0.0
-    if model.kind == KIND_SINGLE:
-        ratio_sq = (az_off_deg**2 + el_off_deg**2) / model.hpbw_deg**2
-        return model.peak_gain_dbi - min(12.0 * ratio_sq, model.floor_db)
-    pattern_db = _af_plane_db(
-        model.nx, model.spacing_wavelengths, model.steer_az_deg, az_off_deg
-    ) + _af_plane_db(model.ny, model.spacing_wavelengths, model.steer_el_deg, el_off_deg)
-    return model.peak_gain_dbi + max(pattern_db, -model.floor_db)
+        gain = np.zeros_like(az_off)
+    elif model.kind == KIND_SINGLE:
+        ratio_sq = (az_off**2 + el_off**2) / model.hpbw_deg**2
+        gain = model.peak_gain_dbi - np.minimum(12.0 * ratio_sq, model.floor_db)
+    else:
+        pattern_db = _af_plane_db(
+            model.nx, model.spacing_wavelengths, model.steer_az_deg, az_off
+        ) + _af_plane_db(model.ny, model.spacing_wavelengths, model.steer_el_deg, el_off)
+        gain = model.peak_gain_dbi + np.maximum(pattern_db, -model.floor_db)
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def misalignment_loss_db(model: AntennaModel, d_az_deg: float, d_el_deg: float) -> float:
@@ -106,33 +114,28 @@ def misalignment_loss_db(model: AntennaModel, d_az_deg: float, d_el_deg: float) 
 
 
 def spatial_filter(
-    snapshot: Snapshot,
+    rays: RayTable | Snapshot | Iterable[Snapshot],
     sat_model: AntennaModel,
     gs_model: AntennaModel,
-) -> Snapshot:
+) -> RayTable | Snapshot:
     """Re-weight every ray by the antenna gains at its departure/arrival angles.
 
     Input amplitudes are assumed to be referenced to isotropic patterns;
     each amplitude is scaled by 10^((G_sat + G_gs)/20) with the gains
     evaluated at the ray's angular offset from each antenna's pointing.
-    Angles are left untouched.
+    Angles are left untouched.  A snapshot gives a snapshot, a table or
+    a sequence of snapshots a table.
     """
-    filtered: list[Mpc] = []
-    for ray in snapshot.mpcs:
-        g_sat = gain_dbi(
-            sat_model,
-            _wrap_deg(ray.aod_az_deg - sat_model.steer_az_deg),
-            ray.aod_el_deg - sat_model.steer_el_deg,
-        )
-        g_gs = gain_dbi(
-            gs_model,
-            _wrap_deg(ray.aoa_az_deg - gs_model.steer_az_deg),
-            ray.aoa_el_deg - gs_model.steer_el_deg,
-        )
-        filtered.append(ray.scaled(10.0 ** ((g_sat + g_gs) / 20.0)))
-    return Snapshot(
-        psi=snapshot.psi,
-        distance_km=snapshot.distance_km,
-        mpcs=tuple(filtered),
-        altitude_hint_km=snapshot.altitude_hint_km,
+    table = as_table(rays)
+    g_sat = gain_dbi(
+        sat_model,
+        _wrap_deg(table.aod_az_deg - sat_model.steer_az_deg),
+        table.aod_el_deg - sat_model.steer_el_deg,
     )
+    g_gs = gain_dbi(
+        gs_model,
+        _wrap_deg(table.aoa_az_deg - gs_model.steer_az_deg),
+        table.aoa_el_deg - gs_model.steer_el_deg,
+    )
+    filtered = table.with_amplitude(table.amplitude * 10.0 ** ((g_sat + g_gs) / 20.0))
+    return filtered[0] if isinstance(rays, Snapshot) else filtered

@@ -8,11 +8,12 @@ the working matrix has 7 columns, each z-score normalised.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mpc import Snapshot
+from .mpc import RayTable, Snapshot, as_table
 
 NOISE = -1
 
@@ -42,83 +43,127 @@ class ClusterResult:
     zeta: int
 
 
-def build_features(snapshot: Snapshot) -> np.ndarray:
-    """Normalised feature matrix (N x 7) for a snapshot's MPCs.
+def _zscored_features(delay, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg) -> np.ndarray:
+    # (snapshots, rays) blocks in, (snapshots, rays, 7) features out.
+    k, n = delay.shape
+    aod_az = np.radians(aod_az_deg)
+    aoa_az = np.radians(aoa_az_deg)
+    raw = np.stack(
+        [delay, np.sin(aod_az), np.cos(aod_az), aod_el_deg, np.sin(aoa_az), np.cos(aoa_az),
+         aoa_el_deg],
+        axis=1,
+    ).reshape(k * len(FEATURE_COLUMNS), n)
+    std = np.std(raw, axis=1)
+    scale = np.fmax(1.0, np.max(np.abs(raw), axis=1))
+    informative = ~(std <= _CONSTANT_COLUMN_TOL * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = (raw - np.mean(raw, axis=1)[:, None]) / std[:, None]
+    out = np.where(informative[:, None], scaled, 0.0)
+    return out.reshape(k, len(FEATURE_COLUMNS), n).transpose(0, 2, 1)
+
+
+def build_features(rays: RayTable | Snapshot | Iterable[Snapshot]) -> np.ndarray:
+    """Normalised feature matrix (N x 7), one row per ray of the table.
 
     Azimuths are expanded to (sin, cos) pairs before normalisation; every
-    column is then scaled to zero mean and unit (population) variance,
-    except constant columns which are set to all zeros.
+    column is then scaled, snapshot by snapshot, to zero mean and unit
+    (population) variance, except constant columns which are set to all
+    zeros.  Rows follow the table's ray order, so snapshot ``i`` owns rows
+    ``offsets[i]:offsets[i + 1]``.
     """
-    aod_az = np.radians([m.aod_az_deg for m in snapshot.mpcs])
-    aoa_az = np.radians([m.aoa_az_deg for m in snapshot.mpcs])
-    raw = np.column_stack(
-        [
-            [m.delay_s for m in snapshot.mpcs],
-            np.sin(aod_az),
-            np.cos(aod_az),
-            [m.aod_el_deg for m in snapshot.mpcs],
-            np.sin(aoa_az),
-            np.cos(aoa_az),
-            [m.aoa_el_deg for m in snapshot.mpcs],
-        ]
+    table = as_table(rays)
+    return table.map_rays(
+        _zscored_features,
+        table.delay_s, table.aod_az_deg, table.aod_el_deg, table.aoa_az_deg, table.aoa_el_deg,
     )
-    out = np.zeros_like(raw)
-    for j in range(raw.shape[1]):
-        col = raw[:, j]
-        std = float(np.std(col))
-        scale = max(1.0, float(np.max(np.abs(col))) if col.size else 1.0)
-        if std <= _CONSTANT_COLUMN_TOL * scale:
-            continue
-        out[:, j] = (col - np.mean(col)) / std
-    return out
 
 
-def dbscan(features: np.ndarray, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZETA) -> ClusterResult:
+def _labels(pts: np.ndarray, xi: float, zeta: int) -> tuple[np.ndarray, np.ndarray]:
+    """DBSCAN labels (k, n) and cluster counts (k,) of k point sets of n points."""
+    k, n, _ = pts.shape
+    # Squared distances are added feature by feature, the order a sum over
+    # the feature axis of the pairwise differences takes.
+    d2 = np.zeros((k, n, n))
+    for j in range(pts.shape[2]):
+        diff = pts[:, :, j, None] - pts[:, None, :, j]
+        d2 += diff * diff
+    near = np.sqrt(d2) <= xi
+    core = near.sum(axis=2) >= zeta
+    links = near & core[:, :, None] & core[:, None, :]
+    index = np.arange(n)
+    # Each core point takes the lowest core index it can reach: min-label
+    # propagation with pointer jumping; n marks "no core point".
+    root = np.where(core, index, n)
+    sentinel = np.full((k, 1), n)
+    while True:
+        step = np.where(links, root[:, None, :], n).min(axis=2, initial=n)
+        step = np.take_along_axis(np.concatenate([step, sentinel], axis=1), step, axis=1)
+        if np.array_equal(step, root):
+            break
+        root = step
+    is_root = root == index
+    rank = np.cumsum(is_root, axis=1) - 1
+    core_cluster = np.where(core, np.take_along_axis(rank, np.where(core, root, 0), axis=1), n)
+    labels = np.where(near, core_cluster[:, None, :], n).min(axis=2, initial=n)
+    labels[labels == n] = NOISE
+    return labels, is_root.sum(axis=1)
+
+
+# Point pairs handled per batch of equal-size point sets, bounding the
+# (sets, n, n) work arrays to a few MB.
+_BATCH_PAIRS = 1 << 18
+
+
+def dbscan(
+    features: np.ndarray, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZETA
+) -> ClusterResult | list[ClusterResult]:
     """Density-based clustering with Euclidean distance.
 
     A point is a core point when its closed xi-neighbourhood (which
-    includes the point itself) holds at least zeta points.  Clusters grow
-    from core points through density reachability; everything else is
-    noise.  Scan order is input order and border points join the first
-    cluster that reaches them, so the labelling is deterministic.
+    includes the point itself) holds at least zeta points.  Clusters are
+    the connected components of core points under neighbourhood, numbered
+    by their lowest core index; a non-core point within xi of a core
+    point is a border point and takes the smallest cluster id among its
+    core neighbours; everything else is noise.  This is the labelling a
+    scan in input order with first-come border assignment produces.
+
+    ``features`` is one (N x D) point set, giving one result, or a stack
+    (K x N x D) of point sets of equal size, giving a list of K results.
     """
     if xi <= 0.0:
         raise ValueError("neighbourhood radius must be positive")
     if zeta < 1:
         raise ValueError("minimum points must be at least 1")
     pts = np.asarray(features, dtype=float)
-    n = pts.shape[0]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    neighborhoods = [np.flatnonzero(dist[i] <= xi) for i in range(n)]
-
-    labels = np.full(n, NOISE, dtype=int)
-    visited = np.zeros(n, dtype=bool)
-    cluster = 0
-    for i in range(n):
-        if visited[i]:
-            continue
-        visited[i] = True
-        if neighborhoods[i].size < zeta:
-            continue
-        labels[i] = cluster
-        queue = list(neighborhoods[i])
-        head = 0
-        while head < len(queue):
-            j = queue[head]
-            head += 1
-            if labels[j] == NOISE:
-                labels[j] = cluster
-            if visited[j]:
-                continue
-            visited[j] = True
-            labels[j] = cluster
-            if neighborhoods[j].size >= zeta:
-                queue.extend(neighborhoods[j])
-        cluster += 1
-    return ClusterResult(labels=tuple(int(x) for x in labels), n_clusters=cluster, xi=xi, zeta=zeta)
+    if pts.ndim not in (2, 3):
+        raise ValueError("features must be one (N x D) point set or a (K x N x D) stack")
+    batch = pts if pts.ndim == 3 else pts[None]
+    k, n = batch.shape[:2]
+    step = max(1, _BATCH_PAIRS // max(1, n * n))
+    results = []
+    for lo in range(0, k, step):
+        labels, counts = _labels(batch[lo:lo + step], xi, zeta)
+        results.extend(
+            ClusterResult(labels=tuple(row), n_clusters=count, xi=xi, zeta=zeta)
+            for row, count in zip(labels.tolist(), counts.tolist())
+        )
+    return results if pts.ndim == 3 else results[0]
 
 
-def cluster_snapshot(snapshot: Snapshot, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZETA) -> ClusterResult:
-    """Build features for a snapshot and cluster them."""
-    return dbscan(build_features(snapshot), xi=xi, zeta=zeta)
+def cluster_snapshot(
+    rays: RayTable | Snapshot | Iterable[Snapshot],
+    xi: float = DEFAULT_XI,
+    zeta: int = DEFAULT_ZETA,
+) -> ClusterResult | list[ClusterResult]:
+    """Build features and cluster them, snapshot by snapshot.
+
+    A snapshot gives one result, a table or a sequence of snapshots a
+    list with one result per snapshot.
+    """
+    table = as_table(rays)
+    features = build_features(table)
+    results: list[ClusterResult | None] = [None] * len(table)
+    for snaps, rows in table.blocks():
+        for i, result in zip(snaps.tolist(), dbscan(features[rows], xi=xi, zeta=zeta)):
+            results[i] = result
+    return results[0] if isinstance(rays, Snapshot) else results

@@ -74,13 +74,17 @@ class SynthConfig:
     max_extra_rays: int = 8
 
 
+# The pass of a config that sets none.  A trace run may replace it with the
+# trace's geometry, while a config's own ``pass`` (always a new object) must
+# agree with the trace: the two are told apart by identity.
+DEFAULT_GEOMETRY = PassGeometry(
+    arc_radius_km=400.0, gs_height_km=0.023, altitudes_km=DEFAULT_ALTITUDES_KM
+)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    geometry: PassGeometry = field(
-        default_factory=lambda: PassGeometry(
-            arc_radius_km=400.0, gs_height_km=0.023, altitudes_km=DEFAULT_ALTITUDES_KM
-        )
-    )
+    geometry: PassGeometry = DEFAULT_GEOMETRY
     fc_ghz: float = DEFAULT_FC_GHZ
     p_tx_dbm: float = 30.0
     l_hd_db: float = 1.5
@@ -179,7 +183,12 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
     for key in ("fc_ghz", "p_tx_dbm", "l_hd_db", "misalign_az_deg", "misalign_el_deg",
                 "elevation_floor_deg", "seed"):
         if key in data:
-            kwargs[key] = data[key]
+            value = data[key]
+            allowed = int if key == "seed" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                kind = "an integer" if key == "seed" else "a number"
+                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+            kwargs[key] = value
     if "antennas" in data:
         ants = data["antennas"]
         if not isinstance(ants, dict) or set(ants) - {"satellite", "ground"}:

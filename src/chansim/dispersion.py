@@ -3,17 +3,19 @@
 Delay spread is the power-weighted standard deviation of path delays.
 Azimuth spread uses circular statistics (mean resultant length), while
 elevation spread is the ordinary linear standard deviation; both are
-unweighted over the paths.
+unweighted over the paths.  Every metric is computed for a whole ray
+table at once; a single snapshot is a one-snapshot table.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mpc import Snapshot
+from .mpc import RayTable, Snapshot, as_table
 
 # Mean resultant lengths below this are treated as fully dispersed; the
 # circular spread is then unbounded and reported as a sentinel rather
@@ -35,20 +37,45 @@ class SpreadReport:
     el_spread_gs_deg: float
 
 
+def _delay_moments(powers: np.ndarray, delays: np.ndarray) -> np.ndarray:
+    # Rows of (total power, mean excess delay, RMS spread) per block row.
+    total = powers.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.sum(powers * delays, axis=1) / total
+        rms = np.sqrt(np.sum(powers * (delays - mean[:, None]) ** 2, axis=1) / total)
+    return np.stack([total, mean, rms], axis=1)
+
+
+def _delay_spreads(table: RayTable) -> tuple[list[float], list[float]]:
+    a = table.amplitude
+    moments = table.reduce(_delay_moments, a * a, table.delay_s)
+    if np.any(moments[:, 0] <= 0.0):
+        raise ValueError("total snapshot power is zero")
+    return moments[:, 2].tolist(), moments[:, 1].tolist()
+
+
 def rms_delay_spread(snapshot: Snapshot) -> tuple[float, float]:
     """Power-weighted RMS delay spread and mean excess delay, in seconds.
 
     Per-path powers are |a_i exp(j chi_i)|^2.  Raises ValueError when the
     total power is zero.
     """
-    powers = np.array([m.power for m in snapshot.mpcs])
-    delays = np.array([m.delay_s for m in snapshot.mpcs])
-    total = float(powers.sum())
-    if total <= 0.0:
-        raise ValueError("total snapshot power is zero")
-    mean_excess = float(np.sum(powers * delays) / total)
-    rms = math.sqrt(float(np.sum(powers * (delays - mean_excess) ** 2) / total))
-    return rms, mean_excess
+    rms, mean = _delay_spreads(snapshot.table)
+    return rms[0], mean[0]
+
+
+def _circular_spread(sum_cos: float, sum_sin: float, n: int) -> float:
+    length = math.hypot(sum_cos, sum_sin) / n
+    if length < _RESULTANT_FLOOR:
+        return UNBOUNDED_SPREAD
+    if length >= 1.0:
+        return 0.0
+    return math.degrees(math.sqrt(-2.0 * math.log(length)))
+
+
+def _circular_sums(angles_deg: np.ndarray) -> np.ndarray:
+    angles = np.radians(angles_deg)
+    return np.stack([np.sum(np.cos(angles), axis=-1), np.sum(np.sin(angles), axis=-1)], axis=-1)
 
 
 def azimuth_spread(angles_deg: list[float] | np.ndarray) -> float:
@@ -58,16 +85,11 @@ def azimuth_spread(angles_deg: list[float] | np.ndarray) -> float:
     sentinel (inf) when the resultant vanishes (e.g. angles uniformly
     spaced around the circle).
     """
-    angles = np.radians(np.asarray(angles_deg, dtype=float))
+    angles = np.asarray(angles_deg, dtype=float)
     if angles.size == 0:
         raise ValueError("need at least one angle")
-    resultant = math.hypot(float(np.sum(np.cos(angles))), float(np.sum(np.sin(angles))))
-    length = resultant / angles.size
-    if length < _RESULTANT_FLOOR:
-        return UNBOUNDED_SPREAD
-    if length >= 1.0:
-        return 0.0
-    return math.degrees(math.sqrt(-2.0 * math.log(length)))
+    sum_cos, sum_sin = _circular_sums(angles).tolist()
+    return _circular_spread(sum_cos, sum_sin, angles.size)
 
 
 def elevation_spread(angles_deg: list[float] | np.ndarray) -> float:
@@ -78,14 +100,36 @@ def elevation_spread(angles_deg: list[float] | np.ndarray) -> float:
     return float(np.std(angles))
 
 
-def spread_report(snapshot: Snapshot) -> SpreadReport:
-    """Assemble delay and angular spreads at both link ends for a snapshot."""
-    rms, mean_excess = rms_delay_spread(snapshot)
-    return SpreadReport(
-        rms_ds_s=rms,
-        mean_excess_delay_s=mean_excess,
-        az_spread_sat_deg=azimuth_spread([m.aod_az_deg for m in snapshot.mpcs]),
-        el_spread_sat_deg=elevation_spread([m.aod_el_deg for m in snapshot.mpcs]),
-        az_spread_gs_deg=azimuth_spread([m.aoa_az_deg for m in snapshot.mpcs]),
-        el_spread_gs_deg=elevation_spread([m.aoa_el_deg for m in snapshot.mpcs]),
-    )
+def _std_rows(block: np.ndarray) -> np.ndarray:
+    return np.std(block, axis=1)
+
+
+def spread_report(
+    rays: RayTable | Snapshot | Iterable[Snapshot],
+) -> SpreadReport | list[SpreadReport]:
+    """Delay and angular spreads at both link ends, per snapshot.
+
+    A snapshot gives one report, a table or a sequence of snapshots a
+    list with one report per snapshot.
+    """
+    table = as_table(rays)
+    counts = table.counts.tolist()
+
+    def azimuth(col: np.ndarray) -> list[float]:
+        sums = table.reduce(_circular_sums, col).tolist()
+        return [_circular_spread(c, s, n) for (c, s), n in zip(sums, counts)]
+
+    def elevation(col: np.ndarray) -> list[float]:
+        return table.reduce(_std_rows, col).tolist()
+
+    reports = [
+        SpreadReport(*fields)
+        for fields in zip(
+            *_delay_spreads(table),
+            azimuth(table.aod_az_deg),
+            elevation(table.aod_el_deg),
+            azimuth(table.aoa_az_deg),
+            elevation(table.aoa_el_deg),
+        )
+    ]
+    return reports[0] if isinstance(rays, Snapshot) else reports

@@ -13,6 +13,7 @@ comparison plots.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from .antenna import AntennaModel, misalignment_loss_db, spatial_filter
@@ -22,7 +23,7 @@ from .geometry import (
     SLANT_AS_PRINTED,
     PassGeometry,
 )
-from .mpc import COHERENT_POWER_SUM, Snapshot, coherent_power_dbm
+from .mpc import COHERENT_POWER_SUM, RayTable, Snapshot, as_table, coherent_power_dbm
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -65,63 +66,15 @@ def evaluate(
     gs_antenna: AntennaModel,
     atmosphere: AtmosphereParams,
     geometry: PassGeometry,
-    weather: frozenset[str] | set[str] = frozenset(),
-    misalignment: tuple[float, float] = (0.0, 0.0),
-    p_tx_dbm: float = 30.0,
-    l_hd_db: float = 1.5,
-    coherent_mode: str = COHERENT_POWER_SUM,
-    slant_mode: str = SLANT_AS_PRINTED,
-    misalign_mode: str = MISALIGN_AGGREGATE,
-    floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG,
-    fc_ghz: float = DEFAULT_FC_GHZ,
+    **options,
 ) -> LinkBudgetRow:
-    """Evaluate the full budget for one snapshot.
-
-    Misalignment (d_az, d_el) is applied either as a single aggregate
-    term from the GS pattern (default) or by skewing the GS pointing
-    before per-ray spatial filtering; the two modes are mutually
-    exclusive so the loss is never double counted.
-    """
-    if misalign_mode not in _MISALIGN_MODES:
-        raise ValueError(f"misalignment mode must be one of {_MISALIGN_MODES}")
-    d_az, d_el = misalignment
-    if misalign_mode == MISALIGN_PER_RAY:
-        gs_used = gs_antenna.steered(
-            gs_antenna.steer_az_deg + d_az, gs_antenna.steer_el_deg + d_el
-        )
-        l_am = 0.0
-    else:
-        gs_used = gs_antenna
-        l_am = misalignment_loss_db(gs_antenna, d_az, d_el)
-
-    filtered = spatial_filter(snapshot, sat_antenna, gs_used)
-    p_coh = coherent_power_dbm(filtered, mode=coherent_mode, p_tx_dbm=p_tx_dbm)
-    l_atm = total_atmospheric_db(
-        snapshot.psi,
-        atmosphere,
-        geometry,
-        weather=weather,
-        slant_mode=slant_mode,
-        floor_deg=floor_deg,
-        fc_ghz=fc_ghz,
-    )
-    p_rx = p_coh - l_hd_db - l_am - l_atm
-    return LinkBudgetRow(
-        psi_deg=snapshot.psi.psi_deg,
-        altitude_km=snapshot.altitude_km,
-        l_total_db=p_tx_dbm - p_rx,
-        p_rx_dbm=p_rx,
-        p_coh_dbm=p_coh,
-        l_hd_db=l_hd_db,
-        l_am_db=l_am,
-        l_atm_db=l_atm,
-        fspl_db=fspl_db(snapshot.distance_km, fc_ghz),
-    )
+    """Evaluate the full budget for one snapshot; ``options`` are those of ``sweep_pass``."""
+    return sweep_pass(geometry, snapshot, sat_antenna, gs_antenna, atmosphere, **options)[0]
 
 
 def sweep_pass(
     geometry: PassGeometry,
-    snapshots: list[Snapshot],
+    snapshots: RayTable | Snapshot | Iterable[Snapshot],
     sat_antenna: AntennaModel,
     gs_antenna: AntennaModel,
     atmosphere: AtmosphereParams,
@@ -135,25 +88,53 @@ def sweep_pass(
     floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG,
     fc_ghz: float = DEFAULT_FC_GHZ,
 ) -> list[LinkBudgetRow]:
-    """Evaluate every snapshot of a pass; rows come back ordered by altitude."""
-    rows = [
-        evaluate(
-            snap,
-            sat_antenna,
-            gs_antenna,
+    """Evaluate the budget of every snapshot of a pass, ordered by altitude.
+
+    Misalignment (d_az, d_el) is applied either as a single aggregate
+    term from the GS pattern (default) or by skewing the GS pointing
+    before per-ray spatial filtering; the two modes are mutually
+    exclusive so the loss is never double counted.
+    """
+    if misalign_mode not in _MISALIGN_MODES:
+        raise ValueError(f"misalignment mode must be one of {_MISALIGN_MODES}")
+    table = as_table(snapshots)
+    d_az, d_el = misalignment
+    if misalign_mode == MISALIGN_PER_RAY:
+        gs_used = gs_antenna.steered(
+            gs_antenna.steer_az_deg + d_az, gs_antenna.steer_el_deg + d_el
+        )
+        l_am = 0.0
+    else:
+        gs_used = gs_antenna
+        l_am = misalignment_loss_db(gs_antenna, d_az, d_el)
+
+    filtered = spatial_filter(table, sat_antenna, gs_used)
+    p_coh = coherent_power_dbm(filtered, mode=coherent_mode, p_tx_dbm=p_tx_dbm)
+    free_space = fspl_db(table.arc_radius_km, fc_ghz)
+    rows = []
+    for snap, p_coh_dbm in zip(table, p_coh):
+        l_atm = total_atmospheric_db(
+            snap.psi,
             atmosphere,
             geometry,
             weather=weather,
-            misalignment=misalignment,
-            p_tx_dbm=p_tx_dbm,
-            l_hd_db=l_hd_db,
-            coherent_mode=coherent_mode,
             slant_mode=slant_mode,
-            misalign_mode=misalign_mode,
             floor_deg=floor_deg,
             fc_ghz=fc_ghz,
         )
-        for snap in snapshots
-    ]
+        p_rx = p_coh_dbm - l_hd_db - l_am - l_atm
+        rows.append(
+            LinkBudgetRow(
+                psi_deg=snap.psi.psi_deg,
+                altitude_km=snap.altitude_km,
+                l_total_db=p_tx_dbm - p_rx,
+                p_rx_dbm=p_rx,
+                p_coh_dbm=p_coh_dbm,
+                l_hd_db=l_hd_db,
+                l_am_db=l_am,
+                l_atm_db=l_atm,
+                fspl_db=free_space,
+            )
+        )
     rows.sort(key=lambda row: row.altitude_km)
     return rows

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 from . import clustering, dispersion, ntn
-from .config import ScenarioConfig
+from .config import DEFAULT_GEOMETRY, ScenarioConfig
 from .errors import ConfigError
+from .geometry import PassGeometry
 from .link_budget import LINK_BUDGET_COLUMNS, fspl_db, sweep_pass
-from .mpc import Snapshot, k_factor
+from .mpc import RayTable, k_factor
 from .synth import synth_scenario
 from .traceio import _atomic_write_text, load_trace
 
@@ -98,7 +100,7 @@ def _row_seed(base_seed: int, index: int) -> int:
     return base_seed * 1_000_003 + index
 
 
-def gather_snapshots(config: ScenarioConfig, trace_path: str | Path | None) -> list[Snapshot]:
+def gather_snapshots(config: ScenarioConfig, trace_path: str | Path | None) -> RayTable:
     if trace_path is not None:
         return load_trace(trace_path)
     return synth_scenario(
@@ -111,24 +113,49 @@ def gather_snapshots(config: ScenarioConfig, trace_path: str | Path | None) -> l
     )
 
 
+def _follow_trace(config: ScenarioConfig, table: RayTable) -> ScenarioConfig:
+    """The config with the pass geometry of a trace: its arc radius and altitudes."""
+    radius = table.arc_radius_km
+    if config.geometry.arc_radius_km == radius:
+        return config
+    if config.geometry is not DEFAULT_GEOMETRY:
+        raise ConfigError(
+            f"pass.arc_radius_km {config.geometry.arc_radius_km!r} conflicts with the "
+            f"trace's arc_radius_km {radius!r}"
+        )
+    geometry = PassGeometry(
+        arc_radius_km=radius,
+        gs_height_km=config.geometry.gs_height_km,
+        altitudes_km=tuple(table.altitude_km.tolist()),
+    )
+    return replace(config, geometry=geometry)
+
+
 def run_report(
     config: ScenarioConfig,
     subcommand: str,
     out_dir: str | Path,
     trace_path: str | Path | None = None,
 ) -> dict:
-    """Run one subcommand, write its CSV and summary.json, return the summary."""
+    """Run one subcommand, write its CSV and summary.json, return the summary.
+
+    With a trace, the pass geometry (arc radius, so also the default
+    shadowing threshold psi2) is the trace's; a config that sets a
+    different ``pass.arc_radius_km`` is a ConfigError.
+    """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
     out = Path(out_dir)
-    snapshots = gather_snapshots(config, trace_path)
-    snapshots = sorted(snapshots, key=lambda s: s.altitude_km)
+    table = gather_snapshots(config, trace_path)
+    if trace_path is not None:
+        config = _follow_trace(config, table)
+    table = table.sorted_by_altitude()
     summary: dict = {
         "subcommand": subcommand,
         "seed": config.seed,
         "arc_radius_km": config.geometry.arc_radius_km,
         "fc_ghz": config.fc_ghz,
-        "n_snapshots": len(snapshots),
+        "n_snapshots": len(table),
         "source": "trace" if trace_path is not None else "synthetic",
     }
     builder = {
@@ -138,17 +165,17 @@ def run_report(
         "cluster": _report_cluster,
         "ntn-compare": _report_ntn,
     }[subcommand]
-    columns, rows, extra = builder(config, snapshots)
+    columns, rows, extra = builder(config, table)
     summary.update(extra)
     _write_csv(out / f"{subcommand}.csv", columns, rows)
     _write_json(out / "summary.json", summary)
     return summary
 
 
-def _report_linkbudget(config: ScenarioConfig, snapshots: list[Snapshot]):
+def _report_linkbudget(config: ScenarioConfig, table: RayTable):
     budget_rows = sweep_pass(
         config.geometry,
-        snapshots,
+        table,
         config.sat_antenna,
         config.gs_antenna,
         config.atmosphere,
@@ -171,14 +198,14 @@ def _report_linkbudget(config: ScenarioConfig, snapshots: list[Snapshot]):
     return LINK_BUDGET_COLUMNS, rows, extra
 
 
-def _report_fading(config: ScenarioConfig, snapshots: list[Snapshot]):
+def _report_fading(config: ScenarioConfig, table: RayTable):
     # Imported here so that only this subcommand pays scipy's import time.
     from . import fading
 
     psi2 = config.psi2()
     rows = []
     fits = []
-    for idx, snap in enumerate(snapshots):
+    for idx, snap in enumerate(table):
         regime = fading.select_regime(snap, psi2)
         k_direct = k_factor(snap, designate_strongest=config.fading.designate_strongest_los)
         omega = snap.total_power()
@@ -239,25 +266,22 @@ def _cdf_entry(values: list[float]) -> dict:
     }
 
 
-def _report_spreads(config: ScenarioConfig, snapshots: list[Snapshot]):
-    rows = []
-    reports = []
-    for snap in snapshots:
-        rep = dispersion.spread_report(snap)
-        reports.append(rep)
-        rows.append(
-            [
-                snap.psi.psi_deg,
-                snap.altitude_km,
-                len(snap),
-                rep.rms_ds_s,
-                rep.mean_excess_delay_s,
-                rep.az_spread_sat_deg,
-                rep.el_spread_sat_deg,
-                rep.az_spread_gs_deg,
-                rep.el_spread_gs_deg,
-            ]
-        )
+def _report_spreads(config: ScenarioConfig, table: RayTable):
+    reports = dispersion.spread_report(table)
+    rows = [
+        [
+            snap.psi.psi_deg,
+            snap.altitude_km,
+            len(snap),
+            rep.rms_ds_s,
+            rep.mean_excess_delay_s,
+            rep.az_spread_sat_deg,
+            rep.el_spread_sat_deg,
+            rep.az_spread_gs_deg,
+            rep.el_spread_gs_deg,
+        ]
+        for snap, rep in zip(table, reports)
+    ]
     cdf = {
         "rms_ds_s": _cdf_entry([r.rms_ds_s for r in reports]),
         "az_spread_sat_deg": _cdf_entry([r.az_spread_sat_deg for r in reports]),
@@ -268,19 +292,22 @@ def _report_spreads(config: ScenarioConfig, snapshots: list[Snapshot]):
     return SPREADS_COLUMNS, rows, {"cdf": cdf}
 
 
-def _report_cluster(config: ScenarioConfig, snapshots: list[Snapshot]):
+def _report_cluster(config: ScenarioConfig, table: RayTable):
+    results = clustering.cluster_snapshot(
+        table, xi=config.clustering.xi, zeta=config.clustering.zeta
+    )
+    delays = table.delay_s.tolist()
+    offsets = table.offsets.tolist()
     rows = []
     per_snapshot = []
-    for snap in snapshots:
-        result = clustering.cluster_snapshot(
-            snap, xi=config.clustering.xi, zeta=config.clustering.zeta
-        )
-        for i, (ray, label) in enumerate(zip(snap.mpcs, result.labels)):
-            rows.append([snap.psi.psi_deg, snap.altitude_km, i, ray.delay_s, label])
+    for snap, result, start in zip(table, results, offsets):
+        psi_deg, altitude_km = snap.psi.psi_deg, snap.altitude_km
+        for i, label in enumerate(result.labels):
+            rows.append([psi_deg, altitude_km, i, delays[start + i], label])
         per_snapshot.append(
             {
-                "psi_deg": snap.psi.psi_deg,
-                "n_mpcs": len(snap),
+                "psi_deg": psi_deg,
+                "n_mpcs": len(result.labels),
                 "n_clusters": result.n_clusters,
             }
         )
@@ -293,10 +320,10 @@ def _report_cluster(config: ScenarioConfig, snapshots: list[Snapshot]):
     return CLUSTER_COLUMNS, rows, extra
 
 
-def _report_ntn(config: ScenarioConfig, snapshots: list[Snapshot]):
+def _report_ntn(config: ScenarioConfig, table: RayTable):
     gains_db = config.sat_antenna.peak_gain_dbi + config.gs_antenna.peak_gain_dbi
     rows = []
-    for idx, snap in enumerate(snapshots):
+    for idx, snap in enumerate(table):
         name = ntn.select_profile(snap.psi, config.ntn.psi1_deg, config.ntn.psi2_deg)
         sigma = config.ntn.sigma_db[name]
         base = fspl_db(snap.distance_km, config.fc_ghz)

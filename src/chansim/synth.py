@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import ElevationAngle, PassGeometry, altitude_to_elevation
 from .link_budget import SPEED_OF_LIGHT_M_S
-from .mpc import Mpc, Snapshot
+from .mpc import RAY_COLUMNS, RayTable
 
 _REFERENCE_RADIUS_KM = 400.0
 
@@ -50,19 +50,24 @@ def _clip_el(angle_deg: float) -> float:
     return min(90.0, max(-90.0, angle_deg))
 
 
-def _los_ray(psi: ElevationAngle, d_km: float, fc_ghz: float, shadow_db: float) -> Mpc:
+# Rays are emitted as rows (amplitude, phase_rad, delay_s, aod_az_deg,
+# aod_el_deg, aoa_az_deg, aoa_el_deg, is_los), the ray table's column order.
+Ray = tuple[float, float, float, float, float, float, float, bool]
+
+
+def _los_ray(psi: ElevationAngle, d_km: float, fc_ghz: float, shadow_db: float) -> Ray:
     wavelength_m = SPEED_OF_LIGHT_M_S / (fc_ghz * 1e9)
     d_m = d_km * 1e3
     amplitude = wavelength_m / (4.0 * math.pi * d_m) * 10.0 ** (-shadow_db / 20.0)
-    return Mpc(
-        amplitude=amplitude,
-        phase_rad=(2.0 * math.pi * d_m / wavelength_m) % (2.0 * math.pi),
-        delay_s=d_m / SPEED_OF_LIGHT_M_S,
-        aod_az_deg=180.0,
-        aod_el_deg=-psi.psi_deg,
-        aoa_az_deg=0.0,
-        aoa_el_deg=psi.psi_deg,
-        is_los=True,
+    return (
+        amplitude,
+        (2.0 * math.pi * d_m / wavelength_m) % (2.0 * math.pi),
+        d_m / SPEED_OF_LIGHT_M_S,
+        180.0,
+        -psi.psi_deg,
+        0.0,
+        psi.psi_deg,
+        True,
     )
 
 
@@ -79,19 +84,20 @@ def _ground_ray(
     psi: ElevationAngle,
     radius_factor: float,
     rng: np.random.Generator,
-) -> Mpc:
+) -> Ray:
     atten = math.exp(-psi.psi_deg / _GROUND_AMP_PSI_SCALE_DEG) * radius_factor
     amplitude = base_amplitude * rng.uniform(0.45, 0.85) * atten
     excess = rng.exponential(_GROUND_EXCESS_SCALE_S * radius_factor**2) + 0.05e-9
-    return Mpc(
-        amplitude=amplitude,
-        phase_rad=rng.uniform(0.0, 2.0 * math.pi),
-        delay_s=los_delay_s + excess,
-        aod_az_deg=_wrap_az(180.0 + 0.005 * rng.standard_normal()),
-        aod_el_deg=_clip_el(-psi.psi_deg + 0.005 * rng.standard_normal()),
-        aoa_az_deg=_wrap_az(0.5 * rng.standard_normal()),
-        aoa_el_deg=_clip_el(-psi.psi_deg * rng.uniform(0.8, 1.0)),
-        is_los=False,
+    # Tuple items are evaluated left to right, which fixes the draw sequence.
+    return (
+        amplitude,
+        rng.uniform(0.0, 2.0 * math.pi),
+        los_delay_s + excess,
+        _wrap_az(180.0 + 0.005 * rng.standard_normal()),
+        _clip_el(-psi.psi_deg + 0.005 * rng.standard_normal()),
+        _wrap_az(0.5 * rng.standard_normal()),
+        _clip_el(-psi.psi_deg * rng.uniform(0.8, 1.0)),
+        False,
     )
 
 
@@ -102,7 +108,7 @@ def _building_rays(
     radius_factor: float,
     count: int,
     rng: np.random.Generator,
-) -> list[Mpc]:
+) -> list[Ray]:
     # Rays arrive in per-scatterer groups of roughly two.  All rays of one
     # scatterer depart the satellite in the same direction and stay close
     # in delay and arrival angle, which is what the clustering stage finds.
@@ -123,15 +129,15 @@ def _building_rays(
     for j in range(count):
         src = sources[j % n_sources]
         rays.append(
-            Mpc(
-                amplitude=base_amplitude * src["amp"] * rng.uniform(0.7, 1.0) * atten,
-                phase_rad=rng.uniform(0.0, 2.0 * math.pi),
-                delay_s=los_delay_s + src["excess"] + abs(rng.normal(0.0, 0.03e-9)),
-                aod_az_deg=src["aod_az"],
-                aod_el_deg=src["aod_el"],
-                aoa_az_deg=_wrap_az(src["aoa_az"] + rng.normal(0.0, 0.6)),
-                aoa_el_deg=_clip_el(src["aoa_el"] + rng.normal(0.0, 0.5)),
-                is_los=False,
+            (
+                base_amplitude * src["amp"] * rng.uniform(0.7, 1.0) * atten,
+                rng.uniform(0.0, 2.0 * math.pi),
+                los_delay_s + src["excess"] + abs(rng.normal(0.0, 0.03e-9)),
+                src["aod_az"],
+                src["aod_el"],
+                _wrap_az(src["aoa_az"] + rng.normal(0.0, 0.6)),
+                _clip_el(src["aoa_el"] + rng.normal(0.0, 0.5)),
+                False,
             )
         )
     return rays
@@ -144,7 +150,7 @@ def synth_scenario(
     los_only: bool = False,
     max_extra_rays: int = 8,
     seed: int = 0,
-) -> list[Snapshot]:
+) -> RayTable:
     """Generate one snapshot per configured altitude, deterministically.
 
     With ``los_only`` every snapshot holds exactly the (possibly
@@ -155,15 +161,17 @@ def synth_scenario(
     radius_factor = _REFERENCE_RADIUS_KM / d
     wavelength_m = SPEED_OF_LIGHT_M_S / (fc_ghz * 1e9)
     base_amplitude = wavelength_m / (4.0 * math.pi * d * 1e3)
-    snapshots = []
+    rays: list[Ray] = []
+    offsets = [0]
+    psi_deg = []
     for idx, altitude in enumerate(geometry.altitudes_km):
         rng = np.random.default_rng([seed, idx])
         psi = altitude_to_elevation(altitude, d)
         los = _los_ray(psi, d, fc_ghz, _shadow_db(psi, psi2, rng))
-        rays = [los]
+        rays.append(los)
         if not los_only:
             if rng.random() < min(1.0, 1.05 * math.exp(-psi.psi_deg / 30.0) * radius_factor):
-                rays.append(_ground_ray(base_amplitude, los.delay_s, psi, radius_factor, rng))
+                rays.append(_ground_ray(base_amplitude, los[2], psi, radius_factor, rng))
             mean_extra = (
                 _BUILDING_MEAN_AT_HORIZON
                 * math.exp(-psi.psi_deg / _BUILDING_PSI_SCALE_DEG)
@@ -172,9 +180,16 @@ def synth_scenario(
             count = int(min(max_extra_rays, rng.poisson(mean_extra)))
             if count > 0:
                 rays.extend(
-                    _building_rays(base_amplitude, los.delay_s, psi, radius_factor, count, rng)
+                    _building_rays(base_amplitude, los[2], psi, radius_factor, count, rng)
                 )
-        snapshots.append(
-            Snapshot(psi=psi, distance_km=d, mpcs=tuple(rays), altitude_hint_km=altitude)
-        )
-    return snapshots
+        offsets.append(len(rays))
+        psi_deg.append(psi.psi_deg)
+    columns = np.array(rays, dtype=float).reshape(-1, len(RAY_COLUMNS) + 1)
+    return RayTable(
+        dict(zip(RAY_COLUMNS, columns.T)),
+        columns[:, -1] != 0.0,
+        offsets,
+        psi_deg,
+        geometry.altitudes_km,
+        d,
+    )

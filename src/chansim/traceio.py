@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
+
+import numpy as np
 
 from .errors import TraceError
 from .geometry import altitude_to_elevation
-from .mpc import Mpc, Snapshot
+from .mpc import RAY_COLUMNS, RayTable, Snapshot, as_table, first_bad_ray
 
 TRACE_VERSION = 1
 
@@ -31,6 +34,9 @@ _COLUMNS = (
     "aoa_el_deg",
     "n_interactions",
 )
+
+# Each data row: altitude and the seven ray fields, then the interaction count.
+_ROW_DTYPE = np.dtype([("values", float, (len(_COLUMNS) - 1,)), ("n_interactions", np.int64)])
 
 AMPLITUDE_LINEAR = "linear"
 AMPLITUDE_DBM = "dbm"
@@ -51,8 +57,26 @@ def _parse_header(line: str, path: Path) -> dict[str, str]:
     return meta
 
 
-def load_trace(path: str | Path) -> list[Snapshot]:
-    """Parse and validate a trace file into snapshots, in file order.
+def _row_error(line: str, amplitude_unit: str, p_tx_dbm: float | None) -> str | None:
+    """What is wrong with one data row, or None when it is valid."""
+    parts = [f.strip() for f in line.split(",")]
+    if len(parts) != len(_COLUMNS):
+        return f"expected {len(_COLUMNS)} fields, got {len(parts)}"
+    try:
+        values = [float(v) for v in parts[:-1]]
+        n_interactions = int(parts[-1])
+    except ValueError as exc:
+        return str(exc)
+    if n_interactions < 0:
+        return "negative interaction count"
+    if amplitude_unit == AMPLITUDE_DBM:
+        values[1] = 10.0 ** ((values[1] - p_tx_dbm) / 20.0)
+    bad = first_bad_ray({name: np.array([v]) for name, v in zip(RAY_COLUMNS, values[1:])})
+    return None if bad is None else bad[1]
+
+
+def load_trace(path: str | Path) -> RayTable:
+    """Parse and validate a trace file into a ray table, snapshots in file order.
 
     Raises TraceError with the offending line number for schema
     violations, duplicate LOS rays, or an empty file.
@@ -84,10 +108,12 @@ def load_trace(path: str | Path) -> list[Snapshot]:
         except ValueError as exc:
             raise TraceError(f"{p}: line 1: bad p_tx_dbm: {exc}") from None
 
-    body = [(i, ln.strip()) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if not body:
+    # Line numbers of the non-blank lines after the trace header.
+    numbered = [i for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    if not numbered:
         raise TraceError(f"{p}: trace file holds no rows")
-    first_no, first = body[0]
+    first_no = numbered[0]
+    first = lines[first_no - 1].strip()
     if first.split(",")[0].strip() != _COLUMNS[0]:
         raise TraceError(f"{p}: line {first_no}: missing column header row")
     header_cols = tuple(c.strip() for c in first.split(","))
@@ -95,101 +121,72 @@ def load_trace(path: str | Path) -> list[Snapshot]:
         raise TraceError(
             f"{p}: line {first_no}: columns {header_cols} do not match {_COLUMNS}"
         )
+    row_lines = numbered[1:]
 
-    groups: list[tuple[float, list[tuple[int, Mpc]]]] = []
-    for lineno, line in body[1:]:
-        parts = [f.strip() for f in line.split(",")]
-        if len(parts) != len(_COLUMNS):
-            raise TraceError(
-                f"{p}: line {lineno}: expected {len(_COLUMNS)} fields, got {len(parts)}"
-            )
-        try:
-            altitude = float(parts[0])
-            value = float(parts[1])
-            phase = float(parts[2])
-            delay = float(parts[3])
-            aod_az, aod_el = float(parts[4]), float(parts[5])
-            aoa_az, aoa_el = float(parts[6]), float(parts[7])
-            n_interactions = int(parts[8])
-        except ValueError as exc:
-            raise TraceError(f"{p}: line {lineno}: {exc}") from exc
-        if n_interactions < 0:
-            raise TraceError(f"{p}: line {lineno}: negative interaction count")
-        if amplitude_unit == AMPLITUDE_DBM:
-            amplitude = 10.0 ** ((value - p_tx_dbm) / 20.0)
-        else:
-            amplitude = value
-        try:
-            ray = Mpc(
-                amplitude=amplitude,
-                phase_rad=phase,
-                delay_s=delay,
-                aod_az_deg=aod_az,
-                aod_el_deg=aod_el,
-                aoa_az_deg=aoa_az,
-                aoa_el_deg=aoa_el,
-                is_los=n_interactions == 0,
-            )
-        except ValueError as exc:
-            raise TraceError(f"{p}: line {lineno}: {exc}") from exc
-        if groups and groups[-1][0] == altitude:
-            groups[-1][1].append((lineno, ray))
-        else:
-            groups.append((altitude, [(lineno, ray)]))
+    def fail_at(row: int, message: str) -> TraceError:
+        return TraceError(f"{p}: line {row_lines[row]}: {message}")
 
-    snapshots: list[Snapshot] = []
-    for altitude, rays in groups:
-        los_lines = [ln for ln, ray in rays if ray.is_los]
-        if len(los_lines) > 1:
-            raise TraceError(
-                f"{p}: line {los_lines[1]}: duplicate LOS ray for altitude {altitude} km"
-            )
-        try:
-            psi = altitude_to_elevation(altitude, arc_radius_km)
-        except ValueError as exc:
-            raise TraceError(f"{p}: line {rays[0][0]}: {exc}") from exc
-        snapshots.append(
-            Snapshot(
-                psi=psi,
-                distance_km=arc_radius_km,
-                mpcs=tuple(r for _, r in rays),
-                altitude_hint_km=altitude,
-            )
+    try:
+        rows = np.loadtxt(
+            [lines[i - 1] for i in row_lines], delimiter=",", comments=None,
+            dtype=_ROW_DTYPE, ndmin=1,
         )
-    return snapshots
+    except ValueError as exc:
+        # Re-read row by row to name the first bad line as the format demands.
+        for row, lineno in enumerate(row_lines):
+            message = _row_error(lines[lineno - 1], amplitude_unit, p_tx_dbm)
+            if message is not None:
+                raise fail_at(row, message) from exc
+        raise TraceError(f"{p}: {exc}") from exc
+    values = rows["values"]
+    n_interactions = rows["n_interactions"]
+    columns = {name: values[:, k + 1] for k, name in enumerate(RAY_COLUMNS)}
+    if amplitude_unit == AMPLITUDE_DBM:
+        columns["amplitude"] = 10.0 ** ((columns["amplitude"] - p_tx_dbm) / 20.0)
+    # The first bad row is reported; its interaction count is checked first.
+    negative = np.flatnonzero(n_interactions < 0)
+    bad = first_bad_ray(columns)
+    if negative.size and (bad is None or negative[0] <= bad[0]):
+        raise fail_at(int(negative[0]), "negative interaction count")
+    if bad is not None:
+        raise fail_at(*bad)
+
+    altitude = values[:, 0]
+    is_los = n_interactions == 0
+    # A snapshot is a run of rows with equal altitude.
+    starts = np.concatenate([[0], np.flatnonzero(altitude[1:] != altitude[:-1]) + 1])
+    offsets = np.append(starts, altitude.size)
+    psi_deg = []
+    for start, stop in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        los_rows = np.flatnonzero(is_los[start:stop])
+        if los_rows.size > 1:
+            raise fail_at(
+                start + int(los_rows[1]),
+                f"duplicate LOS ray for altitude {float(altitude[start])} km",
+            )
+        try:
+            psi_deg.append(altitude_to_elevation(float(altitude[start]), arc_radius_km).psi_deg)
+        except ValueError as exc:
+            raise fail_at(start, str(exc)) from exc
+    return RayTable(columns, is_los, offsets, psi_deg, altitude[starts], arc_radius_km)
 
 
-def save_trace(snapshots: list[Snapshot], path: str | Path) -> None:
-    """Write snapshots as a linear-amplitude trace; loading it back is exact."""
-    if not snapshots:
+def save_trace(snapshots: RayTable | Iterable[Snapshot], path: str | Path) -> None:
+    """Write a pass as a linear-amplitude trace; loading it back is exact."""
+    if len(snapshots) == 0:
         raise ValueError("nothing to save")
-    arc_radius = snapshots[0].distance_km
-    for snap in snapshots:
-        if snap.distance_km != arc_radius:
-            raise ValueError("all snapshots of a trace must share one arc radius")
+    table = as_table(snapshots)
     out = [
-        f"{_HEADER_PREFIX} v{TRACE_VERSION} arc_radius_km={float(arc_radius)!r}"
+        f"{_HEADER_PREFIX} v{TRACE_VERSION} arc_radius_km={table.arc_radius_km!r}"
         " amplitude=linear"
     ]
     out.append(",".join(_COLUMNS))
-    for snap in snapshots:
-        altitude = snap.altitude_km
-        for ray in snap.mpcs:
-            out.append(
-                ",".join(
-                    [
-                        repr(float(altitude)),
-                        repr(float(ray.amplitude)),
-                        repr(float(ray.phase_rad)),
-                        repr(float(ray.delay_s)),
-                        repr(float(ray.aod_az_deg)),
-                        repr(float(ray.aod_el_deg)),
-                        repr(float(ray.aoa_az_deg)),
-                        repr(float(ray.aoa_el_deg)),
-                        "0" if ray.is_los else "1",
-                    ]
-                )
-            )
+    columns = [np.repeat(table.altitude_km, table.counts)]
+    columns += [getattr(table, name) for name in RAY_COLUMNS]
+    interactions = np.where(table.is_los, "0", "1").tolist()
+    # tolist() gives Python floats, whose repr reads back exactly.
+    for values, flag in zip(zip(*(c.tolist() for c in columns)), interactions):
+        out.append(",".join(map(repr, values)) + "," + flag)
     _atomic_write_text(Path(path), "\n".join(out) + "\n")
 
 

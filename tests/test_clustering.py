@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chansim.clustering import (
     NOISE,
@@ -117,6 +118,11 @@ class TestDbscan:
         assert result.n_clusters == 0
         assert set(result.labels) == {NOISE}
 
+    def test_no_points(self):
+        result = dbscan(np.zeros((0, 7)), xi=0.3, zeta=2)
+        assert result.labels == () and result.n_clusters == 0
+        assert dbscan(np.zeros((3, 0, 7))) == [result] * 3
+
     def test_single_point_zeta2(self):
         result = dbscan(np.zeros((1, 7)), xi=0.3, zeta=2)
         assert result.n_clusters == 0
@@ -195,3 +201,45 @@ class TestClusterSnapshot:
         labels = result.labels
         assert labels[1] == labels[2] != NOISE
         assert labels[0] == NOISE and labels[3] == NOISE
+
+
+@st.composite
+def lattice_points(draw):
+    """Small integer lattices: duplicates are common and many pairs sit at
+    exactly the (integer) radius, where the closed ball must include them."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    coords = draw(st.lists(st.lists(st.integers(0, 4), min_size=dim, max_size=dim),
+                           min_size=n, max_size=n))
+    return np.array(coords, dtype=float)
+
+
+class TestDbscanOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_points(), st.sampled_from([1.0, 2.0]), st.integers(1, 5))
+    def test_matches_brute_force_exactly(self, pts, xi, zeta):
+        got = dbscan(pts, xi=xi, zeta=zeta)
+        expected = brute_force_dbscan(pts, xi, zeta)
+        assert list(got.labels) == expected.tolist()
+        assert got.n_clusters == len(set(expected[expected >= 0]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(lattice_points(), min_size=1, max_size=4), st.integers(1, 4))
+    def test_stack_equals_one_by_one(self, sets, zeta):
+        n = min(len(p) for p in sets)
+        stack = np.stack([p[:n, :1] for p in sets])
+        assert dbscan(stack, xi=1.0, zeta=zeta) == [dbscan(p, xi=1.0, zeta=zeta) for p in stack]
+
+    @pytest.mark.parametrize("border_first", [True, False])
+    def test_border_point_reachable_from_two_clusters(self, border_first):
+        # Cores (0,0) and (2,0) each see four points; the border (1,0) sees
+        # three, one core of each cluster, and joins the lower cluster id.
+        a = [(0.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+        b = [(2.0, 0.0), (3.0, 0.0), (2.0, 1.0), (2.0, -1.0)]
+        border = [(1.0, 0.0)]
+        pts = np.array(border + b + a if border_first else b + a + border)
+        got = dbscan(pts, xi=1.0, zeta=4)
+        assert got.n_clusters == 2
+        assert list(got.labels) == brute_force_dbscan(pts, 1.0, 4).tolist()
+        border_label = got.labels[0] if border_first else got.labels[-1]
+        assert border_label == 0

@@ -22,6 +22,11 @@ class TestMpcValidation:
         assert 0.0 <= ray.phase_rad < 2.0 * math.pi
         assert ray.phase_rad == pytest.approx(7.0 - 2.0 * math.pi)
 
+    @pytest.mark.parametrize("phase", [-1e-300, -1e-17, -2.0 * math.pi])
+    def test_phase_wraps_into_half_open_range(self, phase):
+        ray = Mpc(amplitude=1.0, phase_rad=phase, delay_s=0.0)
+        assert 0.0 <= ray.phase_rad < 2.0 * math.pi
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -1,0 +1,337 @@
+"""The columnar ray table: construction, views, trace round trips, and
+pass-level layers against per-snapshot loop references."""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chansim.antenna import AntennaModel, gain_dbi, spatial_filter
+from chansim.clustering import build_features, cluster_snapshot
+from chansim.config import ScenarioConfig
+from chansim.dispersion import spread_report
+from chansim.geometry import ElevationAngle, altitude_to_elevation
+from chansim.mpc import (
+    COHERENT_PHASOR_SUM,
+    COHERENT_POWER_SUM,
+    RAY_COLUMNS,
+    Mpc,
+    RayTable,
+    Snapshot,
+    coherent_power_dbm,
+    k_factor,
+)
+from chansim.report import run_report
+from chansim.traceio import load_trace, save_trace
+
+from test_clustering import brute_force_dbscan
+
+# Ray counts around numpy's pairwise-summation block of 8, plus a dense one.
+RAY_COUNTS = (1, 7, 8, 9, 300)
+
+
+def left_to_right(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+# --- per-snapshot loop references: one snapshot's rays as Python floats ---
+
+def ref_coherent_dbm(rays, mode, p_tx_dbm):
+    if mode == COHERENT_POWER_SUM:
+        total = left_to_right(m.amplitude * m.amplitude for m in rays)
+        null_floor = 0.0
+    else:
+        phasor = 0j
+        for m in rays:
+            phasor += m.amplitude * cmath.exp(1j * m.phase_rad)
+        total = abs(phasor) ** 2
+        null_floor = left_to_right(m.amplitude for m in rays) ** 2 * 1e-30
+    return -math.inf if total <= null_floor else p_tx_dbm + 10.0 * math.log10(total)
+
+
+def ref_spreads(rays):
+    powers = np.array([m.amplitude * m.amplitude for m in rays])
+    delays = np.array([m.delay_s for m in rays])
+    total = float(powers.sum())
+    mean = float(np.sum(powers * delays) / total)
+    rms = math.sqrt(float(np.sum(powers * (delays - mean) ** 2) / total))
+
+    def az(values):
+        angles = np.radians(np.array(values))
+        length = math.hypot(float(np.sum(np.cos(angles))), float(np.sum(np.sin(angles))))
+        length /= angles.size
+        if length < 1e-12:
+            return math.inf
+        return 0.0 if length >= 1.0 else math.degrees(math.sqrt(-2.0 * math.log(length)))
+
+    return (
+        rms,
+        mean,
+        az([m.aod_az_deg for m in rays]),
+        float(np.std([m.aod_el_deg for m in rays])),
+        az([m.aoa_az_deg for m in rays]),
+        float(np.std([m.aoa_el_deg for m in rays])),
+    )
+
+
+def ref_features(rays):
+    aod = np.radians([m.aod_az_deg for m in rays])
+    aoa = np.radians([m.aoa_az_deg for m in rays])
+    raw = np.column_stack([
+        [m.delay_s for m in rays], np.sin(aod), np.cos(aod), [m.aod_el_deg for m in rays],
+        np.sin(aoa), np.cos(aoa), [m.aoa_el_deg for m in rays],
+    ])
+    out = np.zeros_like(raw)
+    for j in range(raw.shape[1]):
+        col = raw[:, j]
+        std = float(np.std(col))
+        if std <= 1e-12 * max(1.0, float(np.max(np.abs(col)))):
+            continue
+        out[:, j] = (col - np.mean(col)) / std
+    return out
+
+
+def ref_gain_db(model, az_off, el_off):
+    # The per-ray scalar pattern, with math-module transcendentals.
+    if model.kind == "isotropic":
+        return 0.0
+    if model.kind == "single-element":
+        ratio_sq = (az_off**2 + el_off**2) / model.hpbw_deg**2
+        return model.peak_gain_dbi - min(12.0 * ratio_sq, model.floor_db)
+
+    def plane(n, steer, off):
+        if n == 1:
+            return 0.0
+        u = math.sin(math.radians(steer + off)) - math.sin(math.radians(steer))
+        x = math.pi * model.spacing_wavelengths * u
+        if abs(math.sin(x)) < 1e-15:
+            return 0.0
+        af = math.sin(n * x) / (n * math.sin(x))
+        return -math.inf if af == 0.0 else 20.0 * math.log10(abs(af))
+
+    pattern = plane(model.nx, model.steer_az_deg, az_off) + plane(
+        model.ny, model.steer_el_deg, el_off)
+    return model.peak_gain_dbi + max(pattern, -model.floor_db)
+
+
+def dense_pass(seed: int = 5) -> RayTable:
+    """Snapshots of every count in RAY_COUNTS, three each, interleaved, with
+    trace-like scales: ms delays with ns excesses and 0.01-deg azimuths."""
+    rng = np.random.default_rng(seed)
+    counts = list(RAY_COUNTS) * 3
+    rng.shuffle(counts)
+    radius = 500.0
+    altitudes = np.sort(rng.uniform(5.0, radius, len(counts)))
+    cols = {name: [] for name in RAY_COLUMNS}
+    los = []
+    for n in counts:
+        cols["amplitude"].append(rng.uniform(1e-10, 4e-9, n))
+        cols["phase_rad"].append(rng.uniform(0.0, 2.0 * math.pi, n))
+        cols["delay_s"].append(1.6678e-3 + rng.exponential(50e-9, n))
+        cols["aod_az_deg"].append(np.round(180.0 + rng.normal(0.0, 0.01, n), 2))
+        cols["aod_el_deg"].append(np.clip(rng.normal(-20.0, 5.0, n), -90.0, 90.0))
+        cols["aoa_az_deg"].append(np.round(rng.uniform(0.0, 360.0, n), 2) % 360.0)
+        cols["aoa_el_deg"].append(np.clip(rng.normal(10.0, 8.0, n), -90.0, 90.0))
+        flags = np.zeros(n, dtype=bool)
+        flags[0] = True
+        los.append(flags)
+    return RayTable(
+        {name: np.concatenate(parts) for name, parts in cols.items()},
+        np.concatenate(los),
+        np.concatenate([[0], np.cumsum(counts)]),
+        [altitude_to_elevation(h, radius).psi_deg for h in altitudes],
+        altitudes,
+        radius,
+    )
+
+
+class TestPassLayersMatchPerSnapshotLoops:
+    table = dense_pass()
+
+    def test_block_sizes_present(self):
+        assert sorted(set(self.table.counts.tolist())) == list(RAY_COUNTS)
+
+    @pytest.mark.parametrize("mode", [COHERENT_POWER_SUM, COHERENT_PHASOR_SUM])
+    def test_coherent_power(self, mode):
+        got = coherent_power_dbm(self.table, mode, 30.0)
+        assert got == [ref_coherent_dbm(s.mpcs, mode, 30.0) for s in self.table]
+
+    def test_spreads(self):
+        got = spread_report(self.table)
+        assert [tuple(vars(r).values()) for r in got] == [
+            ref_spreads(s.mpcs) for s in self.table
+        ]
+
+    def test_features(self):
+        feats = build_features(self.table)
+        for i, snap in enumerate(self.table):
+            lo, hi = self.table.offsets[i], self.table.offsets[i + 1]
+            np.testing.assert_array_equal(feats[lo:hi], ref_features(snap.mpcs))
+
+    def test_clusters(self):
+        results = cluster_snapshot(self.table, xi=0.3, zeta=2)
+        for snap, result in zip(self.table, results):
+            expected = brute_force_dbscan(ref_features(snap.mpcs), 0.3, 2)
+            assert list(result.labels) == expected.tolist()
+
+    def test_powers_and_k_factor(self):
+        for snap in self.table:
+            powers = [m.amplitude * m.amplitude for m in snap.mpcs]
+            assert snap.total_power() == left_to_right(powers)
+            los = next(i for i, m in enumerate(snap.mpcs) if m.is_los)
+            if len(snap) > 1:
+                nlos = left_to_right(p for i, p in enumerate(powers) if i != los)
+                assert k_factor(snap) == powers[los] / nlos
+
+    def test_snapshot_views_agree_with_table(self):
+        for snap, report in zip(self.table, spread_report(self.table)):
+            assert spread_report(snap) == report
+
+    def test_spatial_filter(self):
+        sat = AntennaModel(kind="phased-array", peak_gain_dbi=20.0, nx=8, ny=8,
+                           steer_az_deg=180.0, steer_el_deg=-20.0)
+        gs = AntennaModel(kind="single-element", peak_gain_dbi=35.0, hpbw_deg=2.0,
+                          steer_el_deg=10.0)
+        out = spatial_filter(self.table, sat, gs)
+        for before, after in zip(self.table, out):
+            assert after.psi == before.psi and len(after) == len(before)
+            for b, a in zip(before.mpcs, after.mpcs):
+                g = ref_gain_db(sat, (b.aod_az_deg - 180.0 + 180.0) % 360.0 - 180.0,
+                                b.aod_el_deg + 20.0)
+                g += ref_gain_db(gs, (b.aoa_az_deg + 180.0) % 360.0 - 180.0,
+                                 b.aoa_el_deg - 10.0)
+                # numpy's log10 and power may differ from libm in the last bit.
+                assert a.amplitude == pytest.approx(b.amplitude * 10.0 ** (g / 20.0),
+                                                    rel=1e-14)
+                assert (a.phase_rad, a.delay_s, a.aoa_az_deg) == (
+                    b.phase_rad, b.delay_s, b.aoa_az_deg)
+
+    def test_array_gains_match_scalar_pattern(self):
+        model = AntennaModel(kind="phased-array", peak_gain_dbi=30.0, nx=16, ny=4,
+                             steer_az_deg=40.0)
+        offsets = np.linspace(-180.0, 180.0, 721)
+        got = gain_dbi(model, offsets, offsets / 3.0)
+        want = [ref_gain_db(model, a, a / 3.0) for a in offsets]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+
+
+class TestRayTable:
+    def make(self, **overrides):
+        spec = dict(
+            columns={
+                "amplitude": [1.0, 2.0, 3.0], "phase_rad": [7.0, 0.0, -1.0],
+                "delay_s": [2e-9, 1e-9, 1e-9], "aod_az_deg": [0.0, 1.0, 2.0],
+                "aod_el_deg": [0.0, 0.0, 0.0], "aoa_az_deg": [0.0, 0.0, 0.0],
+                "aoa_el_deg": [0.0, 0.0, 0.0],
+            },
+            is_los=[True, False, False], offsets=[0, 1, 3], psi_deg=[30.0, 10.0],
+            altitude_km=[200.0, 69.0], arc_radius_km=400.0,
+        )
+        spec.update(overrides)
+        return RayTable(**spec)
+
+    def test_sorts_by_delay_stably_and_normalises_phase(self):
+        table = self.make()
+        assert table.amplitude.tolist() == [1.0, 2.0, 3.0]
+        table = self.make(offsets=[0, 3], psi_deg=[30.0], altitude_km=[200.0])
+        assert table.amplitude.tolist() == [2.0, 3.0, 1.0]
+        assert table.phase_rad.tolist() == [0.0, 2.0 * math.pi - 1.0, 7.0 - 2.0 * math.pi]
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"offsets": [0, 0, 3]}, "at least one MPC"),
+        ({"is_los": [True, True, True], "offsets": [0, 3], "psi_deg": [30.0],
+          "altitude_km": [200.0]}, "at most one"),
+        ({"psi_deg": [30.0, 0.0]}, "elevation angle"),
+        ({"arc_radius_km": 0.0}, "distance"),
+        ({"offsets": [0, 1, 2]}, "offsets"),
+        ({"altitude_km": [200.0]}, "one altitude"),
+    ])
+    def test_structure_validated(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            self.make(**overrides)
+
+    def test_columns_are_read_only(self):
+        table = self.make()
+        with pytest.raises(ValueError):
+            table.amplitude[0] = 5.0
+        with pytest.raises(ValueError):
+            table[1].table.delay_s[0] = 0.0
+
+    def test_sequence_of_snapshot_views(self):
+        table = self.make()
+        assert len(table) == 2 and [len(s) for s in table] == [1, 2]
+        assert table[-1].altitude_km == 69.0 and table[1].psi == ElevationAngle(10.0)
+        assert [s.altitude_km for s in table[::-1]] == [69.0, 200.0]
+        assert table.sorted_by_altitude() == table[::-1]
+        assert list(table) == list(RayTable.concat(list(table)))
+        with pytest.raises(IndexError):
+            table[2]
+
+    def test_concat_needs_one_arc_radius(self):
+        snap = Snapshot(ElevationAngle(30.0), 500.0, (Mpc(1.0, 0.0, 0.0),))
+        with pytest.raises(ValueError, match="arc radius"):
+            RayTable.concat([self.make()[0], snap])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def numpy_tables(draw):
+    """Ray tables whose every input is a numpy scalar or array."""
+    radius = np.float64(draw(st.floats(min_value=150.0, max_value=2000.0)))
+    altitudes = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1,
+                              max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(1, 5), min_size=len(altitudes),
+                           max_size=len(altitudes)))
+    n = sum(counts)
+    column = lambda lo, hi: np.array(draw(st.lists(
+        st.floats(min_value=lo, max_value=hi, exclude_max=hi == 360.0),
+        min_size=n, max_size=n)))
+    cols = {
+        "amplitude": column(0.0, 1e3),
+        "phase_rad": column(-100.0, 100.0),
+        "delay_s": column(0.0, 1.0),
+        "aod_az_deg": column(0.0, 360.0),
+        "aod_el_deg": column(-90.0, 90.0),
+        "aoa_az_deg": column(0.0, 360.0),
+        "aoa_el_deg": column(-90.0, 90.0),
+    }
+    los = np.zeros(n, dtype=bool)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    for start, has_los in zip(offsets[:-1], draw(st.lists(st.booleans(), min_size=len(counts),
+                                                          max_size=len(counts)))):
+        los[start] = has_los
+    alt = np.array([np.float64(a) * radius for a in altitudes])
+    psi = np.array([altitude_to_elevation(float(h), float(radius)).psi_deg for h in alt])
+    return RayTable(cols, los, offsets, psi, alt, radius)
+
+
+class TestTraceRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(numpy_tables())
+    def test_save_load_exact_and_plain(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        save_trace(table, path)
+        assert "np." not in path.read_text()
+        loaded = load_trace(path)
+        assert loaded == table
+        assert all(type(s.altitude_km) is float for s in loaded)
+
+    @settings(max_examples=10, deadline=None)
+    @given(numpy_tables())
+    def test_reports_from_numpy_tables_are_plain(self, tmp_path_factory, table):
+        out = tmp_path_factory.mktemp("out")
+        save_trace(table, out / "t.csv")
+        subs = ["linkbudget", "cluster"]
+        if all(s.total_power() > 0.0 for s in table):
+            subs.append("spreads")  # a zero-power snapshot has no delay spread
+        for sub in subs:
+            run_report(ScenarioConfig(), sub, out / sub, trace_path=out / "t.csv")
+            for f in (out / sub).iterdir():
+                assert "np." not in f.read_text(), f

@@ -140,6 +140,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match):
             load_config(path)
 
+    @pytest.mark.parametrize("key", [
+        "fc_ghz", "p_tx_dbm", "l_hd_db", "misalign_az_deg", "misalign_el_deg",
+        "elevation_floor_deg", "seed",
+    ])
+    @pytest.mark.parametrize("value", ["ten", "true", "[1.0]", "{a: 1}", "null"])
+    def test_top_level_scalar_types_rejected(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"{key}: {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_non_integer_seed_rejected(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("seed: 1.5\n")
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(path)
+
     def test_ntn_threshold_validation(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("ntn: {psi1_deg: 20.0, psi2_deg: 15.0}\n")
@@ -340,3 +359,55 @@ class TestNumpyInputs:
         _, rows = read_csv(tmp_path / "linkbudget.csv")
         assert len(rows) == 4
         assert "np." not in (tmp_path / "summary.json").read_text()
+
+
+def _write_trace(path: Path, arc_radius_km: float, altitudes_km) -> Path:
+    """A LOS-only trace: one ray per altitude."""
+    rows = [
+        f"{h!r},1e-9,0.0,0.001,180.0,-10.0,0.0,10.0,0" for h in altitudes_km
+    ]
+    path.write_text(
+        f"# chansim-trace v1 arc_radius_km={arc_radius_km!r} amplitude=linear\n"
+        "altitude_km,amplitude,phase_rad,delay_s,aod_az_deg,aod_el_deg,"
+        "aoa_az_deg,aoa_el_deg,n_interactions\n" + "\n".join(rows) + "\n"
+    )
+    return path
+
+
+class TestTraceGeometry:
+    def test_trace_arc_radius_drives_summary_and_psi2(self, tmp_path):
+        # 100 km on a 500 km arc is the true psi2 point, so it is not shadowed;
+        # the 400 km default psi2 (14.48 deg) would call it shadowed.
+        trace = _write_trace(tmp_path / "t.csv", 500.0, [60.0, 100.0, 400.0])
+        summary = run_report(load_config(None), "fading", tmp_path / "o", trace_path=trace)
+        assert summary["arc_radius_km"] == 500.0
+        assert summary["psi2_deg"] == pytest.approx(11.536959032815489, rel=1e-12)
+        _, rows = read_csv(tmp_path / "o" / "fading.csv")
+        regimes = {float(r[1]): r[3] for r in rows}
+        assert regimes == {
+            60.0: "shadowed-rician", 100.0: "deterministic-los", 400.0: "deterministic-los",
+        }
+
+    def test_trace_beyond_default_altitudes(self, tmp_path):
+        trace = _write_trace(tmp_path / "t.csv", 300.0, [50.0, 299.0])
+        summary = run_report(load_config(None), "linkbudget", tmp_path / "o", trace_path=trace)
+        assert summary["arc_radius_km"] == 300.0
+        assert summary["n_snapshots"] == 2
+
+    def test_conflicting_config_arc_radius_rejected(self, tmp_path, capsys):
+        trace = _write_trace(tmp_path / "t.csv", 500.0, [100.0])
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("pass: {arc_radius_km: 400.0, altitudes_km: [100.0]}\n")
+        with pytest.raises(ConfigError, match="arc_radius_km"):
+            run_report(load_config(cfg), "linkbudget", tmp_path / "o", trace_path=trace)
+        code = main(["spreads", "--config", str(cfg), "--trace", str(trace),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "conflicts" in capsys.readouterr().err
+
+    def test_matching_config_arc_radius_accepted(self, tmp_path):
+        trace = _write_trace(tmp_path / "t.csv", 500.0, [100.0])
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("pass: {arc_radius_km: 500.0, altitudes_km: [100.0]}\n")
+        summary = run_report(load_config(cfg), "linkbudget", tmp_path / "o", trace_path=trace)
+        assert summary["arc_radius_km"] == 500.0

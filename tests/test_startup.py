@@ -11,7 +11,7 @@ import chansim
 PUBLIC_NAMES = [
     "AntennaModel", "AtmosphereParams", "ChansimError", "ClusterResult", "ConfigError",
     "ElevationAngle", "ElevationFloorError", "FadingRegime", "LinkBudgetRow", "Mpc",
-    "NumericError", "PassGeometry", "RicianParams", "ScenarioConfig",
+    "NumericError", "PassGeometry", "RayTable", "RicianParams", "ScenarioConfig",
     "ShadowedRicianParams", "Snapshot", "SpreadReport", "TraceError",
     "altitude_to_elevation", "azimuth_spread", "build_features", "cloud_attenuation_db",
     "cluster_snapshot", "coherent_power_dbm", "dbscan", "elevation_spread", "evaluate",

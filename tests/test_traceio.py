@@ -52,7 +52,7 @@ class TestRoundTrip:
         snapshots = sample_snapshots()
         save_trace(snapshots, path)
         loaded = load_trace(path)
-        assert loaded == snapshots
+        assert list(loaded) == snapshots
 
     def test_double_round_trip_bytes(self, tmp_path):
         p1 = tmp_path / "a.csv"
@@ -107,6 +107,36 @@ class TestLoadValidation:
         ]
         path.write_text(HEADER + "\n" + COLS + "\n" + "\n".join(rows) + "\n")
         with pytest.raises(TraceError, match="line 4.*duplicate LOS"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("rows,match", [
+        (["50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,1",
+          "50.0,1e-9,0.0,0.001,360.0,-7.0,0.0,7.0,1",
+          "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,x"], "line 4: azimuth 360.0"),
+        (["50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,1",
+          "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,1.0",
+          "50.0,-1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,1"], "line 4: invalid literal for int"),
+        (["50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,99.0,-1",
+          "50.0,-1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,1"], "line 3: negative interaction"),
+        (["50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,1",
+          "50.0,1e-9,0.0,-0.001,180.0,-7.0,0.0,99.0,1",
+          "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,-1"], "line 4: delay must be non-negative"),
+    ], ids=["range-before-parse", "parse-before-range", "count-before-range",
+            "range-before-count"])
+    def test_first_bad_line_reported(self, tmp_path, rows, match):
+        path = tmp_path / "t.csv"
+        path.write_text(HEADER + "\n" + COLS + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(TraceError, match=match):
+            load_trace(path)
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            HEADER + "\n\n" + COLS + "\n\n  \n"
+            + "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0\n\n"
+            + "50.0,2e-9,0.0,0.002,180.0,-7.0,10.0,5.0,0\n"
+        )
+        with pytest.raises(TraceError, match="line 8.*duplicate LOS"):
             load_trace(path)
 
     def test_altitude_above_arc_radius(self, tmp_path):
