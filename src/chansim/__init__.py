@@ -17,17 +17,11 @@ from .atmosphere import (
 )
 from .clustering import ClusterResult, build_features, cluster_snapshot, dbscan
 from .config import ScenarioConfig, load_config
-from .dispersion import (
-    SpreadReport,
-    azimuth_spread,
-    elevation_spread,
-    rms_delay_spread,
-    spread_report,
-)
+from .dispersion import SpreadReport, azimuth_spread, elevation_spread, spread_report
 from .errors import ChansimError, ConfigError, ElevationFloorError, NumericError, TraceError
 from .geometry import ElevationAngle, PassGeometry, altitude_to_elevation, rain_slant_length
-from .link_budget import LinkBudgetRow, evaluate, fspl_db, sweep_pass
-from .mpc import Mpc, RayTable, Snapshot, coherent_power_dbm, k_factor
+from .link_budget import LinkBudgetRow, fspl_db, sweep_pass
+from .mpc import RayTable, Snapshot, coherent_power_dbm, k_factor
 from .ntn import ntn_attenuation_db, select_profile
 from .report import run_report
 from .synth import synth_scenario
@@ -66,7 +60,6 @@ __all__ = [
     "ElevationFloorError",
     "FadingRegime",
     "LinkBudgetRow",
-    "Mpc",
     "NumericError",
     "PassGeometry",
     "RayTable",
@@ -84,7 +77,6 @@ __all__ = [
     "coherent_power_dbm",
     "dbscan",
     "elevation_spread",
-    "evaluate",
     "fit",
     "fspl_db",
     "gain_dbi",
@@ -96,7 +88,6 @@ __all__ = [
     "rain_attenuation_db",
     "rain_slant_length",
     "rician_pdf",
-    "rms_delay_spread",
     "run_report",
     "sample",
     "save_trace",

@@ -11,12 +11,11 @@ broadside broadens the beam through the sine-space projection.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mpc import RayTable, Snapshot, as_table
+from .mpc import RayTable
 
 KIND_ISOTROPIC = "isotropic"
 KIND_SINGLE = "single-element"
@@ -114,19 +113,15 @@ def misalignment_loss_db(model: AntennaModel, d_az_deg: float, d_el_deg: float) 
 
 
 def spatial_filter(
-    rays: RayTable | Snapshot | Iterable[Snapshot],
-    sat_model: AntennaModel,
-    gs_model: AntennaModel,
-) -> RayTable | Snapshot:
+    table: RayTable, sat_model: AntennaModel, gs_model: AntennaModel
+) -> RayTable:
     """Re-weight every ray by the antenna gains at its departure/arrival angles.
 
     Input amplitudes are assumed to be referenced to isotropic patterns;
     each amplitude is scaled by 10^((G_sat + G_gs)/20) with the gains
     evaluated at the ray's angular offset from each antenna's pointing.
-    Angles are left untouched.  A snapshot gives a snapshot, a table or
-    a sequence of snapshots a table.
+    Angles are left untouched.
     """
-    table = as_table(rays)
     g_sat = gain_dbi(
         sat_model,
         _wrap_deg(table.aod_az_deg - sat_model.steer_az_deg),
@@ -137,5 +132,4 @@ def spatial_filter(
         _wrap_deg(table.aoa_az_deg - gs_model.steer_az_deg),
         table.aoa_el_deg - gs_model.steer_el_deg,
     )
-    filtered = table.with_amplitude(table.amplitude * 10.0 ** ((g_sat + g_gs) / 20.0))
-    return filtered[0] if isinstance(rays, Snapshot) else filtered
+    return table.with_amplitude(table.amplitude * 10.0 ** ((g_sat + g_gs) / 20.0))

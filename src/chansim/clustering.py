@@ -8,12 +8,11 @@ the working matrix has 7 columns, each z-score normalised.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mpc import RayTable, Snapshot, as_table
+from .mpc import RayTable
 
 NOISE = -1
 
@@ -62,7 +61,7 @@ def _zscored_features(delay, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg) -> 
     return out.reshape(k, len(FEATURE_COLUMNS), n).transpose(0, 2, 1)
 
 
-def build_features(rays: RayTable | Snapshot | Iterable[Snapshot]) -> np.ndarray:
+def build_features(table: RayTable) -> np.ndarray:
     """Normalised feature matrix (N x 7), one row per ray of the table.
 
     Azimuths are expanded to (sin, cos) pairs before normalisation; every
@@ -71,7 +70,6 @@ def build_features(rays: RayTable | Snapshot | Iterable[Snapshot]) -> np.ndarray
     zeros.  Rows follow the table's ray order, so snapshot ``i`` owns rows
     ``offsets[i]:offsets[i + 1]``.
     """
-    table = as_table(rays)
     return table.map_rays(
         _zscored_features,
         table.delay_s, table.aod_az_deg, table.aod_el_deg, table.aoa_az_deg, table.aoa_el_deg,
@@ -151,19 +149,12 @@ def dbscan(
 
 
 def cluster_snapshot(
-    rays: RayTable | Snapshot | Iterable[Snapshot],
-    xi: float = DEFAULT_XI,
-    zeta: int = DEFAULT_ZETA,
-) -> ClusterResult | list[ClusterResult]:
-    """Build features and cluster them, snapshot by snapshot.
-
-    A snapshot gives one result, a table or a sequence of snapshots a
-    list with one result per snapshot.
-    """
-    table = as_table(rays)
+    table: RayTable, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZETA
+) -> list[ClusterResult]:
+    """Build features and cluster them, one result per snapshot."""
     features = build_features(table)
     results: list[ClusterResult | None] = [None] * len(table)
     for snaps, rows in table.blocks():
         for i, result in zip(snaps.tolist(), dbscan(features[rows], xi=xi, zeta=zeta)):
             results[i] = result
-    return results[0] if isinstance(rays, Snapshot) else results
+    return results

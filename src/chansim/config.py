@@ -8,6 +8,8 @@ with isotropic antennas and clear sky.
 from __future__ import annotations
 
 import math
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -123,6 +125,47 @@ _MODE_CHOICES = {
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
+               type(None): "null"}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a parsed YAML value has the declared type of a config field."""
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if origin is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if origin is dict:
+        return True  # a mapping field checks its own entries and names the bad one
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _describe(hint) -> str:
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(_describe(h) for h in typing.get_args(hint))
+    if origin is tuple:
+        return f"a list, each item {_describe(typing.get_args(hint)[0])}"
+    return _TYPE_NAMES[hint]
+
+
+def _check_types(cls, data: dict, section: str = "") -> None:
+    """Raise a ConfigError naming the first key whose value is not of its field's type."""
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if not _fits(value, hints[key]):
+            name = f"{section}.{key}" if section else key
+            raise ConfigError(
+                f"config key {name!r} must be {_describe(hints[key])}, got {value!r}"
+            )
+
+
 def _build_section(cls, data: dict, section: str):
     if not isinstance(data, dict):
         raise ConfigError(f"config section {section!r} must be a mapping")
@@ -130,6 +173,7 @@ def _build_section(cls, data: dict, section: str):
     unknown = set(data) - valid
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in config section {section!r}")
+    _check_types(cls, data, section)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -152,6 +196,11 @@ def load_config(path: str | Path | None) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{p}: top level must be a mapping")
     return _config_from_dict(data)
+
+
+# Top-level keys that set a ScenarioConfig field of the same name directly.
+_SCALAR_KEYS = ("fc_ghz", "p_tx_dbm", "l_hd_db", "misalign_az_deg", "misalign_el_deg",
+                "elevation_floor_deg", "seed")
 
 
 def _config_from_dict(data: dict) -> ScenarioConfig:
@@ -180,15 +229,9 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
     kwargs: dict = {}
     if "pass" in data:
         kwargs["geometry"] = _build_section(PassGeometry, data["pass"], "pass")
-    for key in ("fc_ghz", "p_tx_dbm", "l_hd_db", "misalign_az_deg", "misalign_el_deg",
-                "elevation_floor_deg", "seed"):
-        if key in data:
-            value = data[key]
-            allowed = int if key == "seed" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                kind = "an integer" if key == "seed" else "a number"
-                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
-            kwargs[key] = value
+    scalars = {key: data[key] for key in _SCALAR_KEYS if key in data}
+    _check_types(ScenarioConfig, scalars)
+    kwargs.update(scalars)
     if "antennas" in data:
         ants = data["antennas"]
         if not isinstance(ants, dict) or set(ants) - {"satellite", "ground"}:

@@ -3,19 +3,18 @@
 Delay spread is the power-weighted standard deviation of path delays.
 Azimuth spread uses circular statistics (mean resultant length), while
 elevation spread is the ordinary linear standard deviation; both are
-unweighted over the paths.  Every metric is computed for a whole ray
-table at once; a single snapshot is a one-snapshot table.
+unweighted over the paths.  ``spread_report`` computes every metric for
+a whole ray table at once.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mpc import RayTable, Snapshot, as_table
+from .mpc import RayTable
 
 # Mean resultant lengths below this are treated as fully dispersed; the
 # circular spread is then unbounded and reported as a sentinel rather
@@ -44,24 +43,6 @@ def _delay_moments(powers: np.ndarray, delays: np.ndarray) -> np.ndarray:
         mean = np.sum(powers * delays, axis=1) / total
         rms = np.sqrt(np.sum(powers * (delays - mean[:, None]) ** 2, axis=1) / total)
     return np.stack([total, mean, rms], axis=1)
-
-
-def _delay_spreads(table: RayTable) -> tuple[list[float], list[float]]:
-    a = table.amplitude
-    moments = table.reduce(_delay_moments, a * a, table.delay_s)
-    if np.any(moments[:, 0] <= 0.0):
-        raise ValueError("total snapshot power is zero")
-    return moments[:, 2].tolist(), moments[:, 1].tolist()
-
-
-def rms_delay_spread(snapshot: Snapshot) -> tuple[float, float]:
-    """Power-weighted RMS delay spread and mean excess delay, in seconds.
-
-    Per-path powers are |a_i exp(j chi_i)|^2.  Raises ValueError when the
-    total power is zero.
-    """
-    rms, mean = _delay_spreads(snapshot.table)
-    return rms[0], mean[0]
 
 
 def _circular_spread(sum_cos: float, sum_sin: float, n: int) -> float:
@@ -104,15 +85,16 @@ def _std_rows(block: np.ndarray) -> np.ndarray:
     return np.std(block, axis=1)
 
 
-def spread_report(
-    rays: RayTable | Snapshot | Iterable[Snapshot],
-) -> SpreadReport | list[SpreadReport]:
-    """Delay and angular spreads at both link ends, per snapshot.
+def spread_report(table: RayTable) -> list[SpreadReport]:
+    """Delay and angular spreads at both link ends, one report per snapshot.
 
-    A snapshot gives one report, a table or a sequence of snapshots a
-    list with one report per snapshot.
+    The delay spread is power-weighted (per-path powers |a_i exp(j chi_i)|^2);
+    raises ValueError when a snapshot's total power is zero.
     """
-    table = as_table(rays)
+    a = table.amplitude
+    moments = table.reduce(_delay_moments, a * a, table.delay_s)
+    if np.any(moments[:, 0] <= 0.0):
+        raise ValueError("total snapshot power is zero")
     counts = table.counts.tolist()
 
     def azimuth(col: np.ndarray) -> list[float]:
@@ -122,14 +104,14 @@ def spread_report(
     def elevation(col: np.ndarray) -> list[float]:
         return table.reduce(_std_rows, col).tolist()
 
-    reports = [
+    return [
         SpreadReport(*fields)
         for fields in zip(
-            *_delay_spreads(table),
+            moments[:, 2].tolist(),
+            moments[:, 1].tolist(),
             azimuth(table.aod_az_deg),
             elevation(table.aod_el_deg),
             azimuth(table.aoa_az_deg),
             elevation(table.aoa_el_deg),
         )
     ]
-    return reports[0] if isinstance(rays, Snapshot) else reports

@@ -34,7 +34,7 @@ from scipy import special as sp_special
 
 from .errors import NumericError
 from .geometry import ElevationAngle, default_psi2  # noqa: F401  (re-exported)
-from .mpc import Snapshot
+from .mpc import RayTable
 from .special import hyp1f1_neg_array, log_i0
 
 # Quality gates for the numerically measured mass of the shadowed density.
@@ -86,18 +86,19 @@ class ShadowedRicianParams:
             raise ValueError("omega must be positive")
 
 
-def select_regime(snapshot: Snapshot, psi2: ElevationAngle) -> FadingRegime:
-    """Fading regime for a snapshot given the shadowing threshold psi2.
+def select_regime(table: RayTable, psi2: ElevationAngle) -> list[FadingRegime]:
+    """Fading regime of each snapshot given the shadowing threshold psi2.
 
     Below psi2 the LOS is treated as shadowed regardless of how many
     paths are present; at or above psi2 the regime is Rician while
     non-LOS paths remain and deterministic once only one path is left.
     """
-    if snapshot.psi.psi_deg < psi2.psi_deg:
-        return FadingRegime.SHADOWED_RICIAN
-    if len(snapshot) > 1:
-        return FadingRegime.RICIAN
-    return FadingRegime.DETERMINISTIC_LOS
+    return [
+        FadingRegime.SHADOWED_RICIAN if psi_deg < psi2.psi_deg
+        else FadingRegime.RICIAN if n > 1
+        else FadingRegime.DETERMINISTIC_LOS
+        for psi_deg, n in zip(table.psi_deg.tolist(), table.counts.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,9 @@ def _mass(k: float, m: float) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         net, net_err = integrate.quad(signed, 0.0, np.inf, limit=400)
-        gross, _ = integrate.quad(lambda r: abs(signed(r)), 0.0, np.inf, limit=400)
+        # For m = 1 the integrand is non-negative, so |signed| is signed at every node.
+        gross = net if m == 1.0 else integrate.quad(
+            lambda r: abs(signed(r)), 0.0, np.inf, limit=400)[0]
     if gross <= 0.0 or not math.isfinite(net):
         raise NumericError(f"shadowed mass quadrature failed for K={k}, m={m}")
     if abs(net) < _MASS_CANCELLATION_LIMIT * gross:

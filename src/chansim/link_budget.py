@@ -13,7 +13,6 @@ comparison plots.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from .antenna import AntennaModel, misalignment_loss_db, spatial_filter
@@ -21,9 +20,10 @@ from .atmosphere import DEFAULT_FC_GHZ, AtmosphereParams, total_atmospheric_db
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
+    ElevationAngle,
     PassGeometry,
 )
-from .mpc import COHERENT_POWER_SUM, RayTable, Snapshot, as_table, coherent_power_dbm
+from .mpc import COHERENT_POWER_SUM, RayTable, coherent_power_dbm
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -60,21 +60,9 @@ def fspl_db(d_km: float, fc_ghz: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * d_km * 1e3 / wavelength_m)
 
 
-def evaluate(
-    snapshot: Snapshot,
-    sat_antenna: AntennaModel,
-    gs_antenna: AntennaModel,
-    atmosphere: AtmosphereParams,
-    geometry: PassGeometry,
-    **options,
-) -> LinkBudgetRow:
-    """Evaluate the full budget for one snapshot; ``options`` are those of ``sweep_pass``."""
-    return sweep_pass(geometry, snapshot, sat_antenna, gs_antenna, atmosphere, **options)[0]
-
-
 def sweep_pass(
     geometry: PassGeometry,
-    snapshots: RayTable | Snapshot | Iterable[Snapshot],
+    table: RayTable,
     sat_antenna: AntennaModel,
     gs_antenna: AntennaModel,
     atmosphere: AtmosphereParams,
@@ -97,7 +85,6 @@ def sweep_pass(
     """
     if misalign_mode not in _MISALIGN_MODES:
         raise ValueError(f"misalignment mode must be one of {_MISALIGN_MODES}")
-    table = as_table(snapshots)
     d_az, d_el = misalignment
     if misalign_mode == MISALIGN_PER_RAY:
         gs_used = gs_antenna.steered(
@@ -112,9 +99,11 @@ def sweep_pass(
     p_coh = coherent_power_dbm(filtered, mode=coherent_mode, p_tx_dbm=p_tx_dbm)
     free_space = fspl_db(table.arc_radius_km, fc_ghz)
     rows = []
-    for snap, p_coh_dbm in zip(table, p_coh):
+    for psi_deg, altitude_km, p_coh_dbm in zip(
+        table.psi_deg.tolist(), table.altitude_km.tolist(), p_coh
+    ):
         l_atm = total_atmospheric_db(
-            snap.psi,
+            ElevationAngle(psi_deg),
             atmosphere,
             geometry,
             weather=weather,
@@ -125,8 +114,8 @@ def sweep_pass(
         p_rx = p_coh_dbm - l_hd_db - l_am - l_atm
         rows.append(
             LinkBudgetRow(
-                psi_deg=snap.psi.psi_deg,
-                altitude_km=snap.altitude_km,
+                psi_deg=psi_deg,
+                altitude_km=altitude_km,
                 l_total_db=p_tx_dbm - p_rx,
                 p_rx_dbm=p_rx,
                 p_coh_dbm=p_coh_dbm,

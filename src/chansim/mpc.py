@@ -6,8 +6,9 @@ relative to the transmitted signal so power ratios stay exact.
 
 A ``RayTable`` stores every ray of a pass in flat float64 columns, with
 a LOS flag column, per-snapshot offsets, elevations and altitudes, and
-the arc radius the pass was traced on.  ``Snapshot`` and ``Mpc`` are
-read-only views of one snapshot and one ray of a table.
+the arc radius the pass was traced on.  It is the one input of every
+layer, which returns one result per snapshot.  ``Snapshot`` is the
+read-only view of one snapshot that indexing or iterating a table yields.
 
 Per-snapshot reductions run on 2-D blocks that stack the snapshots of
 equal ray count, reducing along the contiguous ray axis: that keeps the
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,25 +155,6 @@ class RayTable:
             setattr(table, name, _readonly(value) if isinstance(value, np.ndarray) else value)
         return table
 
-    @classmethod
-    def concat(cls, snapshots: Iterable["Snapshot"]) -> "RayTable":
-        """One table holding the given snapshots in order."""
-        snaps = list(snapshots)
-        if not snaps:
-            raise ValueError("need at least one snapshot")
-        radius = snaps[0].distance_km
-        if any(s.distance_km != radius for s in snaps):
-            raise ValueError("all snapshots of a pass must share one arc radius")
-        parts = [s.table for s in snaps]
-        counts = [len(s) for s in snaps]
-        return cls._trusted(
-            parts[0],
-            **{name: np.concatenate([getattr(p, name) for p in parts])
-               for name in (*RAY_COLUMNS, "is_los", "psi_deg", "altitude_km")},
-            offsets=np.concatenate([[0], np.cumsum(counts)]),
-            _blocks=None,
-        )
-
     @property
     def n_rays(self) -> int:
         return int(self.offsets[-1])
@@ -192,10 +173,10 @@ class RayTable:
         n = len(self)
         if not -n <= index < n:
             raise IndexError("snapshot index out of range")
-        return Snapshot._view(self, index % n)
+        return Snapshot(self, index % n)
 
     def __iter__(self):
-        return (Snapshot._view(self, i) for i in range(len(self)))
+        return (Snapshot(self, i) for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RayTable):
@@ -282,173 +263,49 @@ def running_sum(block: np.ndarray) -> np.ndarray:
     return np.cumsum(block, axis=1)[:, -1]
 
 
-def as_table(rays: "RayTable | Snapshot | Iterable[Snapshot]") -> RayTable:
-    """The ray table behind a table, a snapshot or a sequence of snapshots."""
-    if isinstance(rays, RayTable):
-        return rays
-    if isinstance(rays, Snapshot):
-        return rays.table
-    return RayTable.concat(rays)
-
-
-@dataclass(frozen=True, slots=True)
-class Mpc:
-    """One multipath component: a read-only row of a ray table.
-
-    Attributes
-    ----------
-    amplitude : float
-        Linear path gain, >= 0.
-    phase_rad : float
-        Carrier phase, normalised into [0, 2*pi).
-    delay_s : float
-        Propagation delay in seconds, >= 0.
-    aod_az_deg, aod_el_deg : float
-        Departure azimuth [0, 360) and elevation [-90, 90] at the satellite.
-    aoa_az_deg, aoa_el_deg : float
-        Arrival azimuth [0, 360) and elevation [-90, 90] at the GS.
-    is_los : bool
-        True for the (possibly shadowed) line-of-sight path.
-    """
-
-    amplitude: float
-    phase_rad: float
-    delay_s: float
-    aod_az_deg: float = 0.0
-    aod_el_deg: float = 0.0
-    aoa_az_deg: float = 0.0
-    aoa_el_deg: float = 0.0
-    is_los: bool = False
-
-    def __post_init__(self) -> None:
-        # The ray table's own checks, on a one-ray column set.
-        cols = {name: np.array([getattr(self, name)], dtype=float) for name in RAY_COLUMNS}
-        bad = first_bad_ray(cols)
-        if bad is not None:
-            raise ValueError(bad[1])
-        cols["phase_rad"] = _wrap_phase(cols["phase_rad"])
-        for name in RAY_COLUMNS:
-            object.__setattr__(self, name, float(cols[name][0]))
-        object.__setattr__(self, "is_los", bool(self.is_los))
-
-    @classmethod
-    def _row(cls, table: RayTable, row: int) -> "Mpc":
-        ray = object.__new__(cls)
-        for name in RAY_COLUMNS:
-            object.__setattr__(ray, name, float(getattr(table, name)[row]))
-        object.__setattr__(ray, "is_los", bool(table.is_los[row]))
-        return ray
-
-    @property
-    def power(self) -> float:
-        """|amplitude * exp(j*phase)|^2, the per-path received power ratio."""
-        return self.amplitude * self.amplitude
-
-
 class Snapshot:
-    """All MPCs observed at one elevation point of a pass: a view of a ray table.
-
-    Constructing one from MPCs builds a one-snapshot table: MPCs are
-    sorted by non-decreasing delay and at most one may be flagged as
-    the LOS path.  The altitude is derived from psi and the arc radius
-    unless ``altitude_hint_km`` gives the exact value, as loaders do so
-    that a save/load round trip is bit-identical.
-    """
+    """One snapshot of a ray table: the read-only view indexing or iterating it yields."""
 
     __slots__ = ("_table", "_index")
 
-    def __init__(
-        self,
-        psi: ElevationAngle,
-        distance_km: float,
-        mpcs: Iterable[Mpc] = (),
-        altitude_hint_km: float | None = None,
-    ) -> None:
-        mpcs = tuple(mpcs)
-        altitude = distance_km * psi.sin if altitude_hint_km is None else altitude_hint_km
-        self._table = RayTable(
-            {name: [getattr(m, name) for m in mpcs] for name in RAY_COLUMNS},
-            [m.is_los for m in mpcs],
-            [0, len(mpcs)],
-            [psi.psi_deg],
-            [altitude],
-            distance_km,
-        )
-        self._index = 0
-
-    @classmethod
-    def _view(cls, table: RayTable, index: int) -> "Snapshot":
-        snap = object.__new__(cls)
-        snap._table = table
-        snap._index = index
-        return snap
-
-    @property
-    def _rows(self) -> slice:
-        offsets = self._table.offsets
-        return slice(int(offsets[self._index]), int(offsets[self._index + 1]))
-
-    @property
-    def table(self) -> RayTable:
-        """This snapshot as a one-snapshot table."""
-        return self._table if len(self._table) == 1 else self._table.take([self._index])
+    def __init__(self, table: RayTable, index: int) -> None:
+        self._table = table
+        self._index = index
 
     @property
     def psi(self) -> ElevationAngle:
         return ElevationAngle(float(self._table.psi_deg[self._index]))
 
     @property
-    def distance_km(self) -> float:
-        return self._table.arc_radius_km
-
-    @property
     def altitude_km(self) -> float:
         """Satellite height above the GS."""
         return float(self._table.altitude_km[self._index])
 
-    @property
-    def mpcs(self) -> tuple[Mpc, ...]:
-        rows = self._rows
-        return tuple(Mpc._row(self._table, r) for r in range(rows.start, rows.stop))
-
     def __len__(self) -> int:
-        rows = self._rows
-        return rows.stop - rows.start
-
-    def total_power(self) -> float:
-        """Sum of per-path received power ratios."""
-        a = self._table.amplitude[self._rows]
-        return float(np.cumsum(a * a)[-1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Snapshot):
-            return NotImplemented
-        return self.table == other.table
-
-    __hash__ = None  # type: ignore[assignment]
+        """Number of rays in the snapshot."""
+        offsets = self._table.offsets
+        return int(offsets[self._index + 1] - offsets[self._index])
 
     def __repr__(self) -> str:
-        return (f"Snapshot(psi_deg={self.psi.psi_deg!r}, distance_km={self.distance_km!r}, "
-                f"altitude_km={self.altitude_km!r}, n_mpcs={len(self)})")
+        return (f"Snapshot(psi_deg={self.psi.psi_deg!r}, altitude_km={self.altitude_km!r}, "
+                f"n_mpcs={len(self)})")
 
 
 def coherent_power_dbm(
-    rays: RayTable | Snapshot | Iterable[Snapshot],
+    table: RayTable,
     mode: str = COHERENT_POWER_SUM,
     p_tx_dbm: float = 0.0,
-) -> float | list[float]:
+) -> list[float]:
     """Aggregate received power over each snapshot's MPCs, in dBm.
 
     ``power-sum`` adds per-path powers |a_i exp(j chi_i)|^2 (the default),
     ``phasor-sum`` adds the complex phasors first and squares the result,
     so opposite-phase paths may cancel.  Returns ``-inf`` as an explicit
     sentinel when the summed power is zero (all-zero amplitudes, or full
-    phasor cancellation).  A snapshot gives one value, a table or a
-    sequence of snapshots a list with one value per snapshot.
+    phasor cancellation).  One value per snapshot.
     """
     if mode not in _COHERENT_MODES:
         raise ValueError(f"coherent mode must be one of {_COHERENT_MODES}")
-    table = as_table(rays)
     a = table.amplitude
     if mode == COHERENT_POWER_SUM:
         totals = table.reduce(running_sum, a * a).tolist()
@@ -461,35 +318,38 @@ def coherent_power_dbm(
         # Cancellation below double-precision resolution of the phasor sum
         # is a true null, not a -300 dB value.
         null_floors = [s ** 2 * 1e-30 for s in table.reduce(running_sum, a).tolist()]
-    powers = [
+    return [
         float("-inf") if total <= floor else p_tx_dbm + 10.0 * math.log10(total)
         for total, floor in zip(totals, null_floors)
     ]
-    return powers[0] if isinstance(rays, Snapshot) else powers
 
 
-def k_factor(snapshot: Snapshot, designate_strongest: bool = False) -> float | None:
-    """Ratio of LOS power to total non-LOS power (linear).
+def _los_index(is_los: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
+    # The flagged ray of each block row, else its first strongest ray.
+    return np.where(is_los.any(axis=1), np.argmax(is_los, axis=1), np.argmax(amplitude, axis=1))
 
-    Returns None when the snapshot holds only the LOS path, where the
-    ratio is undefined.  A snapshot without a LOS flag is a structural
-    error unless ``designate_strongest`` promotes the strongest path.
+
+def k_factor(table: RayTable, designate_strongest: bool = False) -> list[float | None]:
+    """Ratio of LOS power to total non-LOS power (linear), per snapshot.
+
+    Gives None for a snapshot holding only the LOS path, where the ratio
+    is undefined.  A snapshot without a LOS flag is a structural error
+    unless ``designate_strongest`` promotes its strongest path.
     """
-    table = snapshot.table
-    a = table.amplitude
-    flagged = np.flatnonzero(table.is_los)
-    if flagged.size:
-        los = int(flagged[0])
-    elif a.size == 1 or not designate_strongest:
+    counts = table.counts
+    flagged = np.logical_or.reduceat(table.is_los, table.offsets[:-1])
+    if not np.all(flagged | (designate_strongest & (counts > 1))):
         raise ValueError(
             "snapshot has no LOS-flagged MPC; flag one or pass designate_strongest=True"
         )
-    else:
-        los = int(np.argmax(a))
-    if a.size == 1:
-        return None
-    powers = a * a
-    nlos_power = float(np.cumsum(np.delete(powers, los))[-1])
-    if nlos_power == 0.0:
-        return math.inf
-    return float(powers[los]) / nlos_power
+    los_rows = table.offsets[:-1] + table.reduce(_los_index, table.is_los, table.amplitude)
+    powers = table.amplitude * table.amplitude
+    nlos_powers = powers.copy()
+    # Adding the LOS entry as 0.0 leaves the left-to-right NLOS sum exact.
+    nlos_powers[los_rows] = 0.0
+    nlos = table.reduce(running_sum, nlos_powers)
+    return [
+        None if n == 1 else math.inf if nlos_power == 0.0 else los_power / nlos_power
+        for n, los_power, nlos_power in zip(
+            counts.tolist(), powers[los_rows].tolist(), nlos.tolist())
+    ]

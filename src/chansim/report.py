@@ -16,9 +16,9 @@ from pathlib import Path
 from . import clustering, dispersion, ntn
 from .config import DEFAULT_GEOMETRY, ScenarioConfig
 from .errors import ConfigError
-from .geometry import PassGeometry
+from .geometry import ElevationAngle, PassGeometry
 from .link_budget import LINK_BUDGET_COLUMNS, fspl_db, sweep_pass
-from .mpc import RayTable, k_factor
+from .mpc import RayTable, k_factor, running_sum
 from .synth import synth_scenario
 from .traceio import _atomic_write_text, load_trace
 
@@ -203,12 +203,15 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
     from . import fading
 
     psi2 = config.psi2()
+    regimes = fading.select_regime(table, psi2)
+    k_directs = k_factor(table, designate_strongest=config.fading.designate_strongest_los)
+    omegas = table.reduce(running_sum, table.amplitude * table.amplitude).tolist()
     rows = []
     fits = []
-    for idx, snap in enumerate(table):
-        regime = fading.select_regime(snap, psi2)
-        k_direct = k_factor(snap, designate_strongest=config.fading.designate_strongest_los)
-        omega = snap.total_power()
+    for idx, (psi_deg, altitude_km, n_mpcs, regime, k_direct, omega) in enumerate(zip(
+        table.psi_deg.tolist(), table.altitude_km.tolist(), table.counts.tolist(),
+        regimes, k_directs, omegas,
+    )):
         k_fit = m_fit = omega_fit = None
         n_samples = 0
         fittable = (
@@ -230,9 +233,9 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
             m_fit = getattr(fitted, "m", None)
         rows.append(
             [
-                snap.psi.psi_deg,
-                snap.altitude_km,
-                len(snap),
+                psi_deg,
+                altitude_km,
+                n_mpcs,
                 regime.value,
                 k_direct,
                 omega,
@@ -244,7 +247,7 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
         )
         fits.append(
             {
-                "psi_deg": snap.psi.psi_deg,
+                "psi_deg": psi_deg,
                 "regime": regime.value,
                 "k_direct": k_direct,
                 "k_fit": k_fit,
@@ -270,9 +273,9 @@ def _report_spreads(config: ScenarioConfig, table: RayTable):
     reports = dispersion.spread_report(table)
     rows = [
         [
-            snap.psi.psi_deg,
-            snap.altitude_km,
-            len(snap),
+            psi_deg,
+            altitude_km,
+            n_mpcs,
             rep.rms_ds_s,
             rep.mean_excess_delay_s,
             rep.az_spread_sat_deg,
@@ -280,7 +283,9 @@ def _report_spreads(config: ScenarioConfig, table: RayTable):
             rep.az_spread_gs_deg,
             rep.el_spread_gs_deg,
         ]
-        for snap, rep in zip(table, reports)
+        for psi_deg, altitude_km, n_mpcs, rep in zip(
+            table.psi_deg.tolist(), table.altitude_km.tolist(), table.counts.tolist(), reports
+        )
     ]
     cdf = {
         "rms_ds_s": _cdf_entry([r.rms_ds_s for r in reports]),
@@ -300,8 +305,9 @@ def _report_cluster(config: ScenarioConfig, table: RayTable):
     offsets = table.offsets.tolist()
     rows = []
     per_snapshot = []
-    for snap, result, start in zip(table, results, offsets):
-        psi_deg, altitude_km = snap.psi.psi_deg, snap.altitude_km
+    for psi_deg, altitude_km, result, start in zip(
+        table.psi_deg.tolist(), table.altitude_km.tolist(), results, offsets
+    ):
         for i, label in enumerate(result.labels):
             rows.append([psi_deg, altitude_km, i, delays[start + i], label])
         per_snapshot.append(
@@ -322,15 +328,18 @@ def _report_cluster(config: ScenarioConfig, table: RayTable):
 
 def _report_ntn(config: ScenarioConfig, table: RayTable):
     gains_db = config.sat_antenna.peak_gain_dbi + config.gs_antenna.peak_gain_dbi
+    base = fspl_db(table.arc_radius_km, config.fc_ghz)
+    mean = base - gains_db
     rows = []
-    for idx, snap in enumerate(table):
-        name = ntn.select_profile(snap.psi, config.ntn.psi1_deg, config.ntn.psi2_deg)
+    for idx, (psi_deg, altitude_km) in enumerate(
+        zip(table.psi_deg.tolist(), table.altitude_km.tolist())
+    ):
+        psi = ElevationAngle(psi_deg)
+        name = ntn.select_profile(psi, config.ntn.psi1_deg, config.ntn.psi2_deg)
         sigma = config.ntn.sigma_db[name]
-        base = fspl_db(snap.distance_km, config.fc_ghz)
-        mean = base - gains_db
         draw = ntn.ntn_attenuation_db(
-            snap.psi,
-            snap.distance_km,
+            psi,
+            table.arc_radius_km,
             config.fc_ghz,
             sigma,
             antenna_gains_db=gains_db,
@@ -338,8 +347,8 @@ def _report_ntn(config: ScenarioConfig, table: RayTable):
         )
         rows.append(
             [
-                snap.psi.psi_deg,
-                snap.altitude_km,
+                psi_deg,
+                altitude_km,
                 name,
                 base,
                 mean,

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import os
 import tempfile
-from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from .errors import TraceError
 from .geometry import altitude_to_elevation
-from .mpc import RAY_COLUMNS, RayTable, Snapshot, as_table, first_bad_ray
+from .mpc import RAY_COLUMNS, RayTable, first_bad_ray
 
 TRACE_VERSION = 1
 
@@ -171,11 +170,10 @@ def load_trace(path: str | Path) -> RayTable:
     return RayTable(columns, is_los, offsets, psi_deg, altitude[starts], arc_radius_km)
 
 
-def save_trace(snapshots: RayTable | Iterable[Snapshot], path: str | Path) -> None:
+def save_trace(table: RayTable, path: str | Path) -> None:
     """Write a pass as a linear-amplitude trace; loading it back is exact."""
-    if len(snapshots) == 0:
+    if len(table) == 0:
         raise ValueError("nothing to save")
-    table = as_table(snapshots)
     out = [
         f"{_HEADER_PREFIX} v{TRACE_VERSION} arc_radius_km={table.arc_radius_km!r}"
         " amplitude=linear"

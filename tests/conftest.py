@@ -2,27 +2,28 @@ import math
 
 import pytest
 
-from chansim.geometry import ElevationAngle
-from chansim.mpc import Mpc, Snapshot
+from chansim.mpc import RAY_COLUMNS, RayTable
 
 
 def make_snapshot(
     specs,
     psi_deg: float = 45.0,
     distance_km: float = 400.0,
+    **angles,
 ):
-    """Build a snapshot from (amplitude, phase, delay[, is_los]) tuples.
+    """Build a one-snapshot ray table from (amplitude, phase, delay[, is_los]) tuples.
 
-    Angles default to zero; the first ray flagged is the LOS.
+    Angle columns default to zero; ``angles`` gives whole columns, one value
+    per ray, by their ``RAY_COLUMNS`` names.
     """
-    mpcs = []
-    for spec in specs:
-        amplitude, phase, delay = spec[:3]
-        is_los = spec[3] if len(spec) > 3 else False
-        mpcs.append(
-            Mpc(amplitude=amplitude, phase_rad=phase, delay_s=delay, is_los=is_los)
-        )
-    return Snapshot(psi=ElevationAngle(psi_deg), distance_km=distance_km, mpcs=tuple(mpcs))
+    n = len(specs)
+    columns = {name: angles.get(name, [0.0] * n) for name in RAY_COLUMNS}
+    columns["amplitude"] = [spec[0] for spec in specs]
+    columns["phase_rad"] = [spec[1] for spec in specs]
+    columns["delay_s"] = [spec[2] for spec in specs]
+    is_los = [len(spec) > 3 and spec[3] for spec in specs]
+    altitude = distance_km * math.sin(math.radians(psi_deg))
+    return RayTable(columns, is_los, [0, n], [psi_deg], [altitude], distance_km)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from chansim.atmosphere import (
 )
 from chansim.clustering import cluster_snapshot, dbscan
 from chansim.config import ScenarioConfig
-from chansim.dispersion import azimuth_spread, elevation_spread, rms_delay_spread
+from chansim.dispersion import azimuth_spread, elevation_spread, spread_report
 from chansim.fading import (
     FadingRegime,
     RicianParams,
@@ -33,7 +33,7 @@ from chansim.fading import (
     shadowed_rician_pdf,
 )
 from chansim.geometry import ElevationAngle, PassGeometry
-from chansim.link_budget import evaluate, fspl_db, sweep_pass
+from chansim.link_budget import fspl_db, sweep_pass
 from chansim.mpc import coherent_power_dbm, k_factor
 from chansim.ntn import select_profile, shadowing_draws
 from chansim.synth import synth_scenario
@@ -155,7 +155,8 @@ def test_criterion_04_distribution_suite():
 def test_criterion_05_dispersion_goldens():
     with Stopwatch(1.0) as watch:
         snap = make_snapshot([(1.0, 0.0, 0.0, True), (0.5, 0.0, 5e-9)])
-        rms, mean = rms_delay_spread(snap)
+        [rep] = spread_report(snap)
+        rms, mean = rep.rms_ds_s, rep.mean_excess_delay_s
         assert rms == pytest.approx(2e-9, rel=1e-9)
         assert mean == pytest.approx(1e-9, rel=1e-9)
 
@@ -164,9 +165,9 @@ def test_criterion_05_dispersion_goldens():
 
         # invariances: delay shift, power scale, azimuth rotation
         shifted = make_snapshot([(1.0, 0.0, 1e-6, True), (0.5, 0.0, 1e-6 + 5e-9)])
-        assert rms_delay_spread(shifted)[0] == pytest.approx(rms, rel=1e-9)
+        assert spread_report(shifted)[0].rms_ds_s == pytest.approx(rms, rel=1e-9)
         scaled = make_snapshot([(3.0, 0.0, 0.0, True), (1.5, 0.0, 5e-9)])
-        assert rms_delay_spread(scaled)[0] == pytest.approx(rms, rel=1e-9)
+        assert spread_report(scaled)[0].rms_ds_s == pytest.approx(rms, rel=1e-9)
         assert azimuth_spread([123.0, 213.0]) == pytest.approx(
             azimuth_spread([0.0, 90.0]), rel=1e-9
         )
@@ -232,8 +233,8 @@ def test_criterion_09_pass_comparison():
             snaps = synth_scenario(geo, 10.0, default_psi2(d), seed=1)
             totals[d] = {
                 "mpcs": sum(len(s) for s in snaps),
-                "clusters": sum(cluster_snapshot(s).n_clusters for s in snaps),
-                "rms_median": float(np.median([rms_delay_spread(s)[0] for s in snaps])),
+                "clusters": sum(r.n_clusters for r in cluster_snapshot(snaps)),
+                "rms_median": float(np.median([r.rms_ds_s for r in spread_report(snaps)])),
             }
         assert totals[400.0]["mpcs"] >= totals[500.0]["mpcs"]
         assert totals[400.0]["clusters"] >= totals[500.0]["clusters"]
@@ -265,11 +266,12 @@ def test_criterion_10_budget_identity():
             p_tx_dbm=30.0,
             l_hd_db=1.5,
         )
-        by_alt = {round(s.altitude_km, 9): s for s in snaps}
+        by_alt = {round(s.altitude_km, 9): i for i, s in enumerate(snaps)}
         for row in rows:
             assert 30.0 - row.p_rx_dbm == pytest.approx(row.l_total_db, abs=1e-9)
-            snap = by_alt[round(row.altitude_km, 9)]
-            p_coh = coherent_power_dbm(spatial_filter(snap, ISO, gs), p_tx_dbm=30.0)
+            i = by_alt[round(row.altitude_km, 9)]
+            snap = snaps[i]
+            [p_coh] = coherent_power_dbm(spatial_filter(snaps[i:i + 1], ISO, gs), p_tx_dbm=30.0)
             l_am = misalignment_loss_db(gs, 2.0, 1.0)
             l_atm = total_atmospheric_db(
                 snap.psi, ATM, geo, weather={"rain", "clouds", "snow"}

@@ -9,9 +9,6 @@ from chansim.antenna import (
     misalignment_loss_db,
     spatial_filter,
 )
-from chansim.geometry import ElevationAngle
-from chansim.mpc import Mpc, Snapshot
-
 from conftest import make_snapshot
 
 ISO = AntennaModel()
@@ -121,38 +118,32 @@ class TestSpatialFilter:
         assert out == two_ray_snapshot
 
     def test_gs_lobe_weighting(self):
-        mpcs = (
-            Mpc(1e-8, 0.0, 0.0, aoa_az_deg=10.0, aoa_el_deg=30.0, is_los=True),
-            Mpc(1e-8, 0.0, 1e-9, aoa_az_deg=14.0, aoa_el_deg=30.0),
-        )
-        snap = Snapshot(psi=ElevationAngle(30.0), distance_km=400.0, mpcs=mpcs)
+        snap = make_snapshot([(1e-8, 0.0, 0.0, True), (1e-8, 0.0, 1e-9)], psi_deg=30.0,
+                             aoa_az_deg=[10.0, 14.0], aoa_el_deg=[30.0, 30.0])
         gs = AntennaModel(
             kind="single-element", peak_gain_dbi=35.0, hpbw_deg=2.0,
             steer_az_deg=10.0, steer_el_deg=30.0,
         )
         out = spatial_filter(snap, ISO, gs)
-        los, off_lobe = out.mpcs
-        assert los.amplitude == pytest.approx(1e-8 * 10 ** (35.0 / 20.0), rel=1e-12)
+        los, off_lobe = out.amplitude.tolist()
+        assert los == pytest.approx(1e-8 * 10 ** (35.0 / 20.0), rel=1e-12)
         # 2*HPBW off boresight: at least 12 dB below peak (floor-clipped at 30)
-        rel_db = 20.0 * math.log10(off_lobe.amplitude / los.amplitude)
+        rel_db = 20.0 * math.log10(off_lobe / los)
         assert rel_db <= -12.0
 
     def test_angles_unchanged(self, two_ray_snapshot):
         out = spatial_filter(two_ray_snapshot, SINGLE_2DEG, SINGLE_2DEG)
-        for before, after in zip(two_ray_snapshot.mpcs, out.mpcs):
-            assert before.aoa_az_deg == after.aoa_az_deg
-            assert before.aod_el_deg == after.aod_el_deg
-            assert before.delay_s == after.delay_s
+        for name in ("aoa_az_deg", "aod_el_deg", "delay_s"):
+            assert getattr(out, name).tolist() == getattr(two_ray_snapshot, name).tolist()
 
     def test_filter_then_power_is_linear(self):
         snap = make_snapshot([(1.0, 0.0, 0.0, True), (0.5, 1.0, 1e-9)])
         gs = AntennaModel(kind="single-element", peak_gain_dbi=6.0, hpbw_deg=40.0)
         out = spatial_filter(snap, ISO, gs)
-        for before, after in zip(snap.mpcs, out.mpcs):
-            expected = before.power * 10.0 ** (
-                gain_dbi(gs, before.aoa_az_deg, before.aoa_el_deg) / 10.0
-            )
-            assert after.power == pytest.approx(expected, rel=1e-12)
+        for before, after, az, el in zip(snap.amplitude, out.amplitude, snap.aoa_az_deg,
+                                         snap.aoa_el_deg):
+            expected = before * before * 10.0 ** (gain_dbi(gs, az, el) / 10.0)
+            assert after * after == pytest.approx(expected, rel=1e-12)
 
 
 class TestModelValidation:

@@ -8,9 +8,6 @@ from chansim.clustering import (
     cluster_snapshot,
     dbscan,
 )
-from chansim.geometry import ElevationAngle
-from chansim.mpc import Mpc, Snapshot
-
 from conftest import make_snapshot
 
 
@@ -70,11 +67,8 @@ class TestBuildFeatures:
         np.testing.assert_allclose(feats[:, 1:], np.zeros((2, 6)), atol=1e-12)
 
     def test_opposite_azimuths_unit_circle(self):
-        mpcs = (
-            Mpc(1.0, 0.0, 0.0, aoa_az_deg=0.0, is_los=True),
-            Mpc(1.0, 0.0, 0.0, aoa_az_deg=180.0),
-        )
-        snap = Snapshot(psi=ElevationAngle(45.0), distance_km=400.0, mpcs=mpcs)
+        snap = make_snapshot([(1.0, 0.0, 0.0, True), (1.0, 0.0, 0.0)],
+                             aoa_az_deg=[0.0, 180.0])
         feats = build_features(snap)
         # sin(0)=sin(180)=0 -> constant column -> zeros
         np.testing.assert_allclose(feats[:, 4], [0.0, 0.0], atol=1e-12)
@@ -83,19 +77,16 @@ class TestBuildFeatures:
 
     def test_normalisation_invariants(self):
         rng = np.random.default_rng(3)
-        mpcs = tuple(
-            Mpc(
-                amplitude=1.0,
-                phase_rad=0.0,
-                delay_s=float(rng.uniform(0, 50e-9)),
-                aod_az_deg=float(rng.uniform(0, 360)),
-                aod_el_deg=float(rng.uniform(-30, 30)),
-                aoa_az_deg=float(rng.uniform(0, 360)),
-                aoa_el_deg=float(rng.uniform(-30, 30)),
-            )
+        rays = [
+            [float(rng.uniform(0, 50e-9)), float(rng.uniform(0, 360)),
+             float(rng.uniform(-30, 30)), float(rng.uniform(0, 360)),
+             float(rng.uniform(-30, 30))]
             for _ in range(16)
-        )
-        snap = Snapshot(psi=ElevationAngle(30.0), distance_km=400.0, mpcs=mpcs)
+        ]
+        delay, aod_az, aod_el, aoa_az, aoa_el = zip(*rays)
+        snap = make_snapshot([(1.0, 0.0, d) for d in delay], psi_deg=30.0,
+                             aod_az_deg=aod_az, aod_el_deg=aod_el,
+                             aoa_az_deg=aoa_az, aoa_el_deg=aoa_el)
         feats = build_features(snap)
         np.testing.assert_allclose(feats.mean(axis=0), np.zeros(7), atol=1e-9)
         np.testing.assert_allclose(feats.var(axis=0), np.ones(7), atol=1e-9)
@@ -184,19 +175,18 @@ class TestDbscan:
 class TestClusterSnapshot:
     def test_two_mpcs_far_apart_no_cluster(self):
         snap = make_snapshot([(1.0, 0.0, 0.0, True), (0.5, 0.0, 10e-9)])
-        result = cluster_snapshot(snap, xi=0.3, zeta=2)
+        [result] = cluster_snapshot(snap, xi=0.3, zeta=2)
         # z-scored columns put the two rows ~2 apart: both noise
         assert result.n_clusters == 0
 
     def test_tight_pair_clusters(self):
-        mpcs = (
-            Mpc(1.0, 0.0, 0.0, aoa_az_deg=10.0, aoa_el_deg=5.0, is_los=True),
-            Mpc(0.5, 0.0, 50e-9, aoa_az_deg=200.0, aoa_el_deg=-20.0),
-            Mpc(0.5, 0.0, 50.2e-9, aoa_az_deg=201.0, aoa_el_deg=-20.5),
-            Mpc(0.4, 0.0, 90e-9, aoa_az_deg=100.0, aoa_el_deg=30.0),
+        snap = make_snapshot(
+            [(1.0, 0.0, 0.0, True), (0.5, 0.0, 50e-9), (0.5, 0.0, 50.2e-9), (0.4, 0.0, 90e-9)],
+            psi_deg=20.0,
+            aoa_az_deg=[10.0, 200.0, 201.0, 100.0],
+            aoa_el_deg=[5.0, -20.0, -20.5, 30.0],
         )
-        snap = Snapshot(psi=ElevationAngle(20.0), distance_km=400.0, mpcs=mpcs)
-        result = cluster_snapshot(snap, xi=0.3, zeta=2)
+        [result] = cluster_snapshot(snap, xi=0.3, zeta=2)
         assert result.n_clusters == 1
         labels = result.labels
         assert labels[1] == labels[2] != NOISE

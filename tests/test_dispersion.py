@@ -8,39 +8,42 @@ from chansim.dispersion import (
     UNBOUNDED_SPREAD,
     azimuth_spread,
     elevation_spread,
-    rms_delay_spread,
     spread_report,
 )
-from chansim.geometry import ElevationAngle
-from chansim.mpc import Mpc, Snapshot
 
 from conftest import make_snapshot
+
+
+def delay_spread(snapshot):
+    """RMS delay spread and mean excess delay of a one-snapshot table."""
+    [rep] = spread_report(snapshot)
+    return rep.rms_ds_s, rep.mean_excess_delay_s
 
 
 class TestRmsDelaySpread:
     def test_two_point_symmetry(self):
         snap = make_snapshot([(1.0, 0.0, 0.0, True), (1.0, 0.0, 2e-9)])
-        rms, mean = rms_delay_spread(snap)
+        rms, mean = delay_spread(snap)
         assert mean == pytest.approx(1e-9, rel=1e-12)
         assert rms == pytest.approx(1e-9, rel=1e-12)
 
     def test_unequal_powers(self):
         # powers {1, 0.25} at {0, 5 ns}: mean 1 ns, rms 2 ns, hand-evaluated
         snap = make_snapshot([(1.0, 0.0, 0.0, True), (0.5, 0.0, 5e-9)])
-        rms, mean = rms_delay_spread(snap)
+        rms, mean = delay_spread(snap)
         assert mean == pytest.approx(1e-9, rel=1e-9)
         assert rms == pytest.approx(2e-9, rel=1e-9)
 
     def test_single_path(self):
         snap = make_snapshot([(1.0, 0.0, 3e-9, True)])
-        rms, mean = rms_delay_spread(snap)
+        rms, mean = delay_spread(snap)
         assert rms == 0.0
         assert mean == pytest.approx(3e-9)
 
     def test_zero_power_errors(self):
         snap = make_snapshot([(0.0, 0.0, 0.0, True)])
         with pytest.raises(ValueError):
-            rms_delay_spread(snap)
+            delay_spread(snap)
 
     @given(
         st.floats(min_value=-1e-6, max_value=1e-6),
@@ -50,8 +53,8 @@ class TestRmsDelaySpread:
         base = [(1.0, 0.0, 10e-9, True), (0.5, 0.0, 12e-9), (0.2, 0.0, 20e-9)]
         moved = [(a * scale, ph, d + shift + 1e-6) for a, ph, d, *_ in base]
         moved[0] = moved[0] + (True,)
-        rms_base, _ = rms_delay_spread(make_snapshot(base))
-        rms_moved, _ = rms_delay_spread(make_snapshot(moved))
+        rms_base, _ = delay_spread(make_snapshot(base))
+        rms_moved, _ = delay_spread(make_snapshot(moved))
         assert rms_moved == pytest.approx(rms_base, rel=1e-6, abs=1e-18)
 
 
@@ -101,7 +104,7 @@ class TestElevationSpread:
 class TestSpreadReport:
     def test_single_path_all_zero(self):
         snap = make_snapshot([(1.0, 0.0, 1e-9, True)])
-        rep = spread_report(snap)
+        [rep] = spread_report(snap)
         assert rep.rms_ds_s == 0.0
         assert rep.az_spread_sat_deg == 0.0
         assert rep.el_spread_sat_deg == 0.0
@@ -109,14 +112,12 @@ class TestSpreadReport:
         assert rep.el_spread_gs_deg == 0.0
 
     def test_report_uses_both_ends(self):
-        mpcs = (
-            Mpc(1.0, 0.0, 0.0, aod_az_deg=10.0, aod_el_deg=-5.0,
-                aoa_az_deg=0.0, aoa_el_deg=10.0, is_los=True),
-            Mpc(0.5, 0.0, 1e-9, aod_az_deg=10.0, aod_el_deg=-5.0,
-                aoa_az_deg=90.0, aoa_el_deg=20.0),
+        snap = make_snapshot(
+            [(1.0, 0.0, 0.0, True), (0.5, 0.0, 1e-9)], psi_deg=30.0,
+            aod_az_deg=[10.0, 10.0], aod_el_deg=[-5.0, -5.0],
+            aoa_az_deg=[0.0, 90.0], aoa_el_deg=[10.0, 20.0],
         )
-        snap = Snapshot(psi=ElevationAngle(30.0), distance_km=400.0, mpcs=mpcs)
-        rep = spread_report(snap)
+        [rep] = spread_report(snap)
         assert rep.az_spread_sat_deg == 0.0
         assert rep.el_spread_sat_deg == 0.0
         assert rep.az_spread_gs_deg == pytest.approx(47.701865433491434, rel=1e-9)

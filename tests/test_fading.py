@@ -226,15 +226,15 @@ class TestSelectRegime:
             [(1.0, 0.0, 0.0, True), (0.1, 0.0, 1e-9), (0.1, 0.0, 2e-9)], psi_deg=5.0
         )
         psi2 = ElevationAngle(14.477512185929925)
-        assert select_regime(snap, psi2) is FadingRegime.SHADOWED_RICIAN
+        assert select_regime(snap, psi2) == [FadingRegime.SHADOWED_RICIAN]
 
     def test_rician_above_threshold_with_nlos(self):
         snap = make_snapshot([(1.0, 0.0, 0.0, True), (0.1, 0.0, 1e-9)], psi_deg=30.0)
-        assert select_regime(snap, ElevationAngle(14.48)) is FadingRegime.RICIAN
+        assert select_regime(snap, ElevationAngle(14.48)) == [FadingRegime.RICIAN]
 
     def test_deterministic_single_path(self):
         snap = make_snapshot([(1.0, 0.0, 0.0, True)], psi_deg=45.0)
-        assert select_regime(snap, ElevationAngle(14.48)) is FadingRegime.DETERMINISTIC_LOS
+        assert select_regime(snap, ElevationAngle(14.48)) == [FadingRegime.DETERMINISTIC_LOS]
 
     def test_default_threshold(self):
         assert default_psi2(400.0).psi_deg == pytest.approx(14.477512185929925)
@@ -257,3 +257,18 @@ class TestMassCache:
             assert fading._mass.cache_info().misses > bound
         finally:
             fading._mass.cache_clear()
+
+    @pytest.mark.parametrize("m,quads", [(1.0, 1), (3.0, 2)])
+    def test_quadratures_per_uncached_mass(self, monkeypatch, m, quads):
+        # m = 1 has a positive integrand, so its gross mass is its net mass.
+        calls = []
+        quad = integrate.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "quad", counted)
+        mass = fading._mass.__wrapped__(2.0, m)
+        assert len(calls) == quads
+        assert mass == fading._mass(2.0, m)

@@ -8,11 +8,12 @@ from chansim.geometry import ElevationAngle, PassGeometry
 from chansim.link_budget import (
     LINK_BUDGET_COLUMNS,
     MISALIGN_PER_RAY,
-    evaluate,
     fspl_db,
     sweep_pass,
 )
-from chansim.mpc import Mpc, Snapshot
+from chansim.mpc import RAY_COLUMNS, RayTable
+
+from conftest import make_snapshot
 
 ISO = AntennaModel()
 GEO = PassGeometry(arc_radius_km=400.0, gs_height_km=0.023, altitudes_km=(100.0,))
@@ -23,12 +24,15 @@ FSPL_400 = 164.48898304844263  # 20 log10(4 pi 400e3 / lambda@10GHz), hand-evalu
 FSPL_500 = 166.42718330860376
 
 
-def single_los_snapshot(psi_deg=45.0, d_km=400.0, fc_ghz=10.0, amplitude=None):
+def free_space_amplitude(d_km=400.0, fc_ghz=10.0):
     wavelength = 299792458.0 / (fc_ghz * 1e9)
+    return wavelength / (4.0 * math.pi * d_km * 1e3)
+
+
+def single_los_snapshot(psi_deg=45.0, d_km=400.0, amplitude=None):
     if amplitude is None:
-        amplitude = wavelength / (4.0 * math.pi * d_km * 1e3)
-    ray = Mpc(amplitude=amplitude, phase_rad=0.0, delay_s=0.0, is_los=True)
-    return Snapshot(psi=ElevationAngle(psi_deg), distance_km=d_km, mpcs=(ray,))
+        amplitude = free_space_amplitude(d_km)
+    return make_snapshot([(amplitude, 0.0, 0.0, True)], psi_deg=psi_deg, distance_km=d_km)
 
 
 class TestFspl:
@@ -57,32 +61,28 @@ class TestEvaluate:
     def test_single_los_identity(self):
         # L_tot = FSPL + L_hd + L_fx with isotropic antennas and clear sky
         snap = single_los_snapshot()
-        row = evaluate(snap, ISO, ISO, ATM, GEO, p_tx_dbm=30.0, l_hd_db=1.5)
+        [row] = sweep_pass(GEO, snap, ISO, ISO, ATM, p_tx_dbm=30.0, l_hd_db=1.5)
         assert row.l_total_db == pytest.approx(FSPL_400 + 3.0, rel=1e-9)
         assert row.p_rx_dbm == pytest.approx(30.0 - FSPL_400 - 3.0, rel=1e-9)
 
     def test_misalignment_adds_exactly(self):
         gs = AntennaModel(kind="single-element", peak_gain_dbi=0.0, hpbw_deg=2.0)
         snap = single_los_snapshot()
-        aligned = evaluate(snap, ISO, gs, ATM, GEO, misalignment=(0.0, 0.0))
-        skewed = evaluate(snap, ISO, gs, ATM, GEO, misalignment=(1.0, 0.0))
+        [aligned] = sweep_pass(GEO, snap, ISO, gs, ATM, misalignment=(0.0, 0.0))
+        [skewed] = sweep_pass(GEO, snap, ISO, gs, ATM, misalignment=(1.0, 0.0))
         assert skewed.l_total_db - aligned.l_total_db == pytest.approx(3.0, rel=1e-9)
         assert skewed.l_am_db == pytest.approx(3.0, rel=1e-9)
 
     def test_zero_loss_degenerate(self):
-        snap = Snapshot(
-            psi=ElevationAngle(45.0),
-            distance_km=400.0,
-            mpcs=(Mpc(amplitude=1.0, phase_rad=0.0, delay_s=0.0, is_los=True),),
-        )
-        row = evaluate(snap, ISO, ISO, NO_FIXED, GEO, p_tx_dbm=30.0, l_hd_db=0.0)
+        snap = single_los_snapshot(amplitude=1.0)
+        [row] = sweep_pass(GEO, snap, ISO, ISO, NO_FIXED, p_tx_dbm=30.0, l_hd_db=0.0)
         assert row.l_total_db == pytest.approx(0.0, abs=1e-12)
 
     def test_budget_identity_and_decomposition(self):
         snap = single_los_snapshot(psi_deg=20.0)
         gs = AntennaModel(kind="single-element", peak_gain_dbi=12.0, hpbw_deg=10.0)
-        row = evaluate(
-            snap, ISO, gs, ATM, GEO,
+        [row] = sweep_pass(
+            GEO, snap, ISO, gs, ATM,
             weather={"rain", "clouds"},
             misalignment=(2.0, 1.0),
             p_tx_dbm=30.0,
@@ -96,26 +96,29 @@ class TestEvaluate:
     def test_per_ray_mode_reports_zero_l_am(self):
         snap = single_los_snapshot()
         gs = AntennaModel(kind="single-element", peak_gain_dbi=0.0, hpbw_deg=2.0)
-        row = evaluate(
-            snap, ISO, gs, ATM, GEO, misalignment=(1.0, 0.0),
+        [row] = sweep_pass(
+            GEO, snap, ISO, gs, ATM, misalignment=(1.0, 0.0),
             misalign_mode=MISALIGN_PER_RAY,
         )
         assert row.l_am_db == 0.0
         # the loss lands inside the coherent power instead
-        aligned = evaluate(snap, ISO, gs, ATM, GEO, misalignment=(0.0, 0.0))
+        [aligned] = sweep_pass(GEO, snap, ISO, gs, ATM, misalignment=(0.0, 0.0))
         assert row.l_total_db - aligned.l_total_db == pytest.approx(3.0, rel=1e-6)
 
     def test_bad_misalign_mode(self):
         with pytest.raises(ValueError):
-            evaluate(single_los_snapshot(), ISO, ISO, ATM, GEO, misalign_mode="both")
+            sweep_pass(GEO, single_los_snapshot(), ISO, ISO, ATM, misalign_mode="both")
 
 
 class TestSweep:
     def _snapshots(self, altitudes, d_km=400.0):
         geo = PassGeometry(arc_radius_km=d_km, gs_height_km=0.023, altitudes_km=altitudes)
-        return geo, [
-            single_los_snapshot(psi.psi_deg, d_km=d_km) for psi in geo.elevations()
-        ]
+        psis = geo.elevations()
+        n = len(psis)
+        columns = {name: [0.0] * n for name in RAY_COLUMNS}
+        columns["amplitude"] = [free_space_amplitude(d_km)] * n
+        return geo, RayTable(columns, [True] * n, range(n + 1), [p.psi_deg for p in psis],
+                             [d_km * p.sin for p in psis], d_km)
 
     def test_clear_sky_offset_constant(self):
         geo, snaps = self._snapshots((50.0, 136.0, 264.0, 371.0))

@@ -53,7 +53,7 @@ class TestSelectProfile:
         psi2 = 15.0
         for psi_deg in (15.0, 20.0, 45.0, 75.0, 90.0):
             snap = make_snapshot([(1.0, 0.0, 0.0, True)], psi_deg=psi_deg)
-            regime = select_regime(snap, ElevationAngle(psi2))
+            [regime] = select_regime(snap, ElevationAngle(psi2))
             assert regime is not FadingRegime.SHADOWED_RICIAN
             assert select_profile(ElevationAngle(psi_deg), 10.0, psi2) == PROFILE_C
 

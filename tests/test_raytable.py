@@ -3,6 +3,7 @@ pass-level layers against per-snapshot loop references."""
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +18,10 @@ from chansim.mpc import (
     COHERENT_PHASOR_SUM,
     COHERENT_POWER_SUM,
     RAY_COLUMNS,
-    Mpc,
     RayTable,
-    Snapshot,
     coherent_power_dbm,
     k_factor,
+    running_sum,
 )
 from chansim.report import run_report
 from chansim.traceio import load_trace, save_trace
@@ -37,6 +37,17 @@ def left_to_right(values) -> float:
     for v in values:
         total += v
     return total
+
+
+def rays_of(table: RayTable) -> list[list[SimpleNamespace]]:
+    """Each snapshot's rays, in delay order, as records of Python floats."""
+    columns = {name: getattr(table, name).tolist() for name in (*RAY_COLUMNS, "is_los")}
+    bounds = table.offsets.tolist()
+    return [
+        [SimpleNamespace(**{name: col[r] for name, col in columns.items()})
+         for r in range(lo, hi)]
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 # --- per-snapshot loop references: one snapshot's rays as Python floats ---
@@ -159,38 +170,43 @@ class TestPassLayersMatchPerSnapshotLoops:
     @pytest.mark.parametrize("mode", [COHERENT_POWER_SUM, COHERENT_PHASOR_SUM])
     def test_coherent_power(self, mode):
         got = coherent_power_dbm(self.table, mode, 30.0)
-        assert got == [ref_coherent_dbm(s.mpcs, mode, 30.0) for s in self.table]
+        assert got == [ref_coherent_dbm(rays, mode, 30.0) for rays in rays_of(self.table)]
 
     def test_spreads(self):
         got = spread_report(self.table)
         assert [tuple(vars(r).values()) for r in got] == [
-            ref_spreads(s.mpcs) for s in self.table
+            ref_spreads(rays) for rays in rays_of(self.table)
         ]
 
     def test_features(self):
         feats = build_features(self.table)
-        for i, snap in enumerate(self.table):
+        for i, rays in enumerate(rays_of(self.table)):
             lo, hi = self.table.offsets[i], self.table.offsets[i + 1]
-            np.testing.assert_array_equal(feats[lo:hi], ref_features(snap.mpcs))
+            np.testing.assert_array_equal(feats[lo:hi], ref_features(rays))
 
     def test_clusters(self):
         results = cluster_snapshot(self.table, xi=0.3, zeta=2)
-        for snap, result in zip(self.table, results):
-            expected = brute_force_dbscan(ref_features(snap.mpcs), 0.3, 2)
+        for rays, result in zip(rays_of(self.table), results):
+            expected = brute_force_dbscan(ref_features(rays), 0.3, 2)
             assert list(result.labels) == expected.tolist()
 
     def test_powers_and_k_factor(self):
-        for snap in self.table:
-            powers = [m.amplitude * m.amplitude for m in snap.mpcs]
-            assert snap.total_power() == left_to_right(powers)
-            los = next(i for i, m in enumerate(snap.mpcs) if m.is_los)
-            if len(snap) > 1:
+        a = self.table.amplitude
+        totals = self.table.reduce(running_sum, a * a).tolist()
+        for rays, total, k in zip(rays_of(self.table), totals, k_factor(self.table)):
+            powers = [m.amplitude * m.amplitude for m in rays]
+            assert total == left_to_right(powers)
+            los = next(i for i, m in enumerate(rays) if m.is_los)
+            if len(rays) > 1:
                 nlos = left_to_right(p for i, p in enumerate(powers) if i != los)
-                assert k_factor(snap) == powers[los] / nlos
+                assert k == powers[los] / nlos
+            else:
+                assert k is None
 
     def test_snapshot_views_agree_with_table(self):
-        for snap, report in zip(self.table, spread_report(self.table)):
-            assert spread_report(snap) == report
+        # A one-snapshot table is reduced in a block of its own.
+        for i, report in enumerate(spread_report(self.table)):
+            assert spread_report(self.table[i:i + 1]) == [report]
 
     def test_spatial_filter(self):
         sat = AntennaModel(kind="phased-array", peak_gain_dbi=20.0, nx=8, ny=8,
@@ -198,9 +214,10 @@ class TestPassLayersMatchPerSnapshotLoops:
         gs = AntennaModel(kind="single-element", peak_gain_dbi=35.0, hpbw_deg=2.0,
                           steer_el_deg=10.0)
         out = spatial_filter(self.table, sat, gs)
-        for before, after in zip(self.table, out):
-            assert after.psi == before.psi and len(after) == len(before)
-            for b, a in zip(before.mpcs, after.mpcs):
+        assert out.psi_deg.tolist() == self.table.psi_deg.tolist()
+        assert out.offsets.tolist() == self.table.offsets.tolist()
+        for before, after in zip(rays_of(self.table), rays_of(out)):
+            for b, a in zip(before, after):
                 g = ref_gain_db(sat, (b.aod_az_deg - 180.0 + 180.0) % 360.0 - 180.0,
                                 b.aod_el_deg + 20.0)
                 g += ref_gain_db(gs, (b.aoa_az_deg + 180.0) % 360.0 - 180.0,
@@ -260,7 +277,7 @@ class TestRayTable:
         with pytest.raises(ValueError):
             table.amplitude[0] = 5.0
         with pytest.raises(ValueError):
-            table[1].table.delay_s[0] = 0.0
+            table.take([1]).delay_s[0] = 0.0
 
     def test_sequence_of_snapshot_views(self):
         table = self.make()
@@ -268,14 +285,9 @@ class TestRayTable:
         assert table[-1].altitude_km == 69.0 and table[1].psi == ElevationAngle(10.0)
         assert [s.altitude_km for s in table[::-1]] == [69.0, 200.0]
         assert table.sorted_by_altitude() == table[::-1]
-        assert list(table) == list(RayTable.concat(list(table)))
+        assert repr(table[0]) == "Snapshot(psi_deg=30.0, altitude_km=200.0, n_mpcs=1)"
         with pytest.raises(IndexError):
             table[2]
-
-    def test_concat_needs_one_arc_radius(self):
-        snap = Snapshot(ElevationAngle(30.0), 500.0, (Mpc(1.0, 0.0, 0.0),))
-        with pytest.raises(ValueError, match="arc radius"):
-            RayTable.concat([self.make()[0], snap])
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -329,7 +341,7 @@ class TestTraceRoundTrip:
         out = tmp_path_factory.mktemp("out")
         save_trace(table, out / "t.csv")
         subs = ["linkbudget", "cluster"]
-        if all(s.total_power() > 0.0 for s in table):
+        if -math.inf not in coherent_power_dbm(table):
             subs.append("spreads")  # a zero-power snapshot has no delay spread
         for sub in subs:
             run_report(ScenarioConfig(), sub, out / sub, trace_path=out / "t.csv")

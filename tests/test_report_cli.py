@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,27 @@ class TestConfig:
         path = tmp_path / "bad.yaml"
         path.write_text(f"{key}: {value}\n")
         with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,key", [
+        ("fading: {fit_samples: abc}", "fading.fit_samples"),
+        ("fading: {fit_samples: 20000.5}", "fading.fit_samples"),
+        ("clustering: {xi: abc}", "clustering.xi"),
+        ("ntn: {psi1_deg: abc}", "ntn.psi1_deg"),
+        ("fading: {psi2_deg: abc}", "fading.psi2_deg"),
+        ("synth: {max_extra_rays: abc}", "synth.max_extra_rays"),
+        ("antennas: {ground: {steer_az_deg: abc}}", "antennas.ground.steer_az_deg"),
+        ("antennas: {ground: {kind: phased-array, nx: 2.5}}", "antennas.ground.nx"),
+        ("synth: {los_only: 'yes please'}", "synth.los_only"),
+        ("fading: {designate_strongest_los: 'no'}", "fading.designate_strongest_los"),
+        ("pass: {altitudes_km: [5.0, true]}", "pass.altitudes_km"),
+    ])
+    def test_section_field_types_rejected(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=f"config key '{re.escape(key)}' must be"):
             load_config(path)
         assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err

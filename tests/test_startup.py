@@ -10,14 +10,14 @@ import chansim
 
 PUBLIC_NAMES = [
     "AntennaModel", "AtmosphereParams", "ChansimError", "ClusterResult", "ConfigError",
-    "ElevationAngle", "ElevationFloorError", "FadingRegime", "LinkBudgetRow", "Mpc",
+    "ElevationAngle", "ElevationFloorError", "FadingRegime", "LinkBudgetRow",
     "NumericError", "PassGeometry", "RayTable", "RicianParams", "ScenarioConfig",
     "ShadowedRicianParams", "Snapshot", "SpreadReport", "TraceError",
     "altitude_to_elevation", "azimuth_spread", "build_features", "cloud_attenuation_db",
-    "cluster_snapshot", "coherent_power_dbm", "dbscan", "elevation_spread", "evaluate",
+    "cluster_snapshot", "coherent_power_dbm", "dbscan", "elevation_spread",
     "fit", "fspl_db", "gain_dbi", "k_factor", "load_config",
     "load_trace", "misalignment_loss_db", "ntn_attenuation_db", "rain_attenuation_db",
-    "rain_slant_length", "rician_pdf", "rms_delay_spread", "run_report", "sample",
+    "rain_slant_length", "rician_pdf", "run_report", "sample",
     "save_trace", "select_profile", "select_regime", "shadowed_rician_pdf",
     "snow_attenuation_db", "spatial_filter", "spread_report", "sweep_pass",
     "synth_scenario", "total_atmospheric_db",

@@ -38,13 +38,13 @@ class TestLosOnly:
         wavelength = SPEED_OF_LIGHT_M_S / 10e9
         expected = wavelength / (4.0 * math.pi * 400e3)
         psi2 = default_psi2(400.0).psi_deg
-        for snap in snaps:
-            assert len(snap) == 1
-            assert snap.mpcs[0].is_los
-            if snap.psi.psi_deg >= psi2:
-                assert snap.mpcs[0].amplitude == pytest.approx(expected, rel=1e-12)
+        assert snaps.counts.tolist() == [1] * len(snaps)
+        assert snaps.is_los.all()
+        for psi_deg, amplitude in zip(snaps.psi_deg, snaps.amplitude):
+            if psi_deg >= psi2:
+                assert amplitude == pytest.approx(expected, rel=1e-12)
             else:
-                assert snap.mpcs[0].amplitude <= expected
+                assert amplitude <= expected
 
 
 class TestQualitativeShape:
@@ -72,7 +72,7 @@ class TestQualitativeShape:
     def test_near_horizon_shadowed_k_below_one(self):
         geo = make_geometry(400.0)
         snaps = synth_scenario(geo, 10.0, default_psi2(400.0), seed=1)
-        k = k_factor(snaps[0])
+        k = k_factor(snaps)[0]
         assert k is not None and k < 1.0
         # order-of-magnitude target for the deepest shadowing
         assert 1e-4 < k < 1e-1
@@ -87,5 +87,4 @@ class TestQualitativeShape:
     def test_exactly_one_los_per_snapshot(self):
         geo = make_geometry(400.0)
         snaps = synth_scenario(geo, 10.0, default_psi2(400.0), seed=3)
-        for snap in snaps:
-            assert sum(1 for m in snap.mpcs if m.is_los) == 1
+        assert np.add.reduceat(snaps.is_los, snaps.offsets[:-1]).tolist() == [1] * len(snaps)

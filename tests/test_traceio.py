@@ -5,38 +5,27 @@ import pytest
 
 from chansim.errors import TraceError
 from chansim.fading import default_psi2
-from chansim.geometry import ElevationAngle, PassGeometry
-from chansim.mpc import Mpc, Snapshot
+from chansim.geometry import PassGeometry
+from chansim.mpc import RAY_COLUMNS, RayTable
 from chansim.synth import synth_scenario
 from chansim.traceio import load_trace, save_trace
 
 
 def sample_snapshots():
-    mk = lambda **kw: Mpc(**kw)
-    snap_a = Snapshot(
-        psi=ElevationAngle(7.180755781458282),  # arcsin(50/400)
-        distance_km=400.0,
-        mpcs=(
-            mk(amplitude=3.1e-9, phase_rad=0.25, delay_s=1.334226e-3,
-               aod_az_deg=180.0, aod_el_deg=-7.18, aoa_az_deg=0.0,
-               aoa_el_deg=7.18, is_los=True),
-            mk(amplitude=1.2e-9, phase_rad=4.0, delay_s=1.3342265e-3,
-               aod_az_deg=180.01, aod_el_deg=-7.18, aoa_az_deg=213.0,
-               aoa_el_deg=-6.5),
-        ),
-        altitude_hint_km=50.0,
+    rays = [
+        # (amplitude, phase_rad, delay_s, aod_az, aod_el, aoa_az, aoa_el)
+        (3.1e-9, 0.25, 1.334226e-3, 180.0, -7.18, 0.0, 7.18),
+        (1.2e-9, 4.0, 1.3342265e-3, 180.01, -7.18, 213.0, -6.5),
+        (3.1e-9, 1.5, 1.334226e-3, 180.0, -19.88, 0.0, 19.88),
+    ]
+    return RayTable(
+        dict(zip(RAY_COLUMNS, zip(*rays))),
+        [True, False, True],
+        [0, 2, 3],
+        [7.180755781458282, 19.876874070078834],  # arcsin(50/400), arcsin(136/400)
+        [50.0, 136.0],
+        400.0,
     )
-    snap_b = Snapshot(
-        psi=ElevationAngle(19.876874070078834),  # arcsin(136/400)
-        distance_km=400.0,
-        mpcs=(
-            mk(amplitude=3.1e-9, phase_rad=1.5, delay_s=1.334226e-3,
-               aod_az_deg=180.0, aod_el_deg=-19.88, aoa_az_deg=0.0,
-               aoa_el_deg=19.88, is_los=True),
-        ),
-        altitude_hint_km=136.0,
-    )
-    return [snap_a, snap_b]
 
 
 HEADER = "# chansim-trace v1 arc_radius_km=400.0 amplitude=linear"
@@ -51,8 +40,7 @@ class TestRoundTrip:
         path = tmp_path / "trace.csv"
         snapshots = sample_snapshots()
         save_trace(snapshots, path)
-        loaded = load_trace(path)
-        assert list(loaded) == snapshots
+        assert load_trace(path) == snapshots
 
     def test_double_round_trip_bytes(self, tmp_path):
         p1 = tmp_path / "a.csv"
@@ -157,8 +145,7 @@ class TestDbmConversion:
             header + "\n" + COLS + "\n"
             + "50.0,-134.49,0.0,0.001,180.0,-7.0,0.0,7.0,0\n"
         )
-        snap = load_trace(path)[0]
-        assert snap.mpcs[0].amplitude == pytest.approx(
+        assert load_trace(path).amplitude[0] == pytest.approx(
             10.0 ** (-164.49 / 20.0), rel=1e-12
         )
 
@@ -173,19 +160,9 @@ class TestDbmConversion:
 
 
 class TestSave:
-    def test_mixed_radius_rejected(self, tmp_path):
-        snaps = sample_snapshots()
-        other = Snapshot(
-            psi=ElevationAngle(30.0),
-            distance_km=500.0,
-            mpcs=(Mpc(1e-9, 0.0, 1.67e-3, is_los=True),),
-        )
-        with pytest.raises(ValueError):
-            save_trace(snaps + [other], tmp_path / "t.csv")
-
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            save_trace([], tmp_path / "t.csv")
+            save_trace(sample_snapshots().take([]), tmp_path / "t.csv")
 
 
 class TestNumpyBuiltPass:
