@@ -17,10 +17,10 @@ from .atmosphere import (
 )
 from .clustering import ClusterResult, build_features, cluster_snapshot, dbscan
 from .config import ScenarioConfig, load_config
-from .dispersion import SpreadReport, azimuth_spread, elevation_spread, spread_report
+from .dispersion import azimuth_spread, elevation_spread, spread_report
 from .errors import ChansimError, ConfigError, ElevationFloorError, NumericError, TraceError
 from .geometry import ElevationAngle, PassGeometry, altitude_to_elevation, rain_slant_length
-from .link_budget import LinkBudgetRow, fspl_db, sweep_pass
+from .link_budget import fspl_db, sweep_pass
 from .mpc import RayTable, Snapshot, coherent_power_dbm, k_factor
 from .ntn import ntn_attenuation_db, select_profile
 from .report import run_report
@@ -59,7 +59,6 @@ __all__ = [
     "ElevationAngle",
     "ElevationFloorError",
     "FadingRegime",
-    "LinkBudgetRow",
     "NumericError",
     "PassGeometry",
     "RayTable",
@@ -67,7 +66,6 @@ __all__ = [
     "ScenarioConfig",
     "ShadowedRicianParams",
     "Snapshot",
-    "SpreadReport",
     "TraceError",
     "altitude_to_elevation",
     "azimuth_spread",

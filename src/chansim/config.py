@@ -155,15 +155,23 @@ def _describe(hint) -> str:
     return _TYPE_NAMES[hint]
 
 
-def _check_types(cls, data: dict, section: str = "") -> None:
-    """Raise a ConfigError naming the first key whose value is not of its field's type."""
+def _check_types(cls, data: dict, section: str = "") -> dict:
+    """The data with an int made a float wherever its field's type includes float.
+
+    Raises a ConfigError naming the first key whose value is not of its
+    field's type.
+    """
     hints = typing.get_type_hints(cls)
+    checked = {}
     for key, value in data.items():
-        if not _fits(value, hints[key]):
+        hint = hints[key]
+        if not _fits(value, hint):
             name = f"{section}.{key}" if section else key
-            raise ConfigError(
-                f"config key {name!r} must be {_describe(hints[key])}, got {value!r}"
-            )
+            raise ConfigError(f"config key {name!r} must be {_describe(hint)}, got {value!r}")
+        if type(value) is int and float in (hint, *typing.get_args(hint)):
+            value = float(value)
+        checked[key] = value
+    return checked
 
 
 def _build_section(cls, data: dict, section: str):
@@ -173,9 +181,8 @@ def _build_section(cls, data: dict, section: str):
     unknown = set(data) - valid
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in config section {section!r}")
-    _check_types(cls, data, section)
     try:
-        return cls(**data)
+        return cls(**_check_types(cls, data, section))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config section {section!r}: {exc}") from exc
 
@@ -202,36 +209,31 @@ def load_config(path: str | Path | None) -> ScenarioConfig:
 _SCALAR_KEYS = ("fc_ghz", "p_tx_dbm", "l_hd_db", "misalign_az_deg", "misalign_el_deg",
                 "elevation_floor_deg", "seed")
 
+# Config sections that build one ScenarioConfig field each: key -> (field, class).
+_SECTIONS = {
+    "pass": ("geometry", PassGeometry),
+    "atmosphere": ("atmosphere", AtmosphereParams),
+    "fading": ("fading", FadingConfig),
+    "ntn": ("ntn", NtnConfig),
+    "clustering": ("clustering", ClusteringConfig),
+    "synth": ("synth", SynthConfig),
+}
+
+_KNOWN_KEYS = {*_SECTIONS, *_SCALAR_KEYS, "antennas", "weather", "modes"}
+
 
 def _config_from_dict(data: dict) -> ScenarioConfig:
-    known = {
-        "pass",
-        "fc_ghz",
-        "p_tx_dbm",
-        "l_hd_db",
-        "antennas",
-        "atmosphere",
-        "weather",
-        "misalign_az_deg",
-        "misalign_el_deg",
-        "fading",
-        "ntn",
-        "clustering",
-        "synth",
-        "modes",
-        "elevation_floor_deg",
-        "seed",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown top-level config keys {sorted(unknown)}")
 
-    kwargs: dict = {}
-    if "pass" in data:
-        kwargs["geometry"] = _build_section(PassGeometry, data["pass"], "pass")
+    kwargs = {
+        attr: _build_section(cls, data[key], key)
+        for key, (attr, cls) in _SECTIONS.items()
+        if key in data
+    }
     scalars = {key: data[key] for key in _SCALAR_KEYS if key in data}
-    _check_types(ScenarioConfig, scalars)
-    kwargs.update(scalars)
+    kwargs.update(_check_types(ScenarioConfig, scalars))
     if "antennas" in data:
         ants = data["antennas"]
         if not isinstance(ants, dict) or set(ants) - {"satellite", "ground"}:
@@ -239,8 +241,6 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
         for key, attr in (("satellite", "sat_antenna"), ("ground", "gs_antenna")):
             if key in ants:
                 kwargs[attr] = _build_section(AntennaModel, ants[key], f"antennas.{key}")
-    if "atmosphere" in data:
-        kwargs["atmosphere"] = _build_section(AtmosphereParams, data["atmosphere"], "atmosphere")
     if "weather" in data:
         terms = data["weather"]
         if not isinstance(terms, (list, tuple)):
@@ -249,14 +249,6 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
         if bad:
             raise ConfigError(f"unknown weather terms {sorted(bad)}")
         kwargs["weather"] = frozenset(terms)
-    if "fading" in data:
-        kwargs["fading"] = _build_section(FadingConfig, data["fading"], "fading")
-    if "ntn" in data:
-        kwargs["ntn"] = _build_section(NtnConfig, data["ntn"], "ntn")
-    if "clustering" in data:
-        kwargs["clustering"] = _build_section(ClusteringConfig, data["clustering"], "clustering")
-    if "synth" in data:
-        kwargs["synth"] = _build_section(SynthConfig, data["synth"], "synth")
     if "modes" in data:
         modes = data["modes"]
         if not isinstance(modes, dict):
@@ -279,6 +271,12 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     _validate(cfg)
+    # The default rain coefficients are 10 GHz values; another carrier needs its own.
+    if cfg.fc_ghz != DEFAULT_FC_GHZ and not {"k_rn", "epsilon"} <= set(data.get("atmosphere", {})):
+        raise ConfigError(
+            f"fc_ghz {cfg.fc_ghz!r} needs its own rain coefficients: set both "
+            f"atmosphere.k_rn and atmosphere.epsilon (the defaults are for {DEFAULT_FC_GHZ!r} GHz)"
+        )
     return cfg
 
 

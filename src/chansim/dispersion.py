@@ -10,7 +10,6 @@ a whole ray table at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +21,6 @@ from .mpc import RayTable
 _RESULTANT_FLOOR = 1e-12
 
 UNBOUNDED_SPREAD = math.inf
-
-
-@dataclass(frozen=True)
-class SpreadReport:
-    """Per-snapshot dispersion summary; all zero for a single-path snapshot."""
-
-    rms_ds_s: float
-    mean_excess_delay_s: float
-    az_spread_sat_deg: float
-    el_spread_sat_deg: float
-    az_spread_gs_deg: float
-    el_spread_gs_deg: float
 
 
 def _delay_moments(powers: np.ndarray, delays: np.ndarray) -> np.ndarray:
@@ -85,11 +72,13 @@ def _std_rows(block: np.ndarray) -> np.ndarray:
     return np.std(block, axis=1)
 
 
-def spread_report(table: RayTable) -> list[SpreadReport]:
-    """Delay and angular spreads at both link ends, one report per snapshot.
+def spread_report(table: RayTable) -> dict[str, list[float]]:
+    """Delay and angular spreads at both link ends as named columns.
 
-    The delay spread is power-weighted (per-path powers |a_i exp(j chi_i)|^2);
-    raises ValueError when a snapshot's total power is zero.
+    Each column holds one value per snapshot; all are zero for a
+    single-path snapshot.  The delay spread is power-weighted (per-path
+    powers |a_i exp(j chi_i)|^2); raises ValueError when a snapshot's
+    total power is zero.
     """
     a = table.amplitude
     moments = table.reduce(_delay_moments, a * a, table.delay_s)
@@ -104,14 +93,11 @@ def spread_report(table: RayTable) -> list[SpreadReport]:
     def elevation(col: np.ndarray) -> list[float]:
         return table.reduce(_std_rows, col).tolist()
 
-    return [
-        SpreadReport(*fields)
-        for fields in zip(
-            moments[:, 2].tolist(),
-            moments[:, 1].tolist(),
-            azimuth(table.aod_az_deg),
-            elevation(table.aod_el_deg),
-            azimuth(table.aoa_az_deg),
-            elevation(table.aoa_el_deg),
-        )
-    ]
+    return {
+        "rms_ds_s": moments[:, 2].tolist(),
+        "mean_excess_delay_s": moments[:, 1].tolist(),
+        "az_spread_sat_deg": azimuth(table.aod_az_deg),
+        "el_spread_sat_deg": elevation(table.aod_el_deg),
+        "az_spread_gs_deg": azimuth(table.aoa_az_deg),
+        "el_spread_gs_deg": elevation(table.aoa_el_deg),
+    }

@@ -56,7 +56,6 @@ def shadowing_draws(sigma_db: float, n: int, seed: int) -> np.ndarray:
 
 
 def ntn_attenuation_db(
-    psi: ElevationAngle,
     d_km: float,
     fc_ghz: float,
     sigma_db: float,

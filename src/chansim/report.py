@@ -13,54 +13,18 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import clustering, dispersion, ntn
 from .config import DEFAULT_GEOMETRY, ScenarioConfig
 from .errors import ConfigError
 from .geometry import ElevationAngle, PassGeometry
-from .link_budget import LINK_BUDGET_COLUMNS, fspl_db, sweep_pass
+from .link_budget import fspl_db, sweep_pass
 from .mpc import RayTable, k_factor, running_sum
 from .synth import synth_scenario
 from .traceio import _atomic_write_text, load_trace
 
 SUBCOMMANDS = ("linkbudget", "fading", "spreads", "cluster", "ntn-compare")
-
-FADING_COLUMNS = (
-    "psi_deg",
-    "altitude_km",
-    "n_mpcs",
-    "regime",
-    "k_direct",
-    "omega",
-    "k_fit",
-    "m_fit",
-    "omega_fit",
-    "n_samples",
-)
-
-SPREADS_COLUMNS = (
-    "psi_deg",
-    "altitude_km",
-    "n_mpcs",
-    "rms_ds_s",
-    "mean_excess_delay_s",
-    "az_spread_sat_deg",
-    "el_spread_sat_deg",
-    "az_spread_gs_deg",
-    "el_spread_gs_deg",
-)
-
-CLUSTER_COLUMNS = ("psi_deg", "altitude_km", "mpc_index", "delay_s", "label")
-
-NTN_COLUMNS = (
-    "psi_deg",
-    "altitude_km",
-    "profile",
-    "fspl_db",
-    "ntn_mean_db",
-    "ntn_lo_db",
-    "ntn_hi_db",
-    "ntn_draw_db",
-)
 
 UNBOUNDED = "unbounded"
 
@@ -85,9 +49,10 @@ def _json_safe(value):
     return value
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], rows: list[list]) -> None:
+def _write_csv(path: Path, columns: dict[str, list]) -> None:
+    # Formatted a row at a time, so the cell strings of only one row are alive at once.
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns.values()))
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -165,37 +130,24 @@ def run_report(
         "cluster": _report_cluster,
         "ntn-compare": _report_ntn,
     }[subcommand]
-    columns, rows, extra = builder(config, table)
+    columns, extra = builder(config, table)
     summary.update(extra)
-    _write_csv(out / f"{subcommand}.csv", columns, rows)
+    _write_csv(out / f"{subcommand}.csv", columns)
     _write_json(out / "summary.json", summary)
     return summary
 
 
+def _pass_columns(table: RayTable) -> dict[str, list]:
+    return {"psi_deg": table.psi_deg.tolist(), "altitude_km": table.altitude_km.tolist()}
+
+
 def _report_linkbudget(config: ScenarioConfig, table: RayTable):
-    budget_rows = sweep_pass(
-        config.geometry,
-        table,
-        config.sat_antenna,
-        config.gs_antenna,
-        config.atmosphere,
-        weather=config.weather,
-        misalignment=(config.misalign_az_deg, config.misalign_el_deg),
-        p_tx_dbm=config.p_tx_dbm,
-        l_hd_db=config.l_hd_db,
-        coherent_mode=config.coherent_mode,
-        slant_mode=config.slant_mode,
-        misalign_mode=config.misalign_mode,
-        floor_deg=config.elevation_floor_deg,
-        fc_ghz=config.fc_ghz,
-    )
-    rows = [[getattr(r, c) for c in LINK_BUDGET_COLUMNS] for r in budget_rows]
     extra = {
         "weather": sorted(config.weather),
         "misalign_deg": [config.misalign_az_deg, config.misalign_el_deg],
         "p_tx_dbm": config.p_tx_dbm,
     }
-    return LINK_BUDGET_COLUMNS, rows, extra
+    return sweep_pass(config, table), extra
 
 
 def _report_fading(config: ScenarioConfig, table: RayTable):
@@ -204,14 +156,20 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
 
     psi2 = config.psi2()
     regimes = fading.select_regime(table, psi2)
-    k_directs = k_factor(table, designate_strongest=config.fading.designate_strongest_los)
-    omegas = table.reduce(running_sum, table.amplitude * table.amplitude).tolist()
-    rows = []
-    fits = []
-    for idx, (psi_deg, altitude_km, n_mpcs, regime, k_direct, omega) in enumerate(zip(
-        table.psi_deg.tolist(), table.altitude_km.tolist(), table.counts.tolist(),
-        regimes, k_directs, omegas,
-    )):
+    columns = {
+        **_pass_columns(table),
+        "n_mpcs": table.counts.tolist(),
+        "regime": [regime.value for regime in regimes],
+        "k_direct": k_factor(table, designate_strongest=config.fading.designate_strongest_los),
+        "omega": table.reduce(running_sum, table.amplitude * table.amplitude).tolist(),
+        "k_fit": [],
+        "m_fit": [],
+        "omega_fit": [],
+        "n_samples": [],
+    }
+    for idx, (regime, k_direct, omega) in enumerate(
+        zip(regimes, columns["k_direct"], columns["omega"])
+    ):
         k_fit = m_fit = omega_fit = None
         n_samples = 0
         fittable = (
@@ -231,32 +189,14 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
             k_fit = fitted.k
             omega_fit = fitted.omega
             m_fit = getattr(fitted, "m", None)
-        rows.append(
-            [
-                psi_deg,
-                altitude_km,
-                n_mpcs,
-                regime.value,
-                k_direct,
-                omega,
-                k_fit,
-                m_fit,
-                omega_fit,
-                n_samples,
-            ]
-        )
-        fits.append(
-            {
-                "psi_deg": psi_deg,
-                "regime": regime.value,
-                "k_direct": k_direct,
-                "k_fit": k_fit,
-                "m_fit": m_fit,
-                "omega_fit": omega_fit,
-                "n_samples": n_samples,
-            }
-        )
-    return FADING_COLUMNS, rows, {"psi2_deg": psi2.psi_deg, "fits": fits}
+        columns["k_fit"].append(k_fit)
+        columns["m_fit"].append(m_fit)
+        columns["omega_fit"].append(omega_fit)
+        columns["n_samples"].append(n_samples)
+    # The summary repeats these columns per snapshot, in this key order.
+    keys = ("psi_deg", "regime", "k_direct", "k_fit", "m_fit", "omega_fit", "n_samples")
+    fits = [dict(zip(keys, row)) for row in zip(*(columns[key] for key in keys))]
+    return columns, {"psi2_deg": psi2.psi_deg, "fits": fits}
 
 
 def _cdf_entry(values: list[float]) -> dict:
@@ -270,97 +210,73 @@ def _cdf_entry(values: list[float]) -> dict:
 
 
 def _report_spreads(config: ScenarioConfig, table: RayTable):
-    reports = dispersion.spread_report(table)
-    rows = [
-        [
-            psi_deg,
-            altitude_km,
-            n_mpcs,
-            rep.rms_ds_s,
-            rep.mean_excess_delay_s,
-            rep.az_spread_sat_deg,
-            rep.el_spread_sat_deg,
-            rep.az_spread_gs_deg,
-            rep.el_spread_gs_deg,
-        ]
-        for psi_deg, altitude_km, n_mpcs, rep in zip(
-            table.psi_deg.tolist(), table.altitude_km.tolist(), table.counts.tolist(), reports
-        )
-    ]
+    spreads = dispersion.spread_report(table)
+    columns = {**_pass_columns(table), "n_mpcs": table.counts.tolist(), **spreads}
     cdf = {
-        "rms_ds_s": _cdf_entry([r.rms_ds_s for r in reports]),
-        "az_spread_sat_deg": _cdf_entry([r.az_spread_sat_deg for r in reports]),
-        "el_spread_sat_deg": _cdf_entry([r.el_spread_sat_deg for r in reports]),
-        "az_spread_gs_deg": _cdf_entry([r.az_spread_gs_deg for r in reports]),
-        "el_spread_gs_deg": _cdf_entry([r.el_spread_gs_deg for r in reports]),
+        name: _cdf_entry(values)
+        for name, values in spreads.items()
+        if name != "mean_excess_delay_s"
     }
-    return SPREADS_COLUMNS, rows, {"cdf": cdf}
+    return columns, {"cdf": cdf}
 
 
 def _report_cluster(config: ScenarioConfig, table: RayTable):
     results = clustering.cluster_snapshot(
         table, xi=config.clustering.xi, zeta=config.clustering.zeta
     )
-    delays = table.delay_s.tolist()
-    offsets = table.offsets.tolist()
-    rows = []
-    per_snapshot = []
-    for psi_deg, altitude_km, result, start in zip(
-        table.psi_deg.tolist(), table.altitude_km.tolist(), results, offsets
-    ):
-        for i, label in enumerate(result.labels):
-            rows.append([psi_deg, altitude_km, i, delays[start + i], label])
-        per_snapshot.append(
-            {
-                "psi_deg": psi_deg,
-                "n_mpcs": len(result.labels),
-                "n_clusters": result.n_clusters,
-            }
-        )
+    counts = table.counts
+    columns = {
+        "psi_deg": np.repeat(table.psi_deg, counts).tolist(),
+        "altitude_km": np.repeat(table.altitude_km, counts).tolist(),
+        "mpc_index": [i for n in counts.tolist() for i in range(n)],
+        "delay_s": table.delay_s.tolist(),
+        "label": [label for result in results for label in result.labels],
+    }
+    per_snapshot = [
+        {"psi_deg": psi_deg, "n_mpcs": len(result.labels), "n_clusters": result.n_clusters}
+        for psi_deg, result in zip(table.psi_deg.tolist(), results)
+    ]
     extra = {
         "xi": config.clustering.xi,
         "zeta": config.clustering.zeta,
         "per_snapshot": per_snapshot,
         "total_clusters": sum(p["n_clusters"] for p in per_snapshot),
     }
-    return CLUSTER_COLUMNS, rows, extra
+    return columns, extra
 
 
 def _report_ntn(config: ScenarioConfig, table: RayTable):
     gains_db = config.sat_antenna.peak_gain_dbi + config.gs_antenna.peak_gain_dbi
     base = fspl_db(table.arc_radius_km, config.fc_ghz)
     mean = base - gains_db
-    rows = []
-    for idx, (psi_deg, altitude_km) in enumerate(
-        zip(table.psi_deg.tolist(), table.altitude_km.tolist())
-    ):
-        psi = ElevationAngle(psi_deg)
-        name = ntn.select_profile(psi, config.ntn.psi1_deg, config.ntn.psi2_deg)
-        sigma = config.ntn.sigma_db[name]
-        draw = ntn.ntn_attenuation_db(
-            psi,
-            table.arc_radius_km,
-            config.fc_ghz,
-            sigma,
-            antenna_gains_db=gains_db,
-            seed=_row_seed(config.seed, idx),
-        )
-        rows.append(
-            [
-                psi_deg,
-                altitude_km,
-                name,
-                base,
-                mean,
-                mean - sigma,
-                mean + sigma,
-                draw,
-            ]
-        )
+    columns = _pass_columns(table)
+    names = [
+        ntn.select_profile(ElevationAngle(psi_deg), config.ntn.psi1_deg, config.ntn.psi2_deg)
+        for psi_deg in columns["psi_deg"]
+    ]
+    sigmas = [config.ntn.sigma_db[name] for name in names]
+    n = len(table)
+    columns.update({
+        "profile": names,
+        "fspl_db": [base] * n,
+        "ntn_mean_db": [mean] * n,
+        "ntn_lo_db": [mean - sigma for sigma in sigmas],
+        "ntn_hi_db": [mean + sigma for sigma in sigmas],
+        "ntn_draw_db": [
+            ntn.ntn_attenuation_db(
+                table.arc_radius_km,
+                config.fc_ghz,
+                sigma,
+                antenna_gains_db=gains_db,
+                seed=_row_seed(config.seed, idx),
+            )
+            for idx, sigma in enumerate(sigmas)
+        ],
+    })
     extra = {
         "psi1_deg": config.ntn.psi1_deg,
         "psi2_deg": config.ntn.psi2_deg,
         "sigma_db": dict(sorted(config.ntn.sigma_db.items())),
         "antenna_gains_db": gains_db,
     }
-    return NTN_COLUMNS, rows, extra
+    return columns, extra

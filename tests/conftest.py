@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,11 @@ def make_snapshot(
     is_los = [len(spec) > 3 and spec[3] for spec in specs]
     altitude = distance_km * math.sin(math.radians(psi_deg))
     return RayTable(columns, is_los, [0, n], [psi_deg], [altitude], distance_km)
+
+
+def rows_of(columns: dict) -> list[SimpleNamespace]:
+    """The rows of a report's named columns, each cell an attribute."""
+    return [SimpleNamespace(**dict(zip(columns, row))) for row in zip(*columns.values())]
 
 
 @pytest.fixture

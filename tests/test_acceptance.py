@@ -6,6 +6,7 @@ lines; every tolerance is pinned here, nothing is calibrated elsewhere.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from chansim.mpc import coherent_power_dbm, k_factor
 from chansim.ntn import select_profile, shadowing_draws
 from chansim.synth import synth_scenario
 
-from conftest import make_snapshot
+from conftest import make_snapshot, rows_of
 from test_clustering import brute_force_dbscan, relabel_canonical
 
 ISO = AntennaModel()
@@ -103,7 +104,8 @@ def test_criterion_03_weather_sweep_reproduction():
         )
         psi2 = default_psi2(d)
         snaps = synth_scenario(geo, 10.0, psi2, los_only=True, seed=1)
-        clear = sweep_pass(geo, snaps, ISO, ISO, ATM, p_tx_dbm=30.0, l_hd_db=1.5)
+        scenario = ScenarioConfig(geometry=geo, atmosphere=ATM, p_tx_dbm=30.0, l_hd_db=1.5)
+        clear = rows_of(sweep_pass(scenario, snaps))
 
         # above the shadowing region the clear-sky budget is FSPL + 3 dB
         above = [r for r in clear if r.psi_deg >= psi2.psi_deg]
@@ -113,7 +115,7 @@ def test_criterion_03_weather_sweep_reproduction():
 
         deltas = {}
         for name in ("rain", "clouds", "snow"):
-            rows = sweep_pass(geo, snaps, ISO, ISO, ATM, weather={name})
+            rows = rows_of(sweep_pass(replace(scenario, weather=frozenset({name})), snaps))
             deltas[name] = [w.l_total_db - c.l_total_db for c, w in zip(clear, rows)]
         for i in range(len(clear)):
             assert deltas["rain"][i] > 0 and deltas["clouds"][i] > 0 and deltas["snow"][i] > 0
@@ -155,7 +157,7 @@ def test_criterion_04_distribution_suite():
 def test_criterion_05_dispersion_goldens():
     with Stopwatch(1.0) as watch:
         snap = make_snapshot([(1.0, 0.0, 0.0, True), (0.5, 0.0, 5e-9)])
-        [rep] = spread_report(snap)
+        [rep] = rows_of(spread_report(snap))
         rms, mean = rep.rms_ds_s, rep.mean_excess_delay_s
         assert rms == pytest.approx(2e-9, rel=1e-9)
         assert mean == pytest.approx(1e-9, rel=1e-9)
@@ -165,9 +167,9 @@ def test_criterion_05_dispersion_goldens():
 
         # invariances: delay shift, power scale, azimuth rotation
         shifted = make_snapshot([(1.0, 0.0, 1e-6, True), (0.5, 0.0, 1e-6 + 5e-9)])
-        assert spread_report(shifted)[0].rms_ds_s == pytest.approx(rms, rel=1e-9)
+        assert spread_report(shifted)["rms_ds_s"][0] == pytest.approx(rms, rel=1e-9)
         scaled = make_snapshot([(3.0, 0.0, 0.0, True), (1.5, 0.0, 5e-9)])
-        assert spread_report(scaled)[0].rms_ds_s == pytest.approx(rms, rel=1e-9)
+        assert spread_report(scaled)["rms_ds_s"][0] == pytest.approx(rms, rel=1e-9)
         assert azimuth_spread([123.0, 213.0]) == pytest.approx(
             azimuth_spread([0.0, 90.0]), rel=1e-9
         )
@@ -234,7 +236,7 @@ def test_criterion_09_pass_comparison():
             totals[d] = {
                 "mpcs": sum(len(s) for s in snaps),
                 "clusters": sum(r.n_clusters for r in cluster_snapshot(snaps)),
-                "rms_median": float(np.median([r.rms_ds_s for r in spread_report(snaps)])),
+                "rms_median": float(np.median(spread_report(snaps)["rms_ds_s"])),
             }
         assert totals[400.0]["mpcs"] >= totals[500.0]["mpcs"]
         assert totals[400.0]["clusters"] >= totals[500.0]["clusters"]
@@ -259,13 +261,14 @@ def test_criterion_10_budget_identity():
         )
         gs = AntennaModel(kind="single-element", peak_gain_dbi=12.0, hpbw_deg=10.0)
         snaps = synth_scenario(geo, 10.0, default_psi2(d), seed=4)
-        rows = sweep_pass(
-            geo, snaps, ISO, gs, ATM,
-            weather={"rain", "clouds", "snow"},
-            misalignment=(2.0, 1.0),
+        scenario = ScenarioConfig(
+            geometry=geo, gs_antenna=gs, atmosphere=ATM,
+            weather=frozenset({"rain", "clouds", "snow"}),
+            misalign_az_deg=2.0, misalign_el_deg=1.0,
             p_tx_dbm=30.0,
             l_hd_db=1.5,
         )
+        rows = rows_of(sweep_pass(scenario, snaps))
         by_alt = {round(s.altitude_km, 9): i for i, s in enumerate(snaps)}
         for row in rows:
             assert 30.0 - row.p_rx_dbm == pytest.approx(row.l_total_db, abs=1e-9)

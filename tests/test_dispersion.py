@@ -11,12 +11,12 @@ from chansim.dispersion import (
     spread_report,
 )
 
-from conftest import make_snapshot
+from conftest import make_snapshot, rows_of
 
 
 def delay_spread(snapshot):
     """RMS delay spread and mean excess delay of a one-snapshot table."""
-    [rep] = spread_report(snapshot)
+    [rep] = rows_of(spread_report(snapshot))
     return rep.rms_ds_s, rep.mean_excess_delay_s
 
 
@@ -104,7 +104,7 @@ class TestElevationSpread:
 class TestSpreadReport:
     def test_single_path_all_zero(self):
         snap = make_snapshot([(1.0, 0.0, 1e-9, True)])
-        [rep] = spread_report(snap)
+        [rep] = rows_of(spread_report(snap))
         assert rep.rms_ds_s == 0.0
         assert rep.az_spread_sat_deg == 0.0
         assert rep.el_spread_sat_deg == 0.0
@@ -117,7 +117,7 @@ class TestSpreadReport:
             aod_az_deg=[10.0, 10.0], aod_el_deg=[-5.0, -5.0],
             aoa_az_deg=[0.0, 90.0], aoa_el_deg=[10.0, 20.0],
         )
-        [rep] = spread_report(snap)
+        [rep] = rows_of(spread_report(snap))
         assert rep.az_spread_sat_deg == 0.0
         assert rep.el_spread_sat_deg == 0.0
         assert rep.az_spread_gs_deg == pytest.approx(47.701865433491434, rel=1e-9)

@@ -60,16 +60,14 @@ class TestSelectProfile:
 
 class TestAttenuation:
     def test_zero_sigma_is_exact(self):
-        psi = ElevationAngle(30.0)
-        value = ntn_attenuation_db(psi, 400.0, 10.0, 0.0, antenna_gains_db=7.0, seed=123)
+        value = ntn_attenuation_db(400.0, 10.0, 0.0, antenna_gains_db=7.0, seed=123)
         assert value == pytest.approx(fspl_db(400.0, 10.0) - 7.0, rel=1e-12)
 
     def test_deterministic_under_seed(self):
-        psi = ElevationAngle(30.0)
-        a = ntn_attenuation_db(psi, 400.0, 10.0, 4.0, seed=9)
-        b = ntn_attenuation_db(psi, 400.0, 10.0, 4.0, seed=9)
+        a = ntn_attenuation_db(400.0, 10.0, 4.0, seed=9)
+        b = ntn_attenuation_db(400.0, 10.0, 4.0, seed=9)
         assert a == b
-        assert a != ntn_attenuation_db(psi, 400.0, 10.0, 4.0, seed=10)
+        assert a != ntn_attenuation_db(400.0, 10.0, 4.0, seed=10)
 
     def test_mean_converges_to_fspl_minus_gains(self):
         draws = shadowing_draws(4.0, 100_000, seed=3)

@@ -26,6 +26,7 @@ from chansim.mpc import (
 from chansim.report import run_report
 from chansim.traceio import load_trace, save_trace
 
+from conftest import rows_of
 from test_clustering import brute_force_dbscan
 
 # Ray counts around numpy's pairwise-summation block of 8, plus a dense one.
@@ -174,7 +175,7 @@ class TestPassLayersMatchPerSnapshotLoops:
 
     def test_spreads(self):
         got = spread_report(self.table)
-        assert [tuple(vars(r).values()) for r in got] == [
+        assert list(zip(*got.values())) == [
             ref_spreads(rays) for rays in rays_of(self.table)
         ]
 
@@ -205,8 +206,8 @@ class TestPassLayersMatchPerSnapshotLoops:
 
     def test_snapshot_views_agree_with_table(self):
         # A one-snapshot table is reduced in a block of its own.
-        for i, report in enumerate(spread_report(self.table)):
-            assert spread_report(self.table[i:i + 1]) == [report]
+        for i, report in enumerate(rows_of(spread_report(self.table))):
+            assert rows_of(spread_report(self.table[i:i + 1])) == [report]
 
     def test_spatial_filter(self):
         sat = AntennaModel(kind="phased-array", peak_gain_dbi=20.0, nx=8, ny=8,

@@ -175,6 +175,42 @@ class TestConfig:
         assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
+    def test_float_fields_stay_floats(self, tmp_path):
+        path = tmp_path / "ints.yaml"
+        path.write_text(
+            "fc_ghz: 10\nl_hd_db: 2\nseed: 3\n"
+            "clustering: {xi: 1, zeta: 2}\nfading: {psi2_deg: 20, fit_samples: 100}\n"
+            "antennas: {ground: {kind: single-element, peak_gain_dbi: 35, hpbw_deg: 2}}\n"
+        )
+        cfg = load_config(path)
+        floats = (cfg.fc_ghz, cfg.l_hd_db, cfg.clustering.xi, cfg.fading.psi2_deg,
+                  cfg.gs_antenna.peak_gain_dbi, cfg.gs_antenna.hpbw_deg)
+        assert all(type(v) is float for v in floats)
+        ints = (cfg.seed, cfg.clustering.zeta, cfg.fading.fit_samples)
+        assert all(type(v) is int for v in ints)
+        out = tmp_path / "o"
+        assert main(["linkbudget", "--config", str(path), "--out", str(out)]) == 0
+        header, rows = read_csv(out / "linkbudget.csv")
+        assert {row[header.index("l_hd_db")] for row in rows} == {"2.0"}
+        assert '"fc_ghz": 10.0,' in (out / "summary.json").read_text()
+
+    @pytest.mark.parametrize("atmosphere", ["", "atmosphere: {k_rn: 0.05}\n",
+                                            "atmosphere: {epsilon: 1.0}\n"],
+                             ids=["neither", "k_rn-only", "epsilon-only"])
+    def test_other_carrier_needs_rain_coefficients(self, tmp_path, capsys, atmosphere):
+        path = tmp_path / "carrier.yaml"
+        path.write_text("fc_ghz: 20.0\n" + atmosphere)
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "atmosphere.k_rn" in err and "atmosphere.epsilon" in err
+
+    def test_other_carrier_with_rain_coefficients_runs(self, tmp_path):
+        path = tmp_path / "carrier.yaml"
+        path.write_text("fc_ghz: 20.0\natmosphere: {k_rn: 0.05, epsilon: 1.0}\n")
+        out = tmp_path / "o"
+        assert main(["linkbudget", "--config", str(path), "--out", str(out), "--rain"]) == 0
+        assert json.loads((out / "summary.json").read_text())["fc_ghz"] == 20.0
+
     def test_non_integer_seed_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("seed: 1.5\n")
@@ -433,3 +469,56 @@ class TestTraceGeometry:
         cfg.write_text("pass: {arc_radius_km: 500.0, altitudes_km: [100.0]}\n")
         summary = run_report(load_config(cfg), "linkbudget", tmp_path / "o", trace_path=trace)
         assert summary["arc_radius_km"] == 500.0
+
+
+# One LOS-only snapshot (50 km), one with four rays at azimuths 0/90/180/270
+# at both ends (200 km) and one with two equal rays in antiphase (300 km).
+SENTINEL_TRACE = """\
+# chansim-trace v1 arc_radius_km=400.0 amplitude=linear
+altitude_km,amplitude,phase_rad,delay_s,aod_az_deg,aod_el_deg,aoa_az_deg,aoa_el_deg,n_interactions
+50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0
+200.0,1e-9,0.0,0.001,0.0,-30.0,0.0,30.0,0
+200.0,1e-9,0.0,0.0010001,90.0,-30.0,90.0,30.0,1
+200.0,1e-9,0.0,0.0010002,180.0,-30.0,180.0,30.0,1
+200.0,1e-9,0.0,0.0010003,270.0,-30.0,270.0,30.0,1
+300.0,1e-9,0.0,0.001,180.0,-48.0,0.0,48.0,0
+300.0,1e-9,3.141592653589793,0.0010001,180.0,-48.0,0.0,48.0,1
+"""
+
+
+class TestSentinels:
+    @pytest.fixture
+    def run(self, tmp_path):
+        trace = tmp_path / "sentinel.csv"
+        trace.write_text(SENTINEL_TRACE)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("modes: {coherent: phasor-sum}\nfading: {fit_samples: 100}\n")
+
+        def run(subcommand):
+            out = tmp_path / subcommand
+            assert main([subcommand, "--config", str(cfg), "--trace", str(trace),
+                         "--out", str(out)]) == 0
+            header, rows = read_csv(out / f"{subcommand}.csv")
+            by_altitude = {float(row[1]): dict(zip(header, row)) for row in rows}
+            return by_altitude, json.loads((out / "summary.json").read_text())
+
+        return run
+
+    def test_los_only_k_is_undefined(self, run):
+        rows, summary = run("fading")
+        assert rows[50.0]["k_direct"] == rows[50.0]["k_fit"] == "undefined"
+        assert summary["fits"][0]["k_direct"] is None
+
+    def test_uniform_azimuths_are_unbounded(self, run):
+        rows, summary = run("spreads")
+        for name in ("az_spread_sat_deg", "az_spread_gs_deg"):
+            assert rows[200.0][name] == "unbounded"
+            assert {rows[50.0][name], rows[300.0][name]} == {"0.0"}
+            assert summary["cdf"][name]["n_unbounded"] == 1
+            assert summary["cdf"][name]["values"] == [0.0, 0.0]
+
+    def test_antiphase_pair_cancels(self, run):
+        rows, _ = run("linkbudget")
+        assert rows[300.0]["p_coh_dbm"] == rows[300.0]["p_rx_dbm"] == "-inf"
+        assert rows[300.0]["l_total_db"] == "unbounded"
+        assert "inf" not in rows[200.0]["l_total_db"]

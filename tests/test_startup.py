@@ -10,9 +10,9 @@ import chansim
 
 PUBLIC_NAMES = [
     "AntennaModel", "AtmosphereParams", "ChansimError", "ClusterResult", "ConfigError",
-    "ElevationAngle", "ElevationFloorError", "FadingRegime", "LinkBudgetRow",
+    "ElevationAngle", "ElevationFloorError", "FadingRegime",
     "NumericError", "PassGeometry", "RayTable", "RicianParams", "ScenarioConfig",
-    "ShadowedRicianParams", "Snapshot", "SpreadReport", "TraceError",
+    "ShadowedRicianParams", "Snapshot", "TraceError",
     "altitude_to_elevation", "azimuth_spread", "build_features", "cloud_attenuation_db",
     "cluster_snapshot", "coherent_power_dbm", "dbscan", "elevation_spread",
     "fit", "fspl_db", "gain_dbi", "k_factor", "load_config",
