@@ -9,7 +9,7 @@ terms.  A constant term lumps hardware-independent atmospheric effects
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ElevationFloorError
 from .geometry import (
@@ -57,23 +57,9 @@ class AtmosphereParams:
     r_earth_km: float = 6371.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "k_rn",
-            "epsilon",
-            "rain_rate_mmh",
-            "beta_db",
-            "h_rain_km",
-            "k_cl",
-            "cloud_thickness_km",
-            "lwc_gm3",
-            "k_sn",
-            "snow_rate_mmh",
-            "h_snow_km",
-            "l_fixed_db",
-            "r_earth_km",
-        ):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0.0:
+                raise ValueError(f"{f.name} must be non-negative")
 
 
 def specific_rain_attenuation(p: AtmosphereParams) -> float:

@@ -21,13 +21,13 @@ from .errors import ConfigError
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
-    SLANT_ITU_PIECEWISE,
+    SLANT_MODES,
     ElevationAngle,
     PassGeometry,
     default_psi2,
 )
-from .link_budget import MISALIGN_AGGREGATE, MISALIGN_PER_RAY
-from .mpc import COHERENT_PHASOR_SUM, COHERENT_POWER_SUM
+from .link_budget import MISALIGN_AGGREGATE, MISALIGN_MODES
+from .mpc import COHERENT_MODES, COHERENT_POWER_SUM
 from .ntn import DEFAULT_PSI1_DEG, DEFAULT_PSI2_DEG, DEFAULT_SHADOW_SIGMA_DB
 
 # Table-style default altitude samples for a 400 km arc (km above the GS).
@@ -40,6 +40,12 @@ class FadingConfig:
     fit_samples: int = 20000
     designate_strongest_los: bool = False
 
+    def __post_init__(self) -> None:
+        if self.psi2_deg is not None and not 0.0 < self.psi2_deg <= 90.0:
+            raise ValueError("fading.psi2_deg must be in (0, 90]")
+        if self.fit_samples < 100:
+            raise ValueError("fading.fit_samples must be at least 100")
+
 
 @dataclass(frozen=True)
 class NtnConfig:
@@ -48,6 +54,8 @@ class NtnConfig:
     sigma_db: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.psi1_deg >= self.psi2_deg:
+            raise ValueError("ntn.psi1_deg must be below ntn.psi2_deg")
         # Given sigmas override the defaults profile by profile.
         if not isinstance(self.sigma_db, dict):
             raise ValueError("sigma_db must map profile names to sigmas")
@@ -69,6 +77,10 @@ class ClusteringConfig:
     xi: float = 0.3
     zeta: int = 2
 
+    def __post_init__(self) -> None:
+        if self.xi <= 0.0 or self.zeta < 1:
+            raise ValueError("clustering needs xi > 0 and zeta >= 1")
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -76,8 +88,8 @@ class SynthConfig:
     max_extra_rays: int = 8
 
 
-# The pass of a config that sets none.  A trace run may replace it with the
-# trace's geometry, while a config's own ``pass`` (always a new object) must
+# The pass of a config that sets none.  A trace run takes its pass geometry
+# from the trace, and a config's own ``pass`` (always a new object) must
 # agree with the trace: the two are told apart by identity.
 DEFAULT_GEOMETRY = PassGeometry(
     arc_radius_km=400.0, gs_height_km=0.023, altitudes_km=DEFAULT_ALTITUDES_KM
@@ -106,18 +118,30 @@ class ScenarioConfig:
     elevation_floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG
     seed: int = 1
 
-    def psi2(self) -> ElevationAngle:
-        """Shadowing threshold: configured value or the 100 km-point default."""
+    def __post_init__(self) -> None:
+        if self.fc_ghz <= 0.0:
+            raise ValueError("fc_ghz must be positive")
+        if not self.geometry.altitudes_km:
+            raise ValueError("pass geometry needs at least one altitude sample")
+        if self.fading.psi2_deg is None and self.geometry.arc_radius_km <= 100.0:
+            raise ValueError("set fading.psi2_deg explicitly for arc radii of 100 km or less")
+        bad = set(self.weather) - ALL_WEATHER
+        if bad:
+            raise ValueError(f"unknown weather terms {sorted(bad)}")
+        # Each mode's choices are those of the module that branches on it.
+        for key, value, choices in (("coherent", self.coherent_mode, COHERENT_MODES),
+                                    ("slant", self.slant_mode, SLANT_MODES),
+                                    ("misalignment", self.misalign_mode, MISALIGN_MODES)):
+            if value not in choices:
+                raise ValueError(f"mode {key!r} must be one of {choices}, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+
+    def psi2(self, arc_radius_km: float) -> ElevationAngle:
+        """Shadowing threshold: configured value or the 100 km point of the arc."""
         if self.fading.psi2_deg is not None:
             return ElevationAngle(self.fading.psi2_deg)
-        return default_psi2(self.geometry.arc_radius_km)
-
-
-_MODE_CHOICES = {
-    "coherent_mode": (COHERENT_POWER_SUM, COHERENT_PHASOR_SUM),
-    "slant_mode": (SLANT_AS_PRINTED, SLANT_ITU_PIECEWISE),
-    "misalign_mode": (MISALIGN_AGGREGATE, MISALIGN_PER_RAY),
-}
+        return default_psi2(arc_radius_km)
 
 
 # libyaml's parser when PyYAML was built with it: the same safe constructors
@@ -243,11 +267,10 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
                 kwargs[attr] = _build_section(AntennaModel, ants[key], f"antennas.{key}")
     if "weather" in data:
         terms = data["weather"]
-        if not isinstance(terms, (list, tuple)):
-            raise ConfigError("config key 'weather' must be a list")
-        bad = set(terms) - ALL_WEATHER
-        if bad:
-            raise ConfigError(f"unknown weather terms {sorted(bad)}")
+        if not isinstance(terms, (list, tuple)) or not all(isinstance(t, str) for t in terms):
+            raise ConfigError(
+                f"config key 'weather' must be a list, each item a string, got {terms!r}"
+            )
         kwargs["weather"] = frozenset(terms)
     if "modes" in data:
         modes = data["modes"]
@@ -258,19 +281,11 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
         unknown_modes = set(modes) - set(rename)
         if unknown_modes:
             raise ConfigError(f"unknown mode keys {sorted(unknown_modes)}")
-        for short, attr in rename.items():
-            if short in modes:
-                value = modes[short]
-                if value not in _MODE_CHOICES[attr]:
-                    raise ConfigError(
-                        f"mode {short!r} must be one of {_MODE_CHOICES[attr]}, got {value!r}"
-                    )
-                kwargs[attr] = value
+        kwargs.update((rename[key], value) for key, value in modes.items())
     try:
         cfg = ScenarioConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    _validate(cfg)
     # The default rain coefficients are 10 GHz values; another carrier needs its own.
     if cfg.fc_ghz != DEFAULT_FC_GHZ and not {"k_rn", "epsilon"} <= set(data.get("atmosphere", {})):
         raise ConfigError(
@@ -278,23 +293,6 @@ def _config_from_dict(data: dict) -> ScenarioConfig:
             f"atmosphere.k_rn and atmosphere.epsilon (the defaults are for {DEFAULT_FC_GHZ!r} GHz)"
         )
     return cfg
-
-
-def _validate(cfg: ScenarioConfig) -> None:
-    if cfg.fc_ghz <= 0.0:
-        raise ConfigError("fc_ghz must be positive")
-    if not cfg.geometry.altitudes_km:
-        raise ConfigError("pass geometry needs at least one altitude sample")
-    if cfg.ntn.psi1_deg >= cfg.ntn.psi2_deg:
-        raise ConfigError("ntn.psi1_deg must be below ntn.psi2_deg")
-    if cfg.fading.psi2_deg is None and cfg.geometry.arc_radius_km <= 100.0:
-        raise ConfigError("set fading.psi2_deg explicitly for arc radii of 100 km or less")
-    if cfg.fading.psi2_deg is not None and not 0.0 < cfg.fading.psi2_deg <= 90.0:
-        raise ConfigError("fading.psi2_deg must be in (0, 90]")
-    if cfg.clustering.xi <= 0.0 or cfg.clustering.zeta < 1:
-        raise ConfigError("clustering needs xi > 0 and zeta >= 1")
-    if cfg.fading.fit_samples < 100:
-        raise ConfigError("fading.fit_samples must be at least 100")
 
 
 def apply_overrides(
@@ -308,9 +306,6 @@ def apply_overrides(
     """Apply CLI-level overrides on top of a loaded configuration."""
     changes: dict = {}
     if weather_add:
-        bad = weather_add - ALL_WEATHER
-        if bad:
-            raise ConfigError(f"unknown weather terms {sorted(bad)}")
         changes["weather"] = cfg.weather | frozenset(weather_add)
     if misalign_az_deg is not None:
         changes["misalign_az_deg"] = misalign_az_deg
@@ -320,6 +315,7 @@ def apply_overrides(
         changes["seed"] = seed
     if not changes:
         return cfg
-    out = replace(cfg, **changes)
-    _validate(out)
-    return out
+    try:
+        return replace(cfg, **changes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy import special as sp_special
 
 from .errors import NumericError
-from .geometry import ElevationAngle, default_psi2  # noqa: F401  (re-exported)
+from .geometry import ElevationAngle
 from .mpc import RayTable
 from .special import hyp1f1_neg_array, log_i0
 

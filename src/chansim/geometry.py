@@ -17,7 +17,7 @@ DEFAULT_ELEVATION_FLOOR_DEG = 0.5
 
 SLANT_AS_PRINTED = "as-printed"
 SLANT_ITU_PIECEWISE = "itu-piecewise"
-_SLANT_MODES = (SLANT_AS_PRINTED, SLANT_ITU_PIECEWISE)
+SLANT_MODES = (SLANT_AS_PRINTED, SLANT_ITU_PIECEWISE)
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ def rain_slant_length(
         If psi is below ``floor_deg``; the 1/sin(psi) term is singular
         towards the horizon and is not extrapolated.
     """
-    if mode not in _SLANT_MODES:
-        raise ValueError(f"slant mode must be one of {_SLANT_MODES}")
+    if mode not in SLANT_MODES:
+        raise ValueError(f"slant mode must be one of {SLANT_MODES}")
     if h_rain_km <= h_gs_km:
         raise ValueError("rain height must exceed GS height")
     if psi.psi_deg < floor_deg:

@@ -27,7 +27,7 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 
 MISALIGN_AGGREGATE = "aggregate"
 MISALIGN_PER_RAY = "per-ray"
-_MISALIGN_MODES = (MISALIGN_AGGREGATE, MISALIGN_PER_RAY)
+MISALIGN_MODES = (MISALIGN_AGGREGATE, MISALIGN_PER_RAY)
 
 
 def fspl_db(d_km: float, fc_ghz: float) -> float:
@@ -48,8 +48,6 @@ def sweep_pass(config: ScenarioConfig, table: RayTable) -> dict[str, list]:
     before per-ray spatial filtering; the two modes are mutually
     exclusive so the loss is never double counted.
     """
-    if config.misalign_mode not in _MISALIGN_MODES:
-        raise ValueError(f"misalignment mode must be one of {_MISALIGN_MODES}")
     table = table.sorted_by_altitude()
     gs = config.gs_antenna
     d_az, d_el = config.misalign_az_deg, config.misalign_el_deg

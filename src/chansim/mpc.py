@@ -30,7 +30,7 @@ TWO_PI = 2.0 * math.pi
 
 COHERENT_POWER_SUM = "power-sum"
 COHERENT_PHASOR_SUM = "phasor-sum"
-_COHERENT_MODES = (COHERENT_POWER_SUM, COHERENT_PHASOR_SUM)
+COHERENT_MODES = (COHERENT_POWER_SUM, COHERENT_PHASOR_SUM)
 
 RAY_COLUMNS = (
     "amplitude",
@@ -304,8 +304,8 @@ def coherent_power_dbm(
     sentinel when the summed power is zero (all-zero amplitudes, or full
     phasor cancellation).  One value per snapshot.
     """
-    if mode not in _COHERENT_MODES:
-        raise ValueError(f"coherent mode must be one of {_COHERENT_MODES}")
+    if mode not in COHERENT_MODES:
+        raise ValueError(f"coherent mode must be one of {COHERENT_MODES}")
     a = table.amplitude
     if mode == COHERENT_POWER_SUM:
         totals = table.reduce(running_sum, a * a).tolist()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from . import clustering, dispersion, ntn
 from .config import DEFAULT_GEOMETRY, ScenarioConfig
 from .errors import ConfigError
-from .geometry import ElevationAngle, PassGeometry
+from .geometry import ElevationAngle
 from .link_budget import fspl_db, sweep_pass
 from .mpc import RayTable, k_factor, running_sum
 from .synth import synth_scenario
@@ -71,29 +70,21 @@ def gather_snapshots(config: ScenarioConfig, trace_path: str | Path | None) -> R
     return synth_scenario(
         config.geometry,
         config.fc_ghz,
-        config.psi2(),
+        config.psi2(config.geometry.arc_radius_km),
         los_only=config.synth.los_only,
         max_extra_rays=config.synth.max_extra_rays,
         seed=config.seed,
     )
 
 
-def _follow_trace(config: ScenarioConfig, table: RayTable) -> ScenarioConfig:
-    """The config with the pass geometry of a trace: its arc radius and altitudes."""
+def _check_trace_radius(config: ScenarioConfig, table: RayTable) -> None:
+    """Refuse a config whose own pass disagrees with the trace's arc radius."""
     radius = table.arc_radius_km
-    if config.geometry.arc_radius_km == radius:
-        return config
-    if config.geometry is not DEFAULT_GEOMETRY:
+    if config.geometry.arc_radius_km != radius and config.geometry is not DEFAULT_GEOMETRY:
         raise ConfigError(
             f"pass.arc_radius_km {config.geometry.arc_radius_km!r} conflicts with the "
             f"trace's arc_radius_km {radius!r}"
         )
-    geometry = PassGeometry(
-        arc_radius_km=radius,
-        gs_height_km=config.geometry.gs_height_km,
-        altitudes_km=tuple(table.altitude_km.tolist()),
-    )
-    return replace(config, geometry=geometry)
 
 
 def run_report(
@@ -113,12 +104,12 @@ def run_report(
     out = Path(out_dir)
     table = gather_snapshots(config, trace_path)
     if trace_path is not None:
-        config = _follow_trace(config, table)
+        _check_trace_radius(config, table)
     table = table.sorted_by_altitude()
     summary: dict = {
         "subcommand": subcommand,
         "seed": config.seed,
-        "arc_radius_km": config.geometry.arc_radius_km,
+        "arc_radius_km": table.arc_radius_km,
         "fc_ghz": config.fc_ghz,
         "n_snapshots": len(table),
         "source": "trace" if trace_path is not None else "synthetic",
@@ -154,7 +145,7 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
     # Imported here so that only this subcommand pays scipy's import time.
     from . import fading
 
-    psi2 = config.psi2()
+    psi2 = config.psi2(table.arc_radius_km)
     regimes = fading.select_regime(table, psi2)
     columns = {
         **_pass_columns(table),

@@ -16,7 +16,6 @@ from chansim.antenna import AntennaModel, misalignment_loss_db
 from chansim.atmosphere import (
     AtmosphereParams,
     cloud_attenuation_db,
-    rain_attenuation_db,
     snow_attenuation_db,
     specific_rain_attenuation,
 )
@@ -27,15 +26,14 @@ from chansim.fading import (
     FadingRegime,
     RicianParams,
     ShadowedRicianParams,
-    default_psi2,
     fit,
     rician_pdf,
     sample,
     shadowed_rician_pdf,
 )
-from chansim.geometry import ElevationAngle, PassGeometry
+from chansim.geometry import ElevationAngle, PassGeometry, default_psi2
 from chansim.link_budget import fspl_db, sweep_pass
-from chansim.mpc import coherent_power_dbm, k_factor
+from chansim.mpc import coherent_power_dbm
 from chansim.ntn import select_profile, shadowing_draws
 from chansim.synth import synth_scenario
 

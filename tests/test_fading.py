@@ -11,7 +11,6 @@ from chansim.fading import (
     FadingRegime,
     RicianParams,
     ShadowedRicianParams,
-    default_psi2,
     fit,
     rician_pdf,
     sample,
@@ -19,7 +18,7 @@ from chansim.fading import (
     shadowed_rician_mass,
     shadowed_rician_pdf,
 )
-from chansim.geometry import ElevationAngle
+from chansim.geometry import ElevationAngle, default_psi2
 
 from conftest import make_snapshot
 

@@ -1,6 +1,6 @@
 import json
-import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,14 @@ import yaml
 
 from chansim import config as config_mod
 from chansim.cli import main
-from chansim.config import ScenarioConfig, apply_overrides, load_config
+from chansim.config import (
+    ClusteringConfig,
+    FadingConfig,
+    NtnConfig,
+    ScenarioConfig,
+    apply_overrides,
+    load_config,
+)
 from chansim.errors import ConfigError
 from chansim.geometry import PassGeometry
 from chansim.report import run_report
@@ -45,7 +52,7 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg.geometry.arc_radius_km == 400.0
         assert cfg.atmosphere.rain_rate_mmh == 32.0
-        assert cfg.psi2().psi_deg == pytest.approx(14.477512185929925)
+        assert cfg.psi2(400.0).psi_deg == pytest.approx(14.477512185929925)
 
     def test_file_overrides_defaults(self, config_file):
         cfg = load_config(config_file)
@@ -68,6 +75,45 @@ class TestConfig:
         path.write_text("modes: {coherent: octopus}\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("key", ["coherent", "slant", "misalignment"])
+    def test_bad_mode_value_names_key(self, tmp_path, capsys, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"modes: {{{key}: octopus}}\n")
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"mode '{key}' must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("terms,message", [
+        ("[rain, hail]", "unknown weather terms ['hail']"),
+        ("[[rain]]", "config key 'weather' must be a list, each item a string"),
+        ("rain", "config key 'weather' must be a list, each item a string"),
+    ], ids=["unknown", "nested", "scalar"])
+    def test_bad_weather_in_file_rejected(self, tmp_path, capsys, terms, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"weather: {terms}\n")
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_negative_seed_in_file_names_seed(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("seed: -1\n")
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            load_config(path)
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_negative_seed_flag_names_seed(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            apply_overrides(ScenarioConfig(), seed=-1)
+        assert main(["linkbudget", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_readme_example_scenario_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Example scenario file:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(block)
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_invalid_yaml_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -222,6 +268,44 @@ class TestConfig:
         path.write_text("ntn: {psi1_deg: 20.0, psi2_deg: 15.0}\n")
         with pytest.raises(ConfigError, match="psi1"):
             load_config(path)
+
+
+class TestConfigTypes:
+    """Every config type checks its own fields, however it is built."""
+
+    @pytest.mark.parametrize("changes,match", [
+        ({"coherent_mode": "octopus"}, "mode 'coherent'"),
+        ({"slant_mode": "octopus"}, "mode 'slant'"),
+        ({"misalign_mode": "octopus"}, "mode 'misalignment'"),
+        ({"weather": frozenset({"hail"})}, "unknown weather terms"),
+        ({"fc_ghz": 0.0}, "fc_ghz must be positive"),
+        ({"fc_ghz": -5.0}, "fc_ghz must be positive"),
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"geometry": PassGeometry(arc_radius_km=400.0)}, "at least one altitude sample"),
+    ])
+    def test_scenario_checked_at_construction_and_replace(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            ScenarioConfig(**changes)
+        with pytest.raises(ValueError, match=match):
+            replace(ScenarioConfig(), **changes)
+
+    def test_short_arc_needs_explicit_psi2(self):
+        geometry = PassGeometry(arc_radius_km=80.0, altitudes_km=(20.0,))
+        with pytest.raises(ValueError, match="fading.psi2_deg explicitly"):
+            ScenarioConfig(geometry=geometry)
+        cfg = ScenarioConfig(geometry=geometry, fading=FadingConfig(psi2_deg=10.0))
+        assert cfg.psi2(80.0).psi_deg == 10.0
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda: ClusteringConfig(xi=0), "xi > 0"),
+        (lambda: ClusteringConfig(zeta=0), "zeta >= 1"),
+        (lambda: FadingConfig(fit_samples=10), "at least 100"),
+        (lambda: FadingConfig(psi2_deg=91.0), r"\(0, 90\]"),
+        (lambda: NtnConfig(psi1_deg=20, psi2_deg=15), "psi1_deg must be below"),
+    ], ids=["xi", "zeta", "fit_samples", "psi2_deg", "ntn-order"])
+    def test_sections_checked_at_construction(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
 
 class TestRunReport:
@@ -451,6 +535,15 @@ class TestTraceGeometry:
         summary = run_report(load_config(None), "linkbudget", tmp_path / "o", trace_path=trace)
         assert summary["arc_radius_km"] == 300.0
         assert summary["n_snapshots"] == 2
+
+    def test_short_trace_arc_runs_budget_but_needs_psi2_for_fading(self, tmp_path, capsys):
+        # The config's own 400 km pass is not rebuilt with the trace's 80 km
+        # radius, so only the default psi2 of the fading report refuses it.
+        trace = _write_trace(tmp_path / "t.csv", 80.0, [20.0, 60.0])
+        summary = run_report(load_config(None), "linkbudget", tmp_path / "o", trace_path=trace)
+        assert summary["arc_radius_km"] == 80.0
+        assert main(["fading", "--trace", str(trace), "--out", str(tmp_path / "f")]) == 2
+        assert "set psi2 explicitly" in capsys.readouterr().err
 
     def test_conflicting_config_arc_radius_rejected(self, tmp_path, capsys):
         trace = _write_trace(tmp_path / "t.csv", 500.0, [100.0])

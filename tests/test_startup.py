@@ -34,7 +34,7 @@ print(json.dumps({
     "scipy_after_cli": scipy_after_cli,
     "fit": chansim.fit is chansim.fading.fit is fit,
     "regime": FadingRegime is chansim.fading.FadingRegime,
-    "default_psi2": chansim.fading.default_psi2(400.0).psi_deg,
+    "default_psi2": chansim.geometry.default_psi2(400.0).psi_deg,
     "all": sorted(chansim.__all__),
     "missing": [n for n in chansim.__all__ if not hasattr(chansim, n)],
 }))

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chansim.fading import default_psi2
-from chansim.geometry import PassGeometry
+from chansim.geometry import PassGeometry, default_psi2
 from chansim.link_budget import SPEED_OF_LIGHT_M_S
 from chansim.mpc import k_factor
 from chansim.synth import synth_scenario

@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from chansim.errors import TraceError
-from chansim.fading import default_psi2
-from chansim.geometry import PassGeometry
+from chansim.geometry import PassGeometry, default_psi2
 from chansim.mpc import RAY_COLUMNS, RayTable
 from chansim.synth import synth_scenario
 from chansim.traceio import load_trace, save_trace
