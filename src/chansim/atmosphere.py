@@ -9,14 +9,15 @@ terms.  A constant term lumps hardware-independent atmospheric effects
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
-from .errors import ElevationFloorError
+import numpy as np
+
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
-    ElevationAngle,
-    PassGeometry,
+    check_elevations,
     rain_slant_length,
 )
 
@@ -58,7 +59,8 @@ class AtmosphereParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0.0:
+            # Written so that NaN fails too.
+            if not getattr(self, f.name) >= 0.0:
                 raise ValueError(f"{f.name} must be non-negative")
 
 
@@ -76,22 +78,15 @@ def horizontal_reduction_factor(l_g_km: float, gamma_r: float, fc_ghz: float) ->
     )
 
 
-def _check_floor(psi: ElevationAngle, floor_deg: float) -> None:
-    if psi.psi_deg < floor_deg:
-        raise ElevationFloorError(
-            f"elevation {psi.psi_deg} deg below floor {floor_deg} deg"
-        )
-
-
 def rain_attenuation_db(
-    psi: ElevationAngle,
+    psi_deg: Sequence[float] | np.ndarray,
     p: AtmosphereParams,
-    geo: PassGeometry,
+    gs_height_km: float,
     slant_mode: str = SLANT_AS_PRINTED,
     floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG,
     fc_ghz: float = DEFAULT_FC_GHZ,
-) -> float:
-    """Rain attenuation in dB, including the polarisation constant.
+) -> list[float]:
+    """Rain attenuation in dB at each elevation, including the polarisation constant.
 
     The effective path length is computed as L_s * r_0.01, which is the
     algebraically cancelled form of (L_s cos(psi)) * r_0.01 / cos(psi)
@@ -100,57 +95,56 @@ def rain_attenuation_db(
     """
     if fc_ghz <= 0.0:
         raise ValueError("carrier frequency must be positive")
-    _check_floor(psi, floor_deg)
     gamma_r = specific_rain_attenuation(p)
-    l_s = rain_slant_length(
-        psi, p.h_rain_km, geo.gs_height_km, p.r_earth_km, mode=slant_mode, floor_deg=floor_deg
-    )
-    l_g = l_s * psi.cos
-    r001 = horizontal_reduction_factor(l_g, gamma_r, fc_ghz)
-    l_e = l_s * r001
-    return gamma_r * l_e + p.beta_db
+    l_s = np.array(rain_slant_length(
+        psi_deg, p.h_rain_km, gs_height_km, p.r_earth_km, mode=slant_mode, floor_deg=floor_deg
+    ))
+    l_g = l_s * np.cos(np.radians(psi_deg))
+    # A scalar call per elevation: numpy's exp can differ from math.exp in the last bit.
+    r001 = [horizontal_reduction_factor(x, gamma_r, fc_ghz) for x in l_g.tolist()]
+    return (gamma_r * (l_s * r001) + p.beta_db).tolist()
 
 
 def cloud_attenuation_db(
-    psi: ElevationAngle,
+    psi_deg: Sequence[float] | np.ndarray,
     p: AtmosphereParams,
     floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG,
-) -> float:
-    """Cloud attenuation in dB: k_cl * thickness * liquid water / sin(psi)."""
-    _check_floor(psi, floor_deg)
-    return p.k_cl * p.cloud_thickness_km * p.lwc_gm3 / psi.sin
+) -> list[float]:
+    """Cloud attenuation in dB at each elevation: k_cl * thickness * liquid water / sin(psi)."""
+    s = np.sin(np.radians(check_elevations(psi_deg, floor_deg)))
+    return (p.k_cl * p.cloud_thickness_km * p.lwc_gm3 / s).tolist()
 
 
 def snow_attenuation_db(
-    psi: ElevationAngle,
+    psi_deg: Sequence[float] | np.ndarray,
     p: AtmosphereParams,
     floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG,
-) -> float:
-    """Snow attenuation in dB: k_sn * snow rate * snow height / sin(psi)."""
-    _check_floor(psi, floor_deg)
-    return p.k_sn * p.snow_rate_mmh * p.h_snow_km / psi.sin
+) -> list[float]:
+    """Snow attenuation in dB at each elevation: k_sn * snow rate * snow height / sin(psi)."""
+    s = np.sin(np.radians(check_elevations(psi_deg, floor_deg)))
+    return (p.k_sn * p.snow_rate_mmh * p.h_snow_km / s).tolist()
 
 
 def total_atmospheric_db(
-    psi: ElevationAngle,
+    psi_deg: Sequence[float] | np.ndarray,
     p: AtmosphereParams,
-    geo: PassGeometry,
+    gs_height_km: float,
     weather: frozenset[str] | set[str] = frozenset(),
     slant_mode: str = SLANT_AS_PRINTED,
     floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG,
     fc_ghz: float = DEFAULT_FC_GHZ,
-) -> float:
-    """Sum of the enabled weather terms plus the fixed atmospheric loss."""
+) -> list[float]:
+    """Sum of the enabled weather terms plus the fixed atmospheric loss, per elevation."""
     unknown = set(weather) - ALL_WEATHER
     if unknown:
         raise ValueError(f"unknown weather terms {sorted(unknown)}")
-    total = p.l_fixed_db
+    total = np.full(check_elevations(psi_deg).shape, p.l_fixed_db)
     if WEATHER_RAIN in weather:
         total += rain_attenuation_db(
-            psi, p, geo, slant_mode=slant_mode, floor_deg=floor_deg, fc_ghz=fc_ghz
+            psi_deg, p, gs_height_km, slant_mode=slant_mode, floor_deg=floor_deg, fc_ghz=fc_ghz
         )
     if WEATHER_CLOUDS in weather:
-        total += cloud_attenuation_db(psi, p, floor_deg=floor_deg)
+        total += cloud_attenuation_db(psi_deg, p, floor_deg=floor_deg)
     if WEATHER_SNOW in weather:
-        total += snow_attenuation_db(psi, p, floor_deg=floor_deg)
-    return total
+        total += snow_attenuation_db(psi_deg, p, floor_deg=floor_deg)
+    return total.tolist()

@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 import types
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
 
 from .antenna import AntennaModel
 from .atmosphere import ALL_WEATHER, DEFAULT_FC_GHZ, AtmosphereParams
+from .clustering import DEFAULT_XI, DEFAULT_ZETA
 from .errors import ConfigError
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
@@ -74,8 +75,8 @@ class NtnConfig:
 
 @dataclass(frozen=True)
 class ClusteringConfig:
-    xi: float = 0.3
-    zeta: int = 2
+    xi: float = DEFAULT_XI
+    zeta: int = DEFAULT_ZETA
 
     def __post_init__(self) -> None:
         if self.xi <= 0.0 or self.zeta < 1:
@@ -119,8 +120,15 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{f.name} must be a number, got nan")
         if self.fc_ghz <= 0.0:
             raise ValueError("fc_ghz must be positive")
+        for key in ("misalign_az_deg", "misalign_el_deg"):
+            if not -180.0 <= getattr(self, key) <= 180.0:
+                raise ValueError(f"{key} must be in [-180, 180] deg, got {getattr(self, key)}")
         if not self.geometry.altitudes_km:
             raise ValueError("pass geometry needs at least one altitude sample")
         if self.fading.psi2_deg is None and self.geometry.arc_radius_km <= 100.0:

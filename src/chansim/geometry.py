@@ -9,7 +9,10 @@ whole pass and the elevation angle seen from the ground station is
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ElevationFloorError
 
@@ -29,18 +32,6 @@ class ElevationAngle:
     def __post_init__(self) -> None:
         if not 0.0 < self.psi_deg <= 90.0:
             raise ValueError(f"elevation angle must be in (0, 90] deg, got {self.psi_deg}")
-
-    @property
-    def radians(self) -> float:
-        return math.radians(self.psi_deg)
-
-    @property
-    def sin(self) -> float:
-        return math.sin(self.radians)
-
-    @property
-    def cos(self) -> float:
-        return math.cos(self.radians)
 
 
 @dataclass(frozen=True)
@@ -107,15 +98,40 @@ def default_psi2(arc_radius_km: float) -> ElevationAngle:
     return altitude_to_elevation(100.0, arc_radius_km)
 
 
+def check_elevations(
+    psi_deg: Sequence[float] | np.ndarray, floor_deg: float | None = None
+) -> np.ndarray:
+    """A column of elevations as float64, each checked to lie in (0, 90] deg.
+
+    Raises
+    ------
+    ElevationFloorError
+        If ``floor_deg`` is given and an elevation lies below it.  Only the
+        1/sin(psi) terms pass a floor: they are singular towards the
+        horizon and are not extrapolated.
+    """
+    psi = np.asarray(psi_deg, dtype=float)
+    outside = ~((0.0 < psi) & (psi <= 90.0))
+    if outside.any():
+        raise ValueError(f"elevation angle must be in (0, 90] deg, got {float(psi[outside][0])}")
+    if floor_deg is not None:
+        below = psi < floor_deg
+        if below.any():
+            raise ElevationFloorError(
+                f"elevation {float(psi[below][0])} deg below floor {floor_deg} deg"
+            )
+    return psi
+
+
 def rain_slant_length(
-    psi: ElevationAngle,
+    psi_deg: Sequence[float] | np.ndarray,
     h_rain_km: float,
     h_gs_km: float,
     r_earth_km: float,
     mode: str = SLANT_AS_PRINTED,
     floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG,
-) -> float:
-    """Slant path length through the rain layer, in km.
+) -> list[float]:
+    """Slant path length through the rain layer at each elevation, in km.
 
     The default ``as-printed`` mode sums a spherical-geometry square-root
     term with the thin-layer term (h_rain - h_gs)/sin(psi).  The
@@ -126,21 +142,17 @@ def rain_slant_length(
     Raises
     ------
     ElevationFloorError
-        If psi is below ``floor_deg``; the 1/sin(psi) term is singular
-        towards the horizon and is not extrapolated.
+        If an elevation is below ``floor_deg``.
     """
+    psi = check_elevations(psi_deg, floor_deg)
     if mode not in SLANT_MODES:
         raise ValueError(f"slant mode must be one of {SLANT_MODES}")
     if h_rain_km <= h_gs_km:
         raise ValueError("rain height must exceed GS height")
-    if psi.psi_deg < floor_deg:
-        raise ElevationFloorError(
-            f"elevation {psi.psi_deg} deg below floor {floor_deg} deg"
-        )
     dh = h_rain_km - h_gs_km
-    s = psi.sin
-    sqrt_term = math.sqrt(2.0 * dh * r_earth_km / (s * s + 2.0 * dh / r_earth_km))
+    s = np.sin(np.radians(psi))
+    sqrt_term = np.sqrt(2.0 * dh * r_earth_km / (s * s + 2.0 * dh / r_earth_km))
     thin_term = dh / s
     if mode == SLANT_AS_PRINTED:
-        return sqrt_term + thin_term
-    return thin_term if psi.psi_deg >= 5.0 else sqrt_term
+        return (sqrt_term + thin_term).tolist()
+    return np.where(psi >= 5.0, thin_term, sqrt_term).tolist()

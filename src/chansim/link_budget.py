@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 from .antenna import misalignment_loss_db, spatial_filter
 from .atmosphere import total_atmospheric_db
-from .geometry import ElevationAngle
 from .mpc import RayTable, coherent_power_dbm
 
 if TYPE_CHECKING:  # config imports this module
@@ -59,23 +58,19 @@ def sweep_pass(config: ScenarioConfig, table: RayTable) -> dict[str, list]:
 
     filtered = spatial_filter(table, config.sat_antenna, gs)
     p_coh = coherent_power_dbm(filtered, mode=config.coherent_mode, p_tx_dbm=config.p_tx_dbm)
-    psi_deg = table.psi_deg.tolist()
-    l_atm = [
-        total_atmospheric_db(
-            ElevationAngle(psi),
-            config.atmosphere,
-            config.geometry,
-            weather=config.weather,
-            slant_mode=config.slant_mode,
-            floor_deg=config.elevation_floor_deg,
-            fc_ghz=config.fc_ghz,
-        )
-        for psi in psi_deg
-    ]
+    l_atm = total_atmospheric_db(
+        table.psi_deg,
+        config.atmosphere,
+        config.geometry.gs_height_km,
+        weather=config.weather,
+        slant_mode=config.slant_mode,
+        floor_deg=config.elevation_floor_deg,
+        fc_ghz=config.fc_ghz,
+    )
     p_rx = [p - config.l_hd_db - l_am - atm for p, atm in zip(p_coh, l_atm)]
     n = len(table)
     return {
-        "psi_deg": psi_deg,
+        "psi_deg": table.psi_deg.tolist(),
         "altitude_km": table.altitude_km.tolist(),
         "l_total_db": [config.p_tx_dbm - p for p in p_rx],
         "p_rx_dbm": p_rx,

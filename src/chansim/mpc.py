@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .geometry import ElevationAngle
+from .geometry import ElevationAngle, check_elevations
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,11 +124,7 @@ class RayTable:
             raise ValueError("need one elevation and one altitude per snapshot")
         if np.any(np.diff(offsets) <= 0):
             raise ValueError("snapshot must contain at least one MPC")
-        bad_psi = ~((0.0 < psi) & (psi <= 90.0))
-        if bad_psi.any():
-            raise ValueError(
-                f"elevation angle must be in (0, 90] deg, got {float(psi[np.argmax(bad_psi)])}"
-            )
+        check_elevations(psi)
         bad = first_bad_ray(cols)
         if bad is not None:
             raise ValueError(bad[1])

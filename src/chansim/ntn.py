@@ -15,10 +15,12 @@ attenuation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import ElevationAngle
+from .geometry import check_elevations
 from .link_budget import fspl_db
 
 PROFILE_A = "NTN-TDL-A"
@@ -33,18 +35,15 @@ DEFAULT_SHADOW_SIGMA_DB = {PROFILE_A: 8.0, PROFILE_B: 6.0, PROFILE_C: 4.0}
 
 
 def select_profile(
-    psi: ElevationAngle,
+    psi_deg: Sequence[float] | np.ndarray,
     psi1_deg: float = DEFAULT_PSI1_DEG,
     psi2_deg: float = DEFAULT_PSI2_DEG,
-) -> str:
-    """Profile name for an elevation: A below psi1, B in [psi1, psi2), C above."""
+) -> list[str]:
+    """Profile name per elevation: A below psi1, B in [psi1, psi2), C above."""
     if psi1_deg >= psi2_deg:
         raise ConfigError(f"psi1 ({psi1_deg}) must be below psi2 ({psi2_deg})")
-    if psi.psi_deg < psi1_deg:
-        return PROFILE_A
-    if psi.psi_deg < psi2_deg:
-        return PROFILE_B
-    return PROFILE_C
+    bins = np.digitize(check_elevations(psi_deg), [psi1_deg, psi2_deg])
+    return [PROFILE_NAMES[i] for i in bins.tolist()]
 
 
 def shadowing_draws(sigma_db: float, n: int, seed: int) -> np.ndarray:
@@ -58,14 +57,19 @@ def shadowing_draws(sigma_db: float, n: int, seed: int) -> np.ndarray:
 def ntn_attenuation_db(
     d_km: float,
     fc_ghz: float,
-    sigma_db: float,
+    sigma_db: Sequence[float],
+    seeds: Sequence[int],
     antenna_gains_db: float = 0.0,
-    seed: int = 0,
-) -> float:
-    """One stochastic attenuation draw: FSPL + shadowing - antenna gains.
+) -> list[float]:
+    """One stochastic attenuation draw per row: FSPL + shadowing - antenna gains.
 
-    Deterministic under the seed; with zero sigma the value is exactly
-    FSPL - gains, which is also the expectation over draws.
+    Row i draws with ``sigma_db[i]`` from its own stream ``seeds[i]``, so
+    every row is reproducible in isolation.  With zero sigma the value is
+    exactly FSPL - gains, which is also the expectation over draws.
     """
-    shadow = float(shadowing_draws(sigma_db, 1, seed)[0]) if sigma_db > 0.0 else 0.0
-    return fspl_db(d_km, fc_ghz) + shadow - antenna_gains_db
+    base = fspl_db(d_km, fc_ghz)
+    return [
+        base + (float(shadowing_draws(sigma, 1, seed)[0]) if sigma > 0.0 else 0.0)
+        - antenna_gains_db
+        for sigma, seed in zip(sigma_db, seeds, strict=True)
+    ]

@@ -17,7 +17,6 @@ import numpy as np
 from . import clustering, dispersion, ntn
 from .config import DEFAULT_GEOMETRY, ScenarioConfig
 from .errors import ConfigError
-from .geometry import ElevationAngle
 from .link_budget import fspl_db, sweep_pass
 from .mpc import RayTable, k_factor, running_sum
 from .synth import synth_scenario
@@ -240,30 +239,21 @@ def _report_ntn(config: ScenarioConfig, table: RayTable):
     gains_db = config.sat_antenna.peak_gain_dbi + config.gs_antenna.peak_gain_dbi
     base = fspl_db(table.arc_radius_km, config.fc_ghz)
     mean = base - gains_db
-    columns = _pass_columns(table)
-    names = [
-        ntn.select_profile(ElevationAngle(psi_deg), config.ntn.psi1_deg, config.ntn.psi2_deg)
-        for psi_deg in columns["psi_deg"]
-    ]
+    names = ntn.select_profile(table.psi_deg, config.ntn.psi1_deg, config.ntn.psi2_deg)
     sigmas = [config.ntn.sigma_db[name] for name in names]
     n = len(table)
-    columns.update({
+    seeds = [_row_seed(config.seed, idx) for idx in range(n)]
+    columns = {
+        **_pass_columns(table),
         "profile": names,
         "fspl_db": [base] * n,
         "ntn_mean_db": [mean] * n,
         "ntn_lo_db": [mean - sigma for sigma in sigmas],
         "ntn_hi_db": [mean + sigma for sigma in sigmas],
-        "ntn_draw_db": [
-            ntn.ntn_attenuation_db(
-                table.arc_radius_km,
-                config.fc_ghz,
-                sigma,
-                antenna_gains_db=gains_db,
-                seed=_row_seed(config.seed, idx),
-            )
-            for idx, sigma in enumerate(sigmas)
-        ],
-    })
+        "ntn_draw_db": ntn.ntn_attenuation_db(
+            table.arc_radius_km, config.fc_ghz, sigmas, seeds, antenna_gains_db=gains_db
+        ),
+    }
     extra = {
         "psi1_deg": config.ntn.psi1_deg,
         "psi2_deg": config.ntn.psi2_deg,

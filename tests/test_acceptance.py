@@ -31,7 +31,7 @@ from chansim.fading import (
     sample,
     shadowed_rician_pdf,
 )
-from chansim.geometry import ElevationAngle, PassGeometry, default_psi2
+from chansim.geometry import PassGeometry, default_psi2
 from chansim.link_budget import fspl_db, sweep_pass
 from chansim.mpc import coherent_power_dbm
 from chansim.ntn import select_profile, shadowing_draws
@@ -75,9 +75,9 @@ def test_criterion_01_closed_form_attenuation_goldens():
         # the quoted 4-decimal figure 1.6146 is the same expression rounded
         assert abs(gamma_r - 1.6146) < 1e-3
 
-        cloud = cloud_attenuation_db(ElevationAngle(90.0), ATM)
+        [cloud] = cloud_attenuation_db([90.0], ATM)
         assert cloud == pytest.approx(0.0378, rel=1e-6)
-        snow = snow_attenuation_db(ElevationAngle(90.0), ATM)
+        [snow] = snow_attenuation_db([90.0], ATM)
         assert snow == pytest.approx(0.08, rel=1e-6)
     report(1, f"gamma_R={gamma_r:.7f} dB/km, cloud@90={cloud:.4f} dB, "
               f"snow@90={snow:.2f} dB ({watch.elapsed:.2f}s)")
@@ -209,7 +209,7 @@ def test_criterion_08_ntn_gating_and_shadowing():
     with Stopwatch(10.0) as watch:
         cases = {9.99: "NTN-TDL-A", 10.0: "NTN-TDL-B", 14.99: "NTN-TDL-B", 15.0: "NTN-TDL-C"}
         for psi_deg, expected in cases.items():
-            assert select_profile(ElevationAngle(psi_deg), 10.0, 15.0) == expected
+            assert select_profile([psi_deg], 10.0, 15.0) == [expected]
 
         sigmas = ScenarioConfig().ntn.sigma_db
         for name, sigma in (("NTN-TDL-A", 8.0), ("NTN-TDL-B", 6.0), ("NTN-TDL-C", 4.0)):
@@ -274,8 +274,8 @@ def test_criterion_10_budget_identity():
             snap = snaps[i]
             [p_coh] = coherent_power_dbm(spatial_filter(snaps[i:i + 1], ISO, gs), p_tx_dbm=30.0)
             l_am = misalignment_loss_db(gs, 2.0, 1.0)
-            l_atm = total_atmospheric_db(
-                snap.psi, ATM, geo, weather={"rain", "clouds", "snow"}
+            [l_atm] = total_atmospheric_db(
+                [snap.psi.psi_deg], ATM, geo.gs_height_km, weather={"rain", "clouds", "snow"}
             )
             assert row.p_coh_dbm == pytest.approx(p_coh, abs=1e-9)
             assert row.l_am_db == pytest.approx(l_am, abs=1e-9)

@@ -46,49 +46,43 @@ class TestAltitudeToElevation:
     def test_round_trip(self, h):
         d = 400.0
         psi = altitude_to_elevation(h, d)
-        assert d * math.sin(psi.radians) == pytest.approx(h, rel=1e-9)
+        assert d * math.sin(math.radians(psi.psi_deg)) == pytest.approx(h, rel=1e-9)
 
 
 class TestRainSlantLength:
     def test_zenith_as_printed(self):
         # sqrt(2*5*6371 / (1 + 2*5/6371)) + 5, hand-evaluated
-        value = rain_slant_length(ElevationAngle(90.0), 5.0, 0.0, 6371.0)
+        [value] = rain_slant_length([90.0], 5.0, 0.0, 6371.0)
         assert value == pytest.approx(257.21054045231415, rel=1e-9)
 
     def test_zenith_itu_piecewise(self):
-        value = rain_slant_length(
-            ElevationAngle(90.0), 5.0, 0.0, 6371.0, mode=SLANT_ITU_PIECEWISE
-        )
+        [value] = rain_slant_length([90.0], 5.0, 0.0, 6371.0, mode=SLANT_ITU_PIECEWISE)
         assert value == pytest.approx(5.0, rel=1e-12)
 
     def test_30deg_as_printed(self):
-        value = rain_slant_length(ElevationAngle(30.0), 5.0, 0.023, 6371.0)
+        [value] = rain_slant_length([30.0], 5.0, 0.023, 6371.0)
         assert value == pytest.approx(512.0419087750438, rel=1e-9)
 
     def test_elevation_floor(self):
         with pytest.raises(ElevationFloorError):
-            rain_slant_length(ElevationAngle(0.4), 5.0, 0.0, 6371.0)
+            rain_slant_length([0.4], 5.0, 0.0, 6371.0)
         # custom floor
         with pytest.raises(ElevationFloorError):
-            rain_slant_length(ElevationAngle(0.9), 5.0, 0.0, 6371.0, floor_deg=1.0)
+            rain_slant_length([0.9], 5.0, 0.0, 6371.0, floor_deg=1.0)
 
     def test_rain_below_gs_rejected(self):
         with pytest.raises(ValueError):
-            rain_slant_length(ElevationAngle(45.0), 0.02, 0.023, 6371.0)
+            rain_slant_length([45.0], 0.02, 0.023, 6371.0)
 
     @given(st.floats(min_value=0.5, max_value=90.0))
     def test_as_printed_dominates_piecewise(self, psi_deg):
-        psi = ElevationAngle(psi_deg)
-        printed = rain_slant_length(psi, 5.0, 0.023, 6371.0, mode=SLANT_AS_PRINTED)
-        piecewise = rain_slant_length(psi, 5.0, 0.023, 6371.0, mode=SLANT_ITU_PIECEWISE)
+        [printed] = rain_slant_length([psi_deg], 5.0, 0.023, 6371.0, mode=SLANT_AS_PRINTED)
+        [piecewise] = rain_slant_length([psi_deg], 5.0, 0.023, 6371.0, mode=SLANT_ITU_PIECEWISE)
         assert printed >= piecewise
 
     def test_piecewise_switches_at_5deg(self):
-        just_below = rain_slant_length(
-            ElevationAngle(4.99), 5.0, 0.0, 6371.0, mode=SLANT_ITU_PIECEWISE
-        )
-        just_above = rain_slant_length(
-            ElevationAngle(5.0), 5.0, 0.0, 6371.0, mode=SLANT_ITU_PIECEWISE
+        just_below, just_above = rain_slant_length(
+            [4.99, 5.0], 5.0, 0.0, 6371.0, mode=SLANT_ITU_PIECEWISE
         )
         # below: spherical sqrt form; above: thin-layer form
         assert just_above == pytest.approx(5.0 / math.sin(math.radians(5.0)), rel=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from chansim.antenna import AntennaModel
 from chansim.atmosphere import AtmosphereParams, rain_attenuation_db
 from chansim.config import ScenarioConfig
-from chansim.geometry import ElevationAngle, PassGeometry
+from chansim.geometry import PassGeometry
 from chansim.link_budget import MISALIGN_PER_RAY, fspl_db, sweep_pass
 from chansim.mpc import RAY_COLUMNS, RayTable
 
@@ -118,7 +118,7 @@ class TestSweep:
         columns = {name: [0.0] * n for name in RAY_COLUMNS}
         columns["amplitude"] = [free_space_amplitude(d_km)] * n
         return geo, RayTable(columns, [True] * n, range(n + 1), [p.psi_deg for p in psis],
-                             [d_km * p.sin for p in psis], d_km)
+                             [d_km * math.sin(math.radians(p.psi_deg)) for p in psis], d_km)
 
     def test_clear_sky_offset_constant(self):
         geo, snaps = self._snapshots((50.0, 136.0, 264.0, 371.0))
@@ -143,7 +143,7 @@ class TestSweep:
         clear = budget(snaps, geo, atmosphere=ATM)
         rainy = budget(snaps, geo, atmosphere=ATM, weather=frozenset({"rain"}))
         for c, r in zip(clear, rainy):
-            expected = rain_attenuation_db(ElevationAngle(c.psi_deg), ATM, geo)
+            [expected] = rain_attenuation_db([c.psi_deg], ATM, geo.gs_height_km)
             assert r.l_total_db - c.l_total_db == pytest.approx(expected, rel=1e-9)
 
     def test_weather_never_decreases_total(self):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -269,6 +270,40 @@ class TestConfig:
         with pytest.raises(ConfigError, match="psi1"):
             load_config(path)
 
+    @pytest.mark.parametrize("text,key,flags", [
+        ("fc_ghz: .nan\natmosphere: {k_rn: 0.05, epsilon: 1.0}\n", "fc_ghz", []),
+        ("p_tx_dbm: .nan\n", "p_tx_dbm", []),
+        ("atmosphere: {rain_rate_mmh: .nan}\n", "rain_rate_mmh", ["--rain"]),
+        ("elevation_floor_deg: .nan\n", "elevation_floor_deg", ["--rain"]),
+    ], ids=["fc_ghz", "p_tx_dbm", "rain_rate_mmh", "elevation_floor_deg"])
+    def test_nan_rejected_naming_key(self, tmp_path, capsys, text, key, flags):
+        path = tmp_path / "nan.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        out = tmp_path / "o"
+        assert main(["linkbudget", "--config", str(path), "--out", str(out), *flags]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,text", [
+        ("misalign_az_deg", "misalign_az_deg: .inf\n"),
+        ("misalign_az_deg", "misalign_az_deg: 200\nmodes: {misalignment: per-ray}\n"),
+        ("misalign_el_deg", "misalign_el_deg: -180.5\n"),
+    ], ids=["inf", "per-ray-200", "el-below"])
+    def test_misalignment_range_checked_at_load(self, tmp_path, capsys, key, text):
+        path = tmp_path / "misalign.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"{key} must be in \[-180, 180\] deg"):
+            load_config(path)
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_misalignment_flag_range_names_key(self, tmp_path, capsys):
+        code = main(["linkbudget", "--misalign-az", "200", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "misalign_az_deg must be in [-180, 180] deg, got 200.0" in capsys.readouterr().err
+
 
 class TestConfigTypes:
     """Every config type checks its own fields, however it is built."""
@@ -282,6 +317,13 @@ class TestConfigTypes:
         ({"fc_ghz": -5.0}, "fc_ghz must be positive"),
         ({"seed": -1}, "seed must be non-negative"),
         ({"geometry": PassGeometry(arc_radius_km=400.0)}, "at least one altitude sample"),
+        ({"fc_ghz": math.nan}, "fc_ghz must be a number, got nan"),
+        ({"p_tx_dbm": math.nan}, "p_tx_dbm must be a number"),
+        ({"l_hd_db": math.nan}, "l_hd_db must be a number"),
+        ({"elevation_floor_deg": math.nan}, "elevation_floor_deg must be a number"),
+        ({"misalign_az_deg": math.nan}, "misalign_az_deg must be a number"),
+        ({"misalign_az_deg": math.inf}, r"misalign_az_deg must be in \[-180, 180\] deg"),
+        ({"misalign_el_deg": 180.5}, r"misalign_el_deg must be in \[-180, 180\] deg"),
     ])
     def test_scenario_checked_at_construction_and_replace(self, changes, match):
         with pytest.raises(ValueError, match=match):
@@ -363,7 +405,6 @@ class TestRunReport:
         # fc_ghz is the only carrier frequency: the FSPL column and the rain
         # reduction factor both follow it.
         from chansim.atmosphere import total_atmospheric_db
-        from chansim.geometry import ElevationAngle
         from chansim.link_budget import fspl_db
 
         cfg = apply_overrides(ScenarioConfig(fc_ghz=20.0), weather_add={"rain"})
@@ -372,13 +413,14 @@ class TestRunReport:
         assert len(rows) == len(cfg.geometry.altitudes_km)
         d_km = cfg.geometry.arc_radius_km
         for row in rows:
-            psi = ElevationAngle(float(row[0]))
+            psi = [float(row[0])]
+            gs_height_km = cfg.geometry.gs_height_km
             assert float(row[8]) == pytest.approx(fspl_db(d_km, 20.0), rel=1e-12)
-            l_atm = total_atmospheric_db(psi, cfg.atmosphere, cfg.geometry, weather={"rain"},
-                                         slant_mode=cfg.slant_mode, fc_ghz=20.0)
+            [l_atm] = total_atmospheric_db(psi, cfg.atmosphere, gs_height_km, weather={"rain"},
+                                           slant_mode=cfg.slant_mode, fc_ghz=20.0)
             assert float(row[7]) == pytest.approx(l_atm, rel=1e-12)
-            assert l_atm != total_atmospheric_db(psi, cfg.atmosphere, cfg.geometry,
-                                                 weather={"rain"}, slant_mode=cfg.slant_mode)
+            assert [l_atm] != total_atmospheric_db(psi, cfg.atmosphere, gs_height_km,
+                                                   weather={"rain"}, slant_mode=cfg.slant_mode)
 
     def test_rain_delta_is_rain_term(self, tmp_path):
         cfg = ScenarioConfig()
@@ -388,13 +430,12 @@ class TestRunReport:
         _, clear = read_csv(tmp_path / "clear" / "linkbudget.csv")
         _, rainy = read_csv(tmp_path / "rain" / "linkbudget.csv")
         from chansim.atmosphere import rain_attenuation_db
-        from chansim.geometry import ElevationAngle
 
         for c, r in zip(clear, rainy):
-            psi = ElevationAngle(float(c[0]))
+            psi = [float(c[0])]
             delta = float(r[2]) - float(c[2])
-            expected = rain_attenuation_db(psi, cfg.atmosphere, cfg.geometry,
-                                           slant_mode=cfg.slant_mode)
+            [expected] = rain_attenuation_db(psi, cfg.atmosphere, cfg.geometry.gs_height_km,
+                                             slant_mode=cfg.slant_mode)
             assert delta == pytest.approx(expected, rel=1e-9)
 
 
@@ -467,6 +508,18 @@ class TestCli:
         assert code == 0
         data = json.loads((out / "summary.json").read_text())
         assert data["source"] == "trace"
+
+    def test_elevation_floor_gates_only_the_weather_terms(self, tmp_path, capsys):
+        # The default pass starts at 0.716 deg: under a 1 deg floor the clear
+        # sky budget runs, and a 1/sin(psi) term refuses the lowest snapshot.
+        path = tmp_path / "floor.yaml"
+        path.write_text("elevation_floor_deg: 1.0\n")
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        args = ["linkbudget", "--config", str(path), "--out", str(tmp_path / "b"), "--clouds"]
+        assert main(args) == 2
+        message = "elevation 0.716215896194941 deg below floor 1.0 deg"
+        assert capsys.readouterr().err == f"chansim: config error: {message}\n"
 
     def test_misalign_flags(self, tmp_path, config_file):
         out_a = tmp_path / "a"
