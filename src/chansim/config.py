@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import types
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
@@ -18,7 +18,7 @@ import yaml
 from .antenna import AntennaModel
 from .atmosphere import ALL_WEATHER, DEFAULT_FC_GHZ, AtmosphereParams
 from .clustering import DEFAULT_XI, DEFAULT_ZETA
-from .errors import ConfigError
+from .errors import ConfigError, reject_nan
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
@@ -55,6 +55,7 @@ class NtnConfig:
     sigma_db: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        reject_nan(self)
         if self.psi1_deg >= self.psi2_deg:
             raise ValueError("ntn.psi1_deg must be below ntn.psi2_deg")
         # Given sigmas override the defaults profile by profile.
@@ -79,6 +80,7 @@ class ClusteringConfig:
     zeta: int = DEFAULT_ZETA
 
     def __post_init__(self) -> None:
+        reject_nan(self)
         if self.xi <= 0.0 or self.zeta < 1:
             raise ValueError("clustering needs xi > 0 and zeta >= 1")
 
@@ -87,6 +89,12 @@ class ClusteringConfig:
 class SynthConfig:
     los_only: bool = False
     max_extra_rays: int = 8
+
+    def __post_init__(self) -> None:
+        if self.max_extra_rays < 0:
+            raise ValueError(
+                f"synth.max_extra_rays must be non-negative, got {self.max_extra_rays!r}"
+            )
 
 
 # The pass of a config that sets none.  A trace run takes its pass geometry
@@ -120,10 +128,7 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and math.isnan(value):
-                raise ValueError(f"{f.name} must be a number, got nan")
+        reject_nan(self)
         if self.fc_ghz <= 0.0:
             raise ValueError("fc_ghz must be positive")
         for key in ("misalign_az_deg", "misalign_el_deg"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ElevationFloorError
+from .errors import ElevationFloorError, reject_nan
 
 DEFAULT_ELEVATION_FLOOR_DEG = 0.5
 
@@ -47,6 +47,7 @@ class PassGeometry:
     altitudes_km: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        reject_nan(self)
         if self.arc_radius_km <= 0.0:
             raise ValueError("arc radius must be positive")
         if self.gs_height_km < 0.0:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import check_elevations
 from .link_budget import fspl_db
+from .streams import streams
 
 PROFILE_A = "NTN-TDL-A"
 PROFILE_B = "NTN-TDL-B"
@@ -63,13 +64,14 @@ def ntn_attenuation_db(
 ) -> list[float]:
     """One stochastic attenuation draw per row: FSPL + shadowing - antenna gains.
 
-    Row i draws with ``sigma_db[i]`` from its own stream ``seeds[i]``, so
-    every row is reproducible in isolation.  With zero sigma the value is
-    exactly FSPL - gains, which is also the expectation over draws.
+    Row i draws with ``sigma_db[i]`` from its own stream seeded with
+    ``seeds[i]``, the draw ``shadowing_draws(sigma_db[i], 1, seeds[i])``
+    makes, so every row is reproducible in isolation.  With zero sigma the value is exactly
+    FSPL - gains, which is also the expectation over draws.
     """
     base = fspl_db(d_km, fc_ghz)
+    # numpy draws normal(0, sigma) as sigma * standard_normal(), bit for bit.
     return [
-        base + (float(shadowing_draws(sigma, 1, seed)[0]) if sigma > 0.0 else 0.0)
-        - antenna_gains_db
-        for sigma, seed in zip(sigma_db, seeds, strict=True)
+        base + (sigma * rng.standard_normal() if sigma > 0.0 else 0.0) - antenna_gains_db
+        for sigma, rng in zip(sigma_db, streams(seeds), strict=True)
     ]

@@ -9,12 +9,14 @@ import pytest
 import yaml
 
 from chansim import config as config_mod
+from chansim.antenna import AntennaModel
 from chansim.cli import main
 from chansim.config import (
     ClusteringConfig,
     FadingConfig,
     NtnConfig,
     ScenarioConfig,
+    SynthConfig,
     apply_overrides,
     load_config,
 )
@@ -668,3 +670,47 @@ class TestSentinels:
         assert rows[300.0]["p_coh_dbm"] == rows[300.0]["p_rx_dbm"] == "-inf"
         assert rows[300.0]["l_total_db"] == "unbounded"
         assert "inf" not in rows[200.0]["l_total_db"]
+
+
+class TestSectionTypesRejectNan:
+    """A NaN passes range checks written as comparisons; each section type refuses it."""
+
+    @pytest.mark.parametrize("text,key,sub,flags", [
+        ("ntn: {psi1_deg: .nan}\n", "psi1_deg", "ntn-compare", []),
+        ("clustering: {xi: .nan}\n", "xi", "cluster", []),
+        ("antennas: {ground: {kind: single-element, peak_gain_dbi: .nan, hpbw_deg: 2.0}}\n",
+         "peak_gain_dbi", "linkbudget", []),
+        ("pass: {arc_radius_km: 400.0, gs_height_km: .nan, altitudes_km: [5.0, 50.0]}\n",
+         "gs_height_km", "linkbudget", ["--rain"]),
+        ("synth: {max_extra_rays: -1}\n", "synth.max_extra_rays", "linkbudget", []),
+    ], ids=["ntn-psi1", "clustering-xi", "antenna-gain", "pass-gs-height", "synth-negative"])
+    def test_file_exits_2_naming_key(self, tmp_path, capsys, text, key, sub, flags):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(path)
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(path), "--out", str(out), *flags]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda: NtnConfig(psi1_deg=math.nan), "psi1_deg must be a number, got nan"),
+        (lambda: NtnConfig(psi2_deg=math.nan), "psi2_deg must be a number, got nan"),
+        (lambda: ClusteringConfig(xi=math.nan), "xi must be a number, got nan"),
+        (lambda: AntennaModel(kind="single-element", peak_gain_dbi=math.nan, hpbw_deg=2.0),
+         "peak_gain_dbi must be a number, got nan"),
+        (lambda: AntennaModel(kind="single-element", hpbw_deg=math.nan),
+         "hpbw_deg must be a number, got nan"),
+        (lambda: AntennaModel(steer_az_deg=math.nan), "steer_az_deg must be a number, got nan"),
+        (lambda: PassGeometry(arc_radius_km=400.0, gs_height_km=math.nan),
+         "gs_height_km must be a number, got nan"),
+        (lambda: PassGeometry(arc_radius_km=math.nan), "arc_radius_km must be a number, got nan"),
+        (lambda: SynthConfig(max_extra_rays=-1), "synth.max_extra_rays must be non-negative"),
+    ])
+    def test_checked_at_construction(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_zero_extra_rays_still_allowed(self):
+        assert SynthConfig(max_extra_rays=0).max_extra_rays == 0
