@@ -21,7 +21,7 @@ from .dispersion import azimuth_spread, elevation_spread, spread_report
 from .errors import ChansimError, ConfigError, ElevationFloorError, NumericError, TraceError
 from .geometry import ElevationAngle, PassGeometry, altitude_to_elevation, rain_slant_length
 from .link_budget import fspl_db, sweep_pass
-from .mpc import RayTable, Snapshot, coherent_power_dbm, k_factor
+from .mpc import RayTable, coherent_power_dbm, k_factor
 from .ntn import ntn_attenuation_db, select_profile
 from .report import run_report
 from .synth import synth_scenario
@@ -65,7 +65,6 @@ __all__ = [
     "RicianParams",
     "ScenarioConfig",
     "ShadowedRicianParams",
-    "Snapshot",
     "TraceError",
     "altitude_to_elevation",
     "azimuth_spread",

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import reject_non_finite
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
@@ -58,9 +59,9 @@ class AtmosphereParams:
     r_earth_km: float = 6371.0
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         for f in fields(self):
-            # Written so that NaN fails too.
-            if not getattr(self, f.name) >= 0.0:
+            if getattr(self, f.name) < 0.0:
                 raise ValueError(f"{f.name} must be non-negative")
 
 

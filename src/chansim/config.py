@@ -18,7 +18,7 @@ import yaml
 from .antenna import AntennaModel
 from .atmosphere import ALL_WEATHER, DEFAULT_FC_GHZ, AtmosphereParams
 from .clustering import DEFAULT_XI, DEFAULT_ZETA
-from .errors import ConfigError, reject_nan
+from .errors import ConfigError, reject_non_finite
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
@@ -55,7 +55,7 @@ class NtnConfig:
     sigma_db: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        reject_nan(self)
+        reject_non_finite(self)
         if self.psi1_deg >= self.psi2_deg:
             raise ValueError("ntn.psi1_deg must be below ntn.psi2_deg")
         # Given sigmas override the defaults profile by profile.
@@ -80,7 +80,7 @@ class ClusteringConfig:
     zeta: int = DEFAULT_ZETA
 
     def __post_init__(self) -> None:
-        reject_nan(self)
+        reject_non_finite(self)
         if self.xi <= 0.0 or self.zeta < 1:
             raise ValueError("clustering needs xi > 0 and zeta >= 1")
 
@@ -98,8 +98,7 @@ class SynthConfig:
 
 
 # The pass of a config that sets none.  A trace run takes its pass geometry
-# from the trace, and a config's own ``pass`` (always a new object) must
-# agree with the trace: the two are told apart by identity.
+# from the trace, and a config with any other pass must agree with the trace.
 DEFAULT_GEOMETRY = PassGeometry(
     arc_radius_km=400.0, gs_height_km=0.023, altitudes_km=DEFAULT_ALTITUDES_KM
 )
@@ -128,12 +127,13 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        reject_nan(self)
+        # An infinite offset is named by its range; NaN passes on to the finiteness check.
+        for key in ("misalign_az_deg", "misalign_el_deg"):
+            if abs(getattr(self, key)) > 180.0:
+                raise ValueError(f"{key} must be in [-180, 180] deg, got {getattr(self, key)}")
+        reject_non_finite(self)
         if self.fc_ghz <= 0.0:
             raise ValueError("fc_ghz must be positive")
-        for key in ("misalign_az_deg", "misalign_el_deg"):
-            if not -180.0 <= getattr(self, key) <= 180.0:
-                raise ValueError(f"{key} must be in [-180, 180] deg, got {getattr(self, key)}")
         if not self.geometry.altitudes_km:
             raise ValueError("pass geometry needs at least one altitude sample")
         if self.fading.psi2_deg is None and self.geometry.arc_radius_km <= 100.0:

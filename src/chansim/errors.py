@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by the chansim modules and CLI, and the NaN check
-of the config types."""
+"""Exception hierarchy shared by the chansim modules and CLI, and the finiteness
+check of the config types."""
 
 import math
 from dataclasses import fields
@@ -25,13 +25,20 @@ class ElevationFloorError(ValueError):
     """Elevation angle below the configured floor for 1/sin(psi) terms."""
 
 
-def reject_nan(instance) -> None:
-    """Raise ValueError naming the first float field of a dataclass that holds NaN.
+class RayRowError(ValueError):
+    """A ray table input that breaks a pass rule; ``row`` is its input ray row."""
 
-    NaN fails every comparison, so it passes a range check written as one;
-    each config type calls this before its own checks.
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def reject_non_finite(instance) -> None:
+    """Raise ValueError naming the first float field of a dataclass that is not finite.
+
+    NaN passes range checks written as comparisons, infinity one-sided bounds.
     """
     for f in fields(instance):
         value = getattr(instance, f.name)
-        if isinstance(value, float) and math.isnan(value):
-            raise ValueError(f"{f.name} must be a number, got nan")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be a number, got {value}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ElevationFloorError, reject_nan
+from .errors import ElevationFloorError, reject_non_finite
 
 DEFAULT_ELEVATION_FLOOR_DEG = 0.5
 
@@ -47,47 +47,55 @@ class PassGeometry:
     altitudes_km: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        reject_nan(self)
-        if self.arc_radius_km <= 0.0:
-            raise ValueError("arc radius must be positive")
+        reject_non_finite(self)
+        d = check_arc_radius(self.arc_radius_km)
         if self.gs_height_km < 0.0:
             raise ValueError("GS height must be non-negative")
         altitudes = tuple(self.altitudes_km)
-        for h in altitudes:
-            if not 0.0 < h <= self.arc_radius_km:
-                raise ValueError(
-                    f"altitude {h} km outside (0, {self.arc_radius_km}] km arc radius"
-                )
+        bad = first_off_arc(np.array(altitudes, dtype=float), d)
+        if bad is not None:
+            raise ValueError(bad[1])
         # Stored as Python floats so that numpy scalars never reach an output.
-        object.__setattr__(self, "arc_radius_km", float(self.arc_radius_km))
+        object.__setattr__(self, "arc_radius_km", d)
         object.__setattr__(self, "gs_height_km", float(self.gs_height_km))
         object.__setattr__(self, "altitudes_km", tuple(float(h) for h in altitudes))
 
     def elevations(self) -> list[ElevationAngle]:
         """Elevation angle for every altitude sample, in input order."""
-        return [altitude_to_elevation(h, self.arc_radius_km) for h in self.altitudes_km]
+        psi_deg = arc_elevations(self.altitudes_km, self.arc_radius_km)
+        return [ElevationAngle(psi) for psi in psi_deg]
+
+
+def check_arc_radius(d_km: float) -> float:
+    """``d_km`` as a float, checked to be a finite, positive arc radius."""
+    d = float(d_km)
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"arc radius must be positive and finite, got {d}")
+    return d
+
+
+def first_off_arc(altitude_km: np.ndarray, d_km: float) -> tuple[int, str] | None:
+    """Index and message of the first altitude off the arc of valid radius ``d_km``, else None.
+
+    On the arc, h lies in (0, d_km] and h/d does not underflow, so psi lies in (0, 90] deg.
+    """
+    off = np.flatnonzero(~((altitude_km / d_km > 0.0) & (altitude_km <= d_km)))
+    if not off.size:
+        return None
+    return int(off[0]), f"altitude {float(altitude_km[off[0]])} km outside (0, {d_km}] km"
+
+
+def arc_elevations(altitudes_km: Sequence[float], d_km: float) -> list[float]:
+    """arcsin(h/d) in degrees per altitude on the arc, by libm's scalar asin
+    (numpy's arcsin may differ from it in the last bit)."""
+    return [math.degrees(math.asin(h / d_km)) for h in altitudes_km]
 
 
 def altitude_to_elevation(h_km: float, d_km: float) -> ElevationAngle:
-    """Elevation angle for a satellite at height ``h_km`` on an arc of radius ``d_km``.
-
-    Parameters
-    ----------
-    h_km : float
-        Satellite height above the ground station, 0 < h_km <= d_km.
-    d_km : float
-        Arc radius centred on the ground station.
-
-    Returns
-    -------
-    ElevationAngle
-        arcsin(h_km / d_km) expressed in degrees.
-    """
-    if d_km <= 0.0:
-        raise ValueError("arc radius must be positive")
-    if h_km <= 0.0 or h_km > d_km:
-        raise ValueError(f"altitude {h_km} km outside (0, {d_km}] km")
-    return ElevationAngle(math.degrees(math.asin(h_km / d_km)))
+    """Elevation angle arcsin(h/d) of a satellite at height ``h_km`` above the GS,
+    0 < h_km <= d_km, on an arc of finite, positive radius ``d_km``."""
+    [psi] = PassGeometry(d_km, altitudes_km=(h_km,)).elevations()
+    return psi
 
 
 def default_psi2(arc_radius_km: float) -> ElevationAngle:

@@ -5,10 +5,10 @@ satellite elevation point.  Amplitudes are stored as linear path gains
 relative to the transmitted signal so power ratios stay exact.
 
 A ``RayTable`` stores every ray of a pass in flat float64 columns, with
-a LOS flag column, per-snapshot offsets, elevations and altitudes, and
-the arc radius the pass was traced on.  It is the one input of every
-layer, which returns one result per snapshot.  ``Snapshot`` is the
-read-only view of one snapshot that indexing or iterating a table yields.
+a LOS flag column, per-snapshot offsets and altitudes, and the arc
+radius the pass was traced on, from which it derives each snapshot's
+elevation.  It is the one input of every layer, which returns one
+result per snapshot.
 
 Per-snapshot reductions run on 2-D blocks that stack the snapshots of
 equal ray count, reducing along the contiguous ray axis: that keeps the
@@ -24,7 +24,8 @@ from collections.abc import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .geometry import ElevationAngle, check_elevations
+from .errors import RayRowError
+from .geometry import arc_elevations, check_arc_radius, first_off_arc
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,11 +90,14 @@ class RayTable:
 
     The rays of snapshot ``i`` are rows ``offsets[i]:offsets[i + 1]`` of
     the ray columns (``RAY_COLUMNS`` and ``is_los``), sorted by
-    non-decreasing delay.  ``psi_deg`` and ``altitude_km`` hold one value
-    per snapshot; every snapshot lies on the arc of ``arc_radius_km``.
-    The table is a sequence of ``Snapshot`` views.  Construction
-    validates every field, normalises phases into [0, 2*pi) and sorts
-    each snapshot's rays by delay, keeping the input order of ties.
+    non-decreasing delay.  ``altitude_km`` holds one value per snapshot,
+    each on the arc of ``arc_radius_km``, and ``psi_deg`` the elevation
+    derived from it.  Iterating a table yields each snapshot's rows as a
+    ``range``; ``take`` selects snapshots.  Construction validates every
+    field, normalises phases into [0, 2*pi) and sorts each snapshot's
+    rays by delay, keeping the input order of ties.  A broken pass rule
+    raises a ``RayRowError`` naming the input ray row: ray fields first,
+    then per snapshot a second LOS ray, then an altitude off the arc.
     """
 
     __slots__ = (*RAY_COLUMNS, "is_los", "offsets", "psi_deg", "altitude_km",
@@ -104,42 +108,46 @@ class RayTable:
         columns: Mapping[str, Iterable[float]],
         is_los: Iterable[bool],
         offsets: Iterable[int],
-        psi_deg: Iterable[float],
         altitude_km: Iterable[float],
         arc_radius_km: float,
     ) -> None:
-        if not arc_radius_km > 0.0:
-            raise ValueError("distance must be positive")
+        radius = check_arc_radius(arc_radius_km)
         cols = {name: np.asarray(columns[name], dtype=float) for name in RAY_COLUMNS}
         los = np.asarray(is_los, dtype=bool)
         offsets = np.asarray(offsets, dtype=np.int64)
-        psi = np.asarray(psi_deg, dtype=float)
         altitude = np.asarray(altitude_km, dtype=float)
         n_rays = los.size
         if any(c.shape != (n_rays,) for c in cols.values()) or offsets.ndim != 1:
             raise ValueError("ray columns must be 1-D and of equal length")
         if offsets.size < 1 or offsets[0] != 0 or offsets[-1] != n_rays:
             raise ValueError("offsets must run from 0 to the number of rays")
-        if psi.shape != (offsets.size - 1,) or altitude.shape != psi.shape:
-            raise ValueError("need one elevation and one altitude per snapshot")
+        if altitude.shape != (offsets.size - 1,):
+            raise ValueError("need one altitude per snapshot")
         if np.any(np.diff(offsets) <= 0):
             raise ValueError("snapshot must contain at least one MPC")
-        check_elevations(psi)
         bad = first_bad_ray(cols)
         if bad is not None:
-            raise ValueError(bad[1])
-        if np.any(np.add.reduceat(los.astype(np.int64), offsets[:-1]) > 1):
-            raise ValueError("at most one MPC may be flagged LOS")
+            raise RayRowError(*bad)
+        snapshot_of_ray = np.repeat(np.arange(altitude.size), np.diff(offsets))
+        los_rows = np.flatnonzero(los)
+        # LOS rows after another LOS row of the same snapshot.
+        extra_los = los_rows[1:][np.diff(snapshot_of_ray[los_rows]) == 0]
+        off = first_off_arc(altitude, radius)
+        if extra_los.size and (off is None or snapshot_of_ray[extra_los[0]] <= off[0]):
+            h = float(altitude[snapshot_of_ray[extra_los[0]]])
+            raise RayRowError(int(extra_los[0]), f"duplicate LOS ray for altitude {h} km: "
+                                                 "at most one MPC may be flagged LOS")
+        if off is not None:
+            raise RayRowError(int(offsets[off[0]]), off[1])
         cols["phase_rad"] = _wrap_phase(cols["phase_rad"])
-        snapshot_of_ray = np.repeat(np.arange(psi.size), np.diff(offsets))
         order = np.lexsort((cols["delay_s"], snapshot_of_ray))
         for name in RAY_COLUMNS:
             setattr(self, name, _readonly(cols[name][order]))
         self.is_los = _readonly(los[order])
         self.offsets = _readonly(offsets.copy())
-        self.psi_deg = _readonly(psi.copy())
+        self.psi_deg = _readonly(np.array(arc_elevations(altitude.tolist(), radius), dtype=float))
         self.altitude_km = _readonly(altitude.copy())
-        self.arc_radius_km = float(arc_radius_km)
+        self.arc_radius_km = radius
         self._blocks = None
 
     @classmethod
@@ -163,16 +171,9 @@ class RayTable:
     def __len__(self) -> int:
         return self.psi_deg.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(np.arange(len(self))[index])
-        n = len(self)
-        if not -n <= index < n:
-            raise IndexError("snapshot index out of range")
-        return Snapshot(self, index % n)
-
     def __iter__(self):
-        return (Snapshot(self, i) for i in range(len(self)))
+        bounds = self.offsets.tolist()
+        return map(range, bounds[:-1], bounds[1:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RayTable):
@@ -257,34 +258,6 @@ class RayTable:
 def running_sum(block: np.ndarray) -> np.ndarray:
     """Left-to-right sum of each block row, as Python's ``sum`` adds floats."""
     return np.cumsum(block, axis=1)[:, -1]
-
-
-class Snapshot:
-    """One snapshot of a ray table: the read-only view indexing or iterating it yields."""
-
-    __slots__ = ("_table", "_index")
-
-    def __init__(self, table: RayTable, index: int) -> None:
-        self._table = table
-        self._index = index
-
-    @property
-    def psi(self) -> ElevationAngle:
-        return ElevationAngle(float(self._table.psi_deg[self._index]))
-
-    @property
-    def altitude_km(self) -> float:
-        """Satellite height above the GS."""
-        return float(self._table.altitude_km[self._index])
-
-    def __len__(self) -> int:
-        """Number of rays in the snapshot."""
-        offsets = self._table.offsets
-        return int(offsets[self._index + 1] - offsets[self._index])
-
-    def __repr__(self) -> str:
-        return (f"Snapshot(psi_deg={self.psi.psi_deg!r}, altitude_km={self.altitude_km!r}, "
-                f"n_mpcs={len(self)})")
 
 
 def coherent_power_dbm(

@@ -79,7 +79,7 @@ def gather_snapshots(config: ScenarioConfig, trace_path: str | Path | None) -> R
 def _check_trace_radius(config: ScenarioConfig, table: RayTable) -> None:
     """Refuse a config whose own pass disagrees with the trace's arc radius."""
     radius = table.arc_radius_km
-    if config.geometry.arc_radius_km != radius and config.geometry is not DEFAULT_GEOMETRY:
+    if config.geometry.arc_radius_km != radius and config.geometry != DEFAULT_GEOMETRY:
         raise ConfigError(
             f"pass.arc_radius_km {config.geometry.arc_radius_km!r} conflicts with the "
             f"trace's arc_radius_km {radius!r}"

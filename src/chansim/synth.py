@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import ElevationAngle, PassGeometry, altitude_to_elevation
+from .geometry import ElevationAngle, PassGeometry, arc_elevations
 from .link_budget import SPEED_OF_LIGHT_M_S
 from .mpc import RAY_COLUMNS, RayTable
 from .streams import streams
@@ -81,11 +81,9 @@ def synth_scenario(
     # right, which fixes the draw sequence.
     rows: list[tuple] = []
     offsets = [0]
-    psi_deg = []
     altitudes = geometry.altitudes_km
     rngs = streams([seed, idx] for idx in range(len(altitudes)))
-    for altitude, rng in zip(altitudes, rngs):
-        psi = altitude_to_elevation(altitude, d).psi_deg
+    for psi, rng in zip(arc_elevations(altitudes, d), rngs):
         shadow_db = 0.0
         if psi < psi2.psi_deg:
             depth = _SHADOW_MAX_DB + _SHADOW_JITTER_DB * rng.standard_normal()
@@ -144,13 +142,6 @@ def synth_scenario(
                         False,
                     ))
         offsets.append(len(rows))
-        psi_deg.append(psi)
     columns = np.fromiter(chain.from_iterable(rows), dtype=float).reshape(-1, len(RAY_COLUMNS) + 1)
-    return RayTable(
-        dict(zip(RAY_COLUMNS, columns.T)),
-        columns[:, -1] != 0.0,
-        offsets,
-        psi_deg,
-        altitudes,
-        d,
-    )
+    return RayTable(dict(zip(RAY_COLUMNS, columns.T)), columns[:, -1] != 0.0, offsets,
+                    altitudes, d)

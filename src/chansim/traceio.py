@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TraceError
-from .geometry import altitude_to_elevation
+from .errors import RayRowError, TraceError
+from .geometry import check_arc_radius
 from .mpc import RAY_COLUMNS, RayTable, first_bad_ray
 
 TRACE_VERSION = 1
@@ -77,8 +77,9 @@ def _row_error(line: str, amplitude_unit: str, p_tx_dbm: float | None) -> str | 
 def load_trace(path: str | Path) -> RayTable:
     """Parse and validate a trace file into a ray table, snapshots in file order.
 
-    Raises TraceError with the offending line number for schema
-    violations, duplicate LOS rays, or an empty file.
+    Raises TraceError with the offending line number: the first bad line
+    of a parse, interaction-count or field fault, else the table's first
+    broken snapshot rule (duplicate LOS ray, altitude off the arc).
     """
     p = Path(path)
     if not p.exists():
@@ -88,7 +89,7 @@ def load_trace(path: str | Path) -> RayTable:
         raise TraceError(f"{p}: empty trace file")
     meta = _parse_header(lines[0], p)
     try:
-        arc_radius_km = float(meta["arc_radius_km"])
+        arc_radius_km = check_arc_radius(float(meta["arc_radius_km"]))
     except KeyError:
         raise TraceError(f"{p}: line 1: header missing arc_radius_km") from None
     except ValueError as exc:
@@ -151,23 +152,13 @@ def load_trace(path: str | Path) -> RayTable:
         raise fail_at(*bad)
 
     altitude = values[:, 0]
-    is_los = n_interactions == 0
     # A snapshot is a run of rows with equal altitude.
     starts = np.concatenate([[0], np.flatnonzero(altitude[1:] != altitude[:-1]) + 1])
     offsets = np.append(starts, altitude.size)
-    psi_deg = []
-    for start, stop in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        los_rows = np.flatnonzero(is_los[start:stop])
-        if los_rows.size > 1:
-            raise fail_at(
-                start + int(los_rows[1]),
-                f"duplicate LOS ray for altitude {float(altitude[start])} km",
-            )
-        try:
-            psi_deg.append(altitude_to_elevation(float(altitude[start]), arc_radius_km).psi_deg)
-        except ValueError as exc:
-            raise fail_at(start, str(exc)) from exc
-    return RayTable(columns, is_los, offsets, psi_deg, altitude[starts], arc_radius_km)
+    try:
+        return RayTable(columns, n_interactions == 0, offsets, altitude[starts], arc_radius_km)
+    except RayRowError as exc:
+        raise fail_at(exc.row, str(exc)) from exc
 
 
 def save_trace(table: RayTable, path: str | Path) -> None:

@@ -15,7 +15,8 @@ def make_snapshot(
     """Build a one-snapshot ray table from (amplitude, phase, delay[, is_los]) tuples.
 
     Angle columns default to zero; ``angles`` gives whole columns, one value
-    per ray, by their ``RAY_COLUMNS`` names.
+    per ray, by their ``RAY_COLUMNS`` names.  The snapshot sits at the
+    altitude of ``psi_deg``; its ``psi_deg`` is the table's own derivation.
     """
     n = len(specs)
     columns = {name: angles.get(name, [0.0] * n) for name in RAY_COLUMNS}
@@ -24,7 +25,7 @@ def make_snapshot(
     columns["delay_s"] = [spec[2] for spec in specs]
     is_los = [len(spec) > 3 and spec[3] for spec in specs]
     altitude = distance_km * math.sin(math.radians(psi_deg))
-    return RayTable(columns, is_los, [0, n], [psi_deg], [altitude], distance_km)
+    return RayTable(columns, is_los, [0, n], [altitude], distance_km)
 
 
 def rows_of(columns: dict) -> list[SimpleNamespace]:

@@ -267,15 +267,15 @@ def test_criterion_10_budget_identity():
             l_hd_db=1.5,
         )
         rows = rows_of(sweep_pass(scenario, snaps))
-        by_alt = {round(s.altitude_km, 9): i for i, s in enumerate(snaps)}
+        by_alt = {round(h, 9): i for i, h in enumerate(snaps.altitude_km.tolist())}
         for row in rows:
             assert 30.0 - row.p_rx_dbm == pytest.approx(row.l_total_db, abs=1e-9)
             i = by_alt[round(row.altitude_km, 9)]
-            snap = snaps[i]
-            [p_coh] = coherent_power_dbm(spatial_filter(snaps[i:i + 1], ISO, gs), p_tx_dbm=30.0)
+            [p_coh] = coherent_power_dbm(spatial_filter(snaps.take([i]), ISO, gs), p_tx_dbm=30.0)
             l_am = misalignment_loss_db(gs, 2.0, 1.0)
             [l_atm] = total_atmospheric_db(
-                [snap.psi.psi_deg], ATM, geo.gs_height_km, weather={"rain", "clouds", "snow"}
+                [float(snaps.psi_deg[i])], ATM, geo.gs_height_km,
+                weather={"rain", "clouds", "snow"}
             )
             assert row.p_coh_dbm == pytest.approx(p_coh, abs=1e-9)
             assert row.l_am_db == pytest.approx(l_am, abs=1e-9)

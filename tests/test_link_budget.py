@@ -113,12 +113,10 @@ class TestEvaluate:
 class TestSweep:
     def _snapshots(self, altitudes, d_km=400.0):
         geo = PassGeometry(arc_radius_km=d_km, gs_height_km=0.023, altitudes_km=altitudes)
-        psis = geo.elevations()
-        n = len(psis)
+        n = len(altitudes)
         columns = {name: [0.0] * n for name in RAY_COLUMNS}
         columns["amplitude"] = [free_space_amplitude(d_km)] * n
-        return geo, RayTable(columns, [True] * n, range(n + 1), [p.psi_deg for p in psis],
-                             [d_km * math.sin(math.radians(p.psi_deg)) for p in psis], d_km)
+        return geo, RayTable(columns, [True] * n, range(n + 1), geo.altitudes_km, d_km)
 
     def test_clear_sky_offset_constant(self):
         geo, snaps = self._snapshots((50.0, 136.0, 264.0, 371.0))

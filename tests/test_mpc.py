@@ -200,7 +200,7 @@ def spec_table(specs) -> RayTable:
     columns["delay_s"] = [d * 1e-9 for _, d in rays]
     is_los = [i == los for spec_rays, los in specs for i in range(len(spec_rays))]
     return RayTable(columns, is_los, np.concatenate([[0], np.cumsum(counts)]),
-                    [30.0] * len(specs), [200.0] * len(specs), 400.0)
+                    [200.0] * len(specs), 400.0)
 
 
 def delay_ordered(spec):

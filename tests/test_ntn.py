@@ -65,12 +65,13 @@ class TestSelectProfile:
         from chansim.fading import FadingRegime, select_regime
         from conftest import make_snapshot
 
-        psi2 = 15.0
+        # The threshold is the boundary snapshot's own elevation.
+        psi2 = float(make_snapshot([(1.0, 0.0, 0.0, True)], psi_deg=15.0).psi_deg[0])
         for psi_deg in (15.0, 20.0, 45.0, 75.0, 90.0):
             snap = make_snapshot([(1.0, 0.0, 0.0, True)], psi_deg=psi_deg)
             [regime] = select_regime(snap, ElevationAngle(psi2))
             assert regime is not FadingRegime.SHADOWED_RICIAN
-            assert select_profile([psi_deg], 10.0, psi2) == [PROFILE_C]
+            assert select_profile(snap.psi_deg, 10.0, psi2) == [PROFILE_C]
 
 
 class TestAttenuation:

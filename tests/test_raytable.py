@@ -3,6 +3,7 @@ pass-level layers against per-snapshot loop references."""
 
 import cmath
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,8 @@ from chansim.antenna import AntennaModel, gain_dbi, spatial_filter
 from chansim.clustering import build_features, cluster_snapshot
 from chansim.config import ScenarioConfig
 from chansim.dispersion import spread_report
-from chansim.geometry import ElevationAngle, altitude_to_elevation
+from chansim.errors import RayRowError
+from chansim.geometry import altitude_to_elevation
 from chansim.mpc import (
     COHERENT_PHASOR_SUM,
     COHERENT_POWER_SUM,
@@ -156,7 +158,6 @@ def dense_pass(seed: int = 5) -> RayTable:
         {name: np.concatenate(parts) for name, parts in cols.items()},
         np.concatenate(los),
         np.concatenate([[0], np.cumsum(counts)]),
-        [altitude_to_elevation(h, radius).psi_deg for h in altitudes],
         altitudes,
         radius,
     )
@@ -207,7 +208,7 @@ class TestPassLayersMatchPerSnapshotLoops:
     def test_snapshot_views_agree_with_table(self):
         # A one-snapshot table is reduced in a block of its own.
         for i, report in enumerate(rows_of(spread_report(self.table))):
-            assert rows_of(spread_report(self.table[i:i + 1])) == [report]
+            assert rows_of(spread_report(self.table.take([i]))) == [report]
 
     def test_spatial_filter(self):
         sat = AntennaModel(kind="phased-array", peak_gain_dbi=20.0, nx=8, ny=8,
@@ -247,7 +248,7 @@ class TestRayTable:
                 "aod_el_deg": [0.0, 0.0, 0.0], "aoa_az_deg": [0.0, 0.0, 0.0],
                 "aoa_el_deg": [0.0, 0.0, 0.0],
             },
-            is_los=[True, False, False], offsets=[0, 1, 3], psi_deg=[30.0, 10.0],
+            is_los=[True, False, False], offsets=[0, 1, 3],
             altitude_km=[200.0, 69.0], arc_radius_km=400.0,
         )
         spec.update(overrides)
@@ -256,22 +257,54 @@ class TestRayTable:
     def test_sorts_by_delay_stably_and_normalises_phase(self):
         table = self.make()
         assert table.amplitude.tolist() == [1.0, 2.0, 3.0]
-        table = self.make(offsets=[0, 3], psi_deg=[30.0], altitude_km=[200.0])
+        table = self.make(offsets=[0, 3], altitude_km=[200.0])
         assert table.amplitude.tolist() == [2.0, 3.0, 1.0]
         assert table.phase_rad.tolist() == [0.0, 2.0 * math.pi - 1.0, 7.0 - 2.0 * math.pi]
 
     @pytest.mark.parametrize("overrides,match", [
         ({"offsets": [0, 0, 3]}, "at least one MPC"),
-        ({"is_los": [True, True, True], "offsets": [0, 3], "psi_deg": [30.0],
+        ({"is_los": [True, True, True], "offsets": [0, 3],
           "altitude_km": [200.0]}, "at most one"),
-        ({"psi_deg": [30.0, 0.0]}, "elevation angle"),
-        ({"arc_radius_km": 0.0}, "distance"),
+        ({"altitude_km": [200.0, 0.0]}, "altitude 0.0 km outside"),
+        ({"arc_radius_km": 0.0}, "arc radius"),
         ({"offsets": [0, 1, 2]}, "offsets"),
         ({"altitude_km": [200.0]}, "one altitude"),
     ])
     def test_structure_validated(self, overrides, match):
         with pytest.raises(ValueError, match=match):
             self.make(**overrides)
+
+    @pytest.mark.parametrize("overrides,row,match", [
+        ({"altitude_km": [200.0, -5.0]}, 1, r"altitude -5.0 km outside \(0, 400.0\] km"),
+        ({"altitude_km": [0.0, 69.0]}, 0, "altitude 0.0 km outside"),
+        ({"altitude_km": [200.0, 400.5]}, 1, "altitude 400.5 km outside"),
+        ({"altitude_km": [1e6, 69.0]}, 0, "altitude 1000000.0 km outside"),
+        ({"altitude_km": [200.0, math.nan]}, 1, "altitude nan km outside"),
+        # h/d underflows to zero, so the elevation would be 0 deg.
+        ({"altitude_km": [200.0, 5e-324]}, 1, "altitude 5e-324 km outside"),
+        ({"is_los": [True, True, True], "offsets": [0, 3], "altitude_km": [200.0]}, 1,
+         "duplicate LOS ray for altitude 200.0 km: at most one MPC may be flagged LOS"),
+    ])
+    def test_pass_rules_name_input_row(self, overrides, row, match):
+        with pytest.raises(RayRowError, match=match) as info:
+            self.make(**overrides)
+        assert info.value.row == row
+
+    def test_field_fault_names_input_row(self):
+        columns = {name: [0.0, 0.0, 0.0] for name in RAY_COLUMNS}
+        columns["delay_s"] = [3e-9, 2e-9, -1e-9]
+        with pytest.raises(RayRowError, match="delay must be non-negative") as info:
+            self.make(columns=columns)
+        assert info.value.row == 2
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -400.0, 0.0])
+    def test_arc_radius_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="arc radius must be positive and finite"):
+            self.make(arc_radius_km=radius)
+
+    def test_elevations_derived_from_altitudes(self):
+        table = self.make(altitude_km=[400.0, 100.0])
+        assert table.psi_deg.tolist() == [90.0, altitude_to_elevation(100.0, 400.0).psi_deg]
 
     def test_columns_are_read_only(self):
         table = self.make()
@@ -282,13 +315,16 @@ class TestRayTable:
 
     def test_sequence_of_snapshot_views(self):
         table = self.make()
-        assert len(table) == 2 and [len(s) for s in table] == [1, 2]
-        assert table[-1].altitude_km == 69.0 and table[1].psi == ElevationAngle(10.0)
-        assert [s.altitude_km for s in table[::-1]] == [69.0, 200.0]
-        assert table.sorted_by_altitude() == table[::-1]
-        assert repr(table[0]) == "Snapshot(psi_deg=30.0, altitude_km=200.0, n_mpcs=1)"
+        assert len(table) == 2 and list(table) == [range(0, 1), range(1, 3)]
+        assert table.altitude_km.tolist() == [200.0, 69.0]
+        assert table.psi_deg.tolist() == [altitude_to_elevation(h, 400.0).psi_deg
+                                          for h in (200.0, 69.0)]
+        reverse = table.take([1, 0])
+        assert reverse.altitude_km.tolist() == [69.0, 200.0]
+        assert table.sorted_by_altitude() == reverse
+        assert repr(table) == "RayTable(2 snapshots, 3 rays, arc_radius_km=400.0)"
         with pytest.raises(IndexError):
-            table[2]
+            table.take([2])
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -321,20 +357,95 @@ def numpy_tables(draw):
                                                           max_size=len(counts)))):
         los[start] = has_los
     alt = np.array([np.float64(a) * radius for a in altitudes])
-    psi = np.array([altitude_to_elevation(float(h), float(radius)).psi_deg for h in alt])
-    return RayTable(cols, los, offsets, psi, alt, radius)
+    return RayTable(cols, los, offsets, alt, radius)
+
+
+@st.composite
+def arc_tables(draw):
+    """Tables on any finite, positive arc, at any altitudes on it, with any
+    finite ray fields in range."""
+    radius = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    altitudes = draw(st.lists(
+        st.floats(min_value=0.0, max_value=radius, exclude_min=True).filter(
+            lambda h: h / radius > 0.0),
+        min_size=1, max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(altitudes),
+                           max_size=len(altitudes)))
+    n = sum(counts)
+
+    def column(**bounds):
+        return draw(st.lists(st.floats(allow_nan=False, allow_infinity=False, **bounds),
+                             min_size=n, max_size=n))
+
+    azimuth = dict(min_value=0.0, max_value=360.0, exclude_max=True)
+    elevation = dict(min_value=-90.0, max_value=90.0)
+    cols = {
+        "amplitude": column(min_value=0.0),
+        "phase_rad": column(),
+        "delay_s": column(min_value=0.0),
+        "aod_az_deg": column(**azimuth),
+        "aod_el_deg": column(**elevation),
+        "aoa_az_deg": column(**azimuth),
+        "aoa_el_deg": column(**elevation),
+    }
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    los = np.zeros(n, dtype=bool)
+    for start, count in zip(offsets[:-1], counts):
+        position = draw(st.one_of(st.none(), st.integers(0, count - 1)))
+        if position is not None:
+            los[start + position] = True
+    return RayTable(cols, los, offsets, altitudes, radius)
+
+
+def ref_first_snapshot_fault(is_los, counts, altitudes, radius):
+    """Input row and message start of the first broken snapshot rule, one snapshot at a time."""
+    start = 0
+    for n, h in zip(counts, altitudes):
+        los_rows = [start + i for i in range(n) if is_los[start + i]]
+        if len(los_rows) > 1:
+            return los_rows[1], f"duplicate LOS ray for altitude {h} km"
+        if not 0.0 < h <= radius:
+            return start, f"altitude {h} km outside"
+        start += n
+    return None
+
+
+class TestSnapshotRulesMatchLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.booleans(), min_size=1, max_size=4),
+                              st.sampled_from([-5.0, 0.0, 50.0, 200.0, 400.0, 401.0])),
+                    min_size=1, max_size=6))
+    def test_first_fault(self, snapshots):
+        is_los = [flag for flags, _ in snapshots for flag in flags]
+        counts = [len(flags) for flags, _ in snapshots]
+        altitudes = [h for _, h in snapshots]
+        columns = {name: [0.0] * len(is_los) for name in RAY_COLUMNS}
+        build = lambda: RayTable(columns, is_los, np.concatenate([[0], np.cumsum(counts)]),
+                                 altitudes, 400.0)
+        expected = ref_first_snapshot_fault(is_los, counts, altitudes, 400.0)
+        if expected is None:
+            build()
+            return
+        with pytest.raises(RayRowError, match=re.escape(expected[1])) as info:
+            build()
+        assert info.value.row == expected[0]
 
 
 class TestTraceRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(arc_tables())
+    def test_any_table_on_its_arc_round_trips(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        save_trace(table, path)
+        assert load_trace(path) == table
+
     @settings(max_examples=40, deadline=None)
     @given(numpy_tables())
     def test_save_load_exact_and_plain(self, tmp_path_factory, table):
         path = tmp_path_factory.mktemp("trace") / "t.csv"
         save_trace(table, path)
         assert "np." not in path.read_text()
-        loaded = load_trace(path)
-        assert loaded == table
-        assert all(type(s.altitude_km) is float for s in loaded)
+        assert load_trace(path) == table
 
     @settings(max_examples=10, deadline=None)
     @given(numpy_tables())

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +14,7 @@ from chansim import config as config_mod
 from chansim.antenna import AntennaModel
 from chansim.cli import main
 from chansim.config import (
+    DEFAULT_ALTITUDES_KM,
     ClusteringConfig,
     FadingConfig,
     NtnConfig,
@@ -618,6 +621,16 @@ class TestTraceGeometry:
         summary = run_report(load_config(cfg), "linkbudget", tmp_path / "o", trace_path=trace)
         assert summary["arc_radius_km"] == 500.0
 
+    @pytest.mark.parametrize("build", [
+        lambda: copy.deepcopy(ScenarioConfig()),
+        lambda: pickle.loads(pickle.dumps(ScenarioConfig())),
+        lambda: ScenarioConfig(geometry=PassGeometry(400.0, 0.023, DEFAULT_ALTITUDES_KM)),
+    ], ids=["deepcopy", "pickle", "explicit"])
+    def test_default_pass_compared_by_value(self, tmp_path, build):
+        trace = _write_trace(tmp_path / "t.csv", 500.0, [100.0])
+        summary = run_report(build(), "linkbudget", tmp_path / "o", trace_path=trace)
+        assert summary["arc_radius_km"] == 500.0
+
 
 # One LOS-only snapshot (50 km), one with four rays at azimuths 0/90/180/270
 # at both ends (200 km) and one with two equal rays in antiphase (300 km).
@@ -670,6 +683,28 @@ class TestSentinels:
         assert rows[300.0]["p_coh_dbm"] == rows[300.0]["p_rx_dbm"] == "-inf"
         assert rows[300.0]["l_total_db"] == "unbounded"
         assert "inf" not in rows[200.0]["l_total_db"]
+
+
+class TestSectionTypesRejectInfinity:
+    """An infinity passes one-sided bounds; each section type refuses it by name."""
+
+    @pytest.mark.parametrize("text,key,sub,flags", [
+        ("antennas: {ground: {kind: single-element, peak_gain_dbi: .inf, hpbw_deg: 2.0}}\n",
+         "peak_gain_dbi", "linkbudget", []),
+        ("clustering: {xi: .inf}\n", "xi", "cluster", []),
+        ("atmosphere: {rain_rate_mmh: .inf}\n", "rain_rate_mmh", "linkbudget", ["--rain"]),
+        ("pass: {arc_radius_km: .inf, altitudes_km: [5.0]}\n", "arc_radius_km",
+         "linkbudget", []),
+    ], ids=["antenna-gain", "clustering-xi", "rain-rate", "arc-radius"])
+    def test_file_exits_2_naming_key(self, tmp_path, capsys, text, key, sub, flags):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be a number, got inf")):
+            load_config(path)
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(path), "--out", str(out), *flags]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSectionTypesRejectNan:

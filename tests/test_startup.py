@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "AntennaModel", "AtmosphereParams", "ChansimError", "ClusterResult", "ConfigError",
     "ElevationAngle", "ElevationFloorError", "FadingRegime",
     "NumericError", "PassGeometry", "RayTable", "RicianParams", "ScenarioConfig",
-    "ShadowedRicianParams", "Snapshot", "TraceError",
+    "ShadowedRicianParams", "TraceError",
     "altitude_to_elevation", "azimuth_spread", "build_features", "cloud_attenuation_db",
     "cluster_snapshot", "coherent_power_dbm", "dbscan", "elevation_spread",
     "fit", "fspl_db", "gain_dbi", "k_factor", "load_config",

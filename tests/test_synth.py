@@ -50,8 +50,8 @@ class TestQualitativeShape:
     def test_more_rays_at_low_elevation(self):
         geo = make_geometry(400.0)
         snaps = synth_scenario(geo, 10.0, default_psi2(400.0), seed=1)
-        low = sum(len(s) for s in snaps[:4])
-        high = sum(len(s) for s in snaps[-4:])
+        low = sum(len(s) for s in list(snaps)[:4])
+        high = sum(len(s) for s in list(snaps)[-4:])
         assert low > high
 
     def test_more_rays_for_smaller_arc(self):
@@ -64,9 +64,9 @@ class TestQualitativeShape:
     def test_high_altitude_dominated_by_los(self):
         geo = make_geometry(500.0)
         snaps = synth_scenario(geo, 10.0, default_psi2(500.0), seed=1)
-        for snap in snaps:
-            if snap.altitude_km >= 250.0:
-                assert len(snap) <= 2
+        for altitude, rows in zip(snaps.altitude_km, snaps):
+            if altitude >= 250.0:
+                assert len(rows) <= 2
 
     def test_near_horizon_shadowed_k_below_one(self):
         geo = make_geometry(400.0)
@@ -234,14 +234,15 @@ def reference_synth_scenario(
         offsets.append(len(rays))
         psi_deg.append(psi.psi_deg)
     columns = np.array(rays, dtype=float).reshape(-1, len(RAY_COLUMNS) + 1)
-    return RayTable(
+    table = RayTable(
         dict(zip(RAY_COLUMNS, columns.T)),
         columns[:, -1] != 0.0,
         offsets,
-        psi_deg,
         geometry.altitudes_km,
         d,
     )
+    assert table.psi_deg.tolist() == psi_deg
+    return table
 
 
 def assert_bit_identical(got: RayTable, want: RayTable) -> None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chansim.cli import main
 from chansim.errors import TraceError
 from chansim.geometry import PassGeometry, default_psi2
 from chansim.mpc import RAY_COLUMNS, RayTable
@@ -19,7 +20,6 @@ def sample_snapshots():
         dict(zip(RAY_COLUMNS, zip(*rays))),
         [True, False, True],
         [0, 2, 3],
-        [7.180755781458282, 19.876874070078834],  # arcsin(50/400), arcsin(136/400)
         [50.0, 136.0],
         400.0,
     )
@@ -133,6 +133,51 @@ class TestLoadValidation:
             load_trace(path)
 
 
+class TestHeaderArcRadius:
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-400.0"])
+    def test_bad_radius_names_line_1(self, tmp_path, capsys, radius):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            f"# chansim-trace v1 arc_radius_km={radius} amplitude=linear\n" + COLS + "\n"
+            + "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0\n"
+        )
+        with pytest.raises(TraceError, match="line 1: bad arc_radius_km: arc radius"):
+            load_trace(path)
+        assert main(["linkbudget", "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "line 1" in capsys.readouterr().err
+
+
+class TestFaultOrder:
+    """Line faults first, then each snapshot's duplicate LOS, then its altitude."""
+
+    ROWS = [
+        "401.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0",
+        "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0",
+        "50.0,2e-9,0.0,0.002,180.0,-7.0,10.0,5.0,0",
+        "60.0,1e-9,0.0,-0.001,180.0,-7.0,0.0,7.0,1",
+    ]
+
+    def load(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        path.write_text(HEADER + "\n" + COLS + "\n" + "\n".join(rows) + "\n")
+        return load_trace(path)
+
+    def test_field_fault_before_snapshot_rules(self, tmp_path):
+        with pytest.raises(TraceError, match="line 6: delay must be non-negative"):
+            self.load(tmp_path, self.ROWS)
+
+    def test_snapshot_rules_in_snapshot_order(self, tmp_path):
+        with pytest.raises(TraceError, match=r"line 3: altitude 401.0 km outside \(0, 400.0\] km"):
+            self.load(tmp_path, self.ROWS[:3])
+        with pytest.raises(TraceError, match="line 4: duplicate LOS ray for altitude 50.0 km"):
+            self.load(tmp_path, self.ROWS[1:3] + self.ROWS[:1])
+
+    def test_duplicate_los_before_altitude_in_one_snapshot(self, tmp_path):
+        rows = [r.replace("50.0,", "450.0,", 1) for r in self.ROWS[1:3]]
+        with pytest.raises(TraceError, match="line 4: duplicate LOS ray for altitude 450.0 km"):
+            self.load(tmp_path, rows)
+
+
 class TestDbmConversion:
     def test_power_rows_convert_to_linear_gain(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -175,4 +220,4 @@ class TestNumpyBuiltPass:
         assert "np." not in path.read_text()
         loaded = load_trace(path)
         assert loaded == snapshots
-        assert [s.altitude_km for s in loaded] == [25.0, 136.0, 371.0]
+        assert loaded.altitude_km.tolist() == [25.0, 136.0, 371.0]
