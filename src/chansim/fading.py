@@ -34,7 +34,7 @@ from scipy import integrate, optimize
 from .errors import NumericError
 from .geometry import ElevationAngle
 from .mpc import RayTable
-from .special import hyp1f1_neg_array, log_i0
+from .special import hyp1f1_neg, hyp1f1_neg_array, log_i0
 
 # Quality gates for the numerically measured mass of the shadowed density.
 # The quadrature error estimate is conservative by orders of magnitude on
@@ -124,16 +124,23 @@ def rician_pdf(r: np.ndarray | float, p: RicianParams) -> np.ndarray | float:
     return out if np.ndim(r) else float(out)
 
 
+def _shadowed_constants(k: float, m: float, omega: float) -> tuple[float, float, float]:
+    """beta, c and the exponent (K+m)/(K+1) of the shadowed product form."""
+    beta = math.sqrt(m * k / (omega * (k + 1.0)))
+    c = (k + m) / ((k + 1.0) * omega)
+    return beta, c, (k + m) / (k + 1.0)
+
+
+def _log_envelope(r, k: float, omega: float, beta: float, shift: float):
+    """log(2r(K+1)/Omega) - shift + log I0(2 beta r), on an array or a float r > 0."""
+    return np.log(2.0 * r * (k + 1.0) / omega) - shift + log_i0(2.0 * beta * r)
+
+
 def _verbatim_terms(r: np.ndarray, p: ShadowedRicianParams) -> np.ndarray:
     """Signed value of the shadowed density product form at r > 0."""
-    beta = math.sqrt(p.m * p.k / (p.omega * (p.k + 1.0)))
-    c = (p.k + p.m) / ((p.k + 1.0) * p.omega)
+    beta, c, shift = _shadowed_constants(p.k, p.m, p.omega)
     f11 = hyp1f1_neg_array(p.m, c * r * r)
-    log_env = (
-        np.log(2.0 * r * (p.k + 1.0) / p.omega)
-        - (p.k + p.m) / (p.k + 1.0)
-        + log_i0(2.0 * beta * r)
-    )
+    log_env = _log_envelope(r, p.k, p.omega, beta, shift)
     out = np.zeros_like(r)
     nz = f11 != 0.0
     out[nz] = np.sign(f11[nz]) * np.exp(log_env[nz] + np.log(np.abs(f11[nz])))
@@ -173,11 +180,20 @@ def _mass(k: float, m: float) -> float:
             "normalisation is impossible"
         )
 
-    unit = ShadowedRicianParams(k=k, m=m, omega=1.0)
-    scale = math.exp(-(k + m) / (k + 1.0))
+    beta, c, shift = _shadowed_constants(k, m, 1.0)
+    scale = math.exp(-shift)
 
     def signed(r: float) -> float:
-        return float(_verbatim_terms(np.array([r]), unit)[0]) / scale if r > 0.0 else 0.0
+        # _verbatim_terms at omega = 1 on one float, with the same numpy
+        # ufuncs (np.log and math.log differ in the last bit), so the
+        # masses match the array density's bit for bit.
+        if not r > 0.0:
+            return 0.0
+        f11 = hyp1f1_neg(m, c * r * r)
+        if f11 == 0.0:
+            return 0.0
+        value = float(np.exp(_log_envelope(r, k, 1.0, beta, shift) + np.log(abs(f11))))
+        return math.copysign(value, f11) / scale
 
     # The constant exponential factor is divided out during integration to
     # keep the quadrature relative-accurate for strongly shadowed settings.
@@ -245,8 +261,7 @@ def _rician_draws(p: RicianParams, n: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _shadowed_grid(p: ShadowedRicianParams) -> np.ndarray:
-    beta = math.sqrt(p.m * p.k / (p.omega * (p.k + 1.0)))
-    c = (p.k + p.m) / ((p.k + 1.0) * p.omega)
+    beta, c, _ = _shadowed_constants(p.k, p.m, p.omega)
     r_hi = (beta + math.sqrt(beta * beta + 60.0 * c)) / c
     return np.linspace(0.0, 1.5 * r_hi, 4097)
 
@@ -328,11 +343,9 @@ def _shadowed_m1_negll(k: float, r: np.ndarray, mean_power: float) -> float:
     # for every K; 1F1(1;1;-z) collapses to exp(-z).
     omega = _shadowed_m1_scale(k, mean_power)
     p = ShadowedRicianParams(k=k, m=1.0, omega=omega)
-    beta = math.sqrt(k / (omega * (k + 1.0)))
+    beta, _, shift = _shadowed_constants(k, 1.0, omega)
     log_pdf = (
-        np.log(2.0 * r * (k + 1.0) / omega)
-        - 1.0
-        + log_i0(2.0 * beta * r)
+        _log_envelope(r, k, omega, beta, shift)
         - r * r / omega
         - math.log(shadowed_rician_mass(p))
     )

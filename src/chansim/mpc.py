@@ -52,10 +52,16 @@ def _outside_elevation(v: np.ndarray) -> np.ndarray:
     return ~((-90.0 <= v) & (v <= 90.0))
 
 
+def _outside_non_negative(v: np.ndarray) -> np.ndarray:
+    return ~((0.0 <= v) & (v < math.inf))
+
+
 # Field checks in the order they are reported when one ray breaks several.
+# Each is written so that NaN fails it.
 _RAY_CHECKS = (
-    ("amplitude", lambda v: v < 0.0, "amplitude must be non-negative"),
-    ("delay_s", lambda v: v < 0.0, "delay must be non-negative"),
+    ("amplitude", _outside_non_negative, "amplitude must be non-negative and finite, got {}"),
+    ("phase_rad", lambda v: ~np.isfinite(v), "phase must be finite, got {}"),
+    ("delay_s", _outside_non_negative, "delay must be non-negative and finite, got {}"),
     ("aod_az_deg", _outside_azimuth, "azimuth {} outside [0, 360) deg"),
     ("aoa_az_deg", _outside_azimuth, "azimuth {} outside [0, 360) deg"),
     ("aod_el_deg", _outside_elevation, "elevation {} outside [-90, 90] deg"),

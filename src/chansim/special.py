@@ -1,7 +1,9 @@
 """Confluent hypergeometric helper for the shadowed fading density.
 
-Evaluates 1F1(m; 1; -z) for m > 0, z >= 0.  The primary path is the
-power series after Kummer's transformation,
+Evaluates 1F1(m; 1; -z) for m > 0, z >= 0.  Order m = 1 uses the exact
+identity 1F1(1; 1; -z) = exp(-z), evaluated with ``math.exp`` and cut to
+0 past z = 745: bit for bit what the paths below return at m = 1.  Otherwise
+the primary path is the power series after Kummer's transformation,
 
     1F1(m; 1; -z) = exp(-z) * 1F1(1 - m; 1; z),
 
@@ -88,6 +90,10 @@ def hyp1f1_neg(m: float, z: float) -> float:
         raise ValueError("order m must be positive")
     if z < 0.0:
         raise ValueError("z must be non-negative")
+    if m == 1.0:
+        # The recurrence below returns 0 past z = 745, where math.exp(-z)
+        # is still subnormal; the same cut keeps both paths' values.
+        return 0.0 if z > 745.0 else math.exp(-z)
     if z == 0.0:
         return 1.0
     # exp(-z) underflows past ~745; the series result would be 0 * huge.
@@ -111,11 +117,10 @@ def hyp1f1_neg(m: float, z: float) -> float:
 def hyp1f1_neg_array(m: float, z: np.ndarray) -> np.ndarray:
     """Vectorised hyp1f1_neg over an array of non-negative arguments."""
     flat = np.asarray(z, dtype=float).ravel()
-    out = np.array([hyp1f1_neg(m, float(v)) for v in flat])
+    out = np.array([hyp1f1_neg(m, v) for v in flat.tolist()])
     return out.reshape(np.shape(z))
 
 
-def log_i0(x: np.ndarray) -> np.ndarray:
-    """log(I0(x)) for x >= 0, stable for large arguments."""
-    x = np.asarray(x, dtype=float)
+def log_i0(x: np.ndarray | float) -> np.ndarray | float:
+    """log(I0(x)) for x >= 0, an array or a float, stable for large arguments."""
     return np.log(sp_special.i0e(x)) + x

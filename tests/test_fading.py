@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -271,3 +272,58 @@ class TestMassCache:
         mass = fading._mass.__wrapped__(2.0, m)
         assert len(calls) == quads
         assert mass == fading._mass(2.0, m)
+
+
+def array_integrand(k, m):
+    """The mass integrand as one-element arrays through the array density:
+    the oracle the float integrand must reproduce bit for bit."""
+    unit = ShadowedRicianParams(k=k, m=m, omega=1.0)
+    scale = math.exp(-(k + m) / (k + 1.0))
+
+    def signed(r):
+        return float(fading._verbatim_terms(np.array([r]), unit)[0]) / scale if r > 0.0 else 0.0
+
+    return signed, scale
+
+
+def float_integrand(monkeypatch, k, m):
+    """The integrand `_mass` hands to its first quadrature."""
+    seen = []
+    monkeypatch.setattr(integrate, "quad", lambda f, a, b, limit: seen.append(f) or (1.0, 0.0))
+    fading._mass.__wrapped__(k, m)
+    return seen[0]
+
+
+class TestFloatIntegrand:
+    @pytest.mark.parametrize("k,m", [(1e-7, 1.0), (0.3, 1.0), (1e4, 1.0),
+                                     (2.0, 3.0), (1.0, 5.0), (5.0, 7.0)])
+    def test_matches_array_density_bit_for_bit(self, monkeypatch, k, m):
+        signed = float_integrand(monkeypatch, k, m)
+        assert signed(0.0) == 0.0
+        c = (k + m) / (k + 1.0)
+        # Both sides of z = c r^2 = 700 (series to recurrence) and 745 (the cut).
+        crossings = []
+        for z in (700.0, 745.0):
+            r = math.sqrt(z / c)
+            crossings += [r, math.nextafter(r, 0.0), math.nextafter(r, math.inf),
+                          r * (1.0 - 1e-9), r * (1.0 + 1e-9), r * 1.001]
+        # Below r = 0.3 f11 is close to 1, where np.log and math.log disagree
+        # most often; 1e3 is far past the point where f11 == 0.
+        r = np.concatenate([[1e-300, 1e-10], np.linspace(0.0, 0.3, 20001)[1:],
+                            np.geomspace(0.3, 1e3, 2000), crossings])
+        unit = ShadowedRicianParams(k=k, m=m, omega=1.0)
+        expected = fading._verbatim_terms(r, unit) / math.exp(-(k + m) / (k + 1.0))
+        assert expected[-len(crossings) - 1] == 0.0
+        got = np.array([signed(v) for v in r.tolist()])
+        differ = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+        assert differ.size == 0, r[differ[:5]]
+
+    def test_masses_match_array_density_bit_for_bit(self):
+        cases = [(k, 1.0) for k in np.logspace(-7.0, 4.0, 300).tolist()]
+        cases += [(2.0, 3.0), (1.0, 5.0), (5.0, 7.0)]
+        for k, m in cases:
+            oracle, scale = array_integrand(k, m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                expected = integrate.quad(oracle, 0.0, np.inf, limit=400)[0] * scale
+            assert fading._mass.__wrapped__(k, m).hex() == expected.hex(), (k, m)

@@ -297,6 +297,21 @@ class TestRayTable:
             self.make(columns=columns)
         assert info.value.row == 2
 
+    @pytest.mark.parametrize("name,value,match", [
+        ("amplitude", math.nan, "amplitude must be non-negative and finite, got nan"),
+        ("amplitude", math.inf, "amplitude must be non-negative and finite, got inf"),
+        ("phase_rad", math.inf, "phase must be finite, got inf"),
+        ("phase_rad", math.nan, "phase must be finite, got nan"),
+        ("delay_s", math.nan, "delay must be non-negative and finite, got nan"),
+        ("delay_s", -math.inf, "delay must be non-negative and finite, got -inf"),
+    ])
+    def test_non_finite_field_names_input_row(self, name, value, match):
+        columns = {col: [0.0, 0.0, 0.0] for col in RAY_COLUMNS}
+        columns[name] = [0.0, value, 0.0]
+        with pytest.raises(RayRowError, match=match) as info:
+            self.make(columns=columns)
+        assert info.value.row == 1
+
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -400.0, 0.0])
     def test_arc_radius_finite_and_positive(self, radius):
         with pytest.raises(ValueError, match="arc radius must be positive and finite"):

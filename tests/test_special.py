@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from chansim import special
 from chansim.errors import NumericError
 from chansim.special import hyp1f1_neg, hyp1f1_neg_array, log_i0
 
@@ -78,3 +79,36 @@ class TestLogI0:
     def test_matches_mpmath(self, x):
         expected = float(mp.log(mp.besseli(0, mp.mpf(x))))
         assert float(log_i0(np.array(x))) == pytest.approx(expected, rel=1e-12)
+
+
+def series_or_recurrence_m1(z: float) -> float:
+    """1F1(1; 1; -z) by the general paths the m = 1 identity bypasses."""
+    if z == 0.0:
+        return 1.0
+    if z < 700.0:
+        total, ok = special._kummer_series(0.0, z)
+        if ok:
+            return math.exp(-z) * total
+    return special._laguerre_scaled(1, z)
+
+
+class TestOrderOneIdentity:
+    BOUNDARY = [0.0, 5e-324, 1e-300, 1.0, math.nextafter(700.0, 0.0), 700.0,
+                math.nextafter(700.0, math.inf), math.nextafter(745.0, 0.0), 745.0,
+                math.nextafter(745.0, math.inf), 745.1, 745.2, 1e300, math.inf]
+
+    def test_boundary_values_bit_for_bit(self):
+        for z in self.BOUNDARY:
+            assert hyp1f1_neg(1.0, z).hex() == series_or_recurrence_m1(z).hex(), z
+        assert math.isnan(hyp1f1_neg(1.0, math.nan))
+        assert math.isnan(series_or_recurrence_m1(math.nan))
+
+    def test_dense_grid_bit_for_bit(self):
+        # np.exp differs from math.exp in the last bit on a few percent of
+        # these arguments, so the identity must stay on math.exp.
+        rng = np.random.default_rng(3)
+        grid = np.concatenate([rng.uniform(0.0, 760.0, 20000),
+                               np.exp(rng.uniform(-700.0, 6.6, 20000))])
+        got = hyp1f1_neg_array(1.0, grid)
+        expected = np.array([series_or_recurrence_m1(z) for z in grid.tolist()])
+        assert got.tobytes() == expected.tobytes()

@@ -133,6 +133,55 @@ class TestLoadValidation:
             load_trace(path)
 
 
+class TestNonFiniteFields:
+    # One ray with a NaN amplitude, one with an infinite phase, one with a
+    # NaN delay: each loaded before and wrote nan cells with exit 0.
+    ROWS = [
+        "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0",
+        "50.0,nan,0.5,0.002,180.0,-7.0,10.0,5.0,1",
+        "60.0,1e-9,inf,0.001,180.0,-7.0,0.0,7.0,0",
+        "60.0,1e-9,0.0,nan,180.0,-7.0,10.0,5.0,1",
+    ]
+
+    def write(self, tmp_path, rows, header=HEADER):
+        path = tmp_path / "t.csv"
+        path.write_text(header + "\n" + COLS + "\n" + "\n".join(rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize("sub", ["linkbudget", "spreads"])
+    def test_cli_exits_3_naming_the_line(self, tmp_path, capsys, sub):
+        path = self.write(tmp_path, self.ROWS)
+        assert main([sub, "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "line 4: amplitude must be non-negative and finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field,value,match", [
+        (1, "nan", "amplitude must be non-negative and finite, got nan"),
+        (1, "inf", "amplitude must be non-negative and finite, got inf"),
+        (2, "inf", "phase must be finite, got inf"),
+        (2, "-inf", "phase must be finite, got -inf"),
+        (2, "nan", "phase must be finite, got nan"),
+        (3, "nan", "delay must be non-negative and finite, got nan"),
+        (3, "inf", "delay must be non-negative and finite, got inf"),
+    ])
+    def test_each_field_must_be_finite(self, tmp_path, field, value, match):
+        parts = self.ROWS[0].split(",")
+        parts[field] = value
+        path = self.write(tmp_path, [self.ROWS[0], ",".join(parts)])
+        with pytest.raises(TraceError, match=f"line 4: {match}"):
+            load_trace(path)
+
+    def test_infinite_dbm_power_is_refused(self, tmp_path):
+        header = "# chansim-trace v1 arc_radius_km=400.0 amplitude=dbm p_tx_dbm=30.0"
+        rows = ["50.0,-134.49,0.0,0.001,180.0,-7.0,0.0,7.0,0",
+                "50.0,inf,0.0,0.002,180.0,-7.0,0.0,7.0,1"]
+        with pytest.raises(TraceError, match="line 4: amplitude must be non-negative and finite"):
+            load_trace(self.write(tmp_path, rows, header))
+        # -inf dBm is a zero gain, which stays valid.
+        rows[1] = rows[1].replace("inf", "-inf")
+        assert load_trace(self.write(tmp_path, rows, header)).amplitude[1] == 0.0
+
+
 class TestHeaderArcRadius:
     @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-400.0"])
     def test_bad_radius_names_line_1(self, tmp_path, capsys, radius):
