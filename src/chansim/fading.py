@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,12 +196,13 @@ def _mass(k: float, m: float) -> float:
 
     # The constant exponential factor is divided out during integration to
     # keep the quadrature relative-accurate for strongly shadowed settings.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        net, net_err = integrate.quad(signed, 0.0, np.inf, limit=400)
-        # For m = 1 the integrand is non-negative, so |signed| is signed at every node.
-        gross = net if m == 1.0 else integrate.quad(
-            lambda r: abs(signed(r)), 0.0, np.inf, limit=400)[0]
+    # full_output returns QUADPACK's message instead of warning it: the
+    # gates below judge the result, and a warnings filter is process-wide
+    # state that rows fitted on other threads would race on.
+    net, net_err = integrate.quad(signed, 0.0, np.inf, limit=400, full_output=1)[:2]
+    # For m = 1 the integrand is non-negative, so |signed| is signed at every node.
+    gross = net if m == 1.0 else integrate.quad(
+        lambda r: abs(signed(r)), 0.0, np.inf, limit=400, full_output=1)[0]
     if gross <= 0.0 or not math.isfinite(net):
         raise NumericError(f"shadowed mass quadrature failed for K={k}, m={m}")
     if abs(net) < _MASS_CANCELLATION_LIMIT * gross:

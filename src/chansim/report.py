@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -140,8 +141,18 @@ def _report_linkbudget(config: ScenarioConfig, table: RayTable):
     return sweep_pass(config, table), extra
 
 
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _report_fading(config: ScenarioConfig, table: RayTable):
-    # Imported here so that only this subcommand pays scipy's import time.
+    # Imported here so that only this subcommand pays scipy's and the pool's import time.
+    from concurrent.futures import ThreadPoolExecutor
+
     from . import fading
 
     psi2 = config.psi2(table.arc_radius_km)
@@ -152,37 +163,40 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
         "regime": [regime.value for regime in regimes],
         "k_direct": k_factor(table, designate_strongest=config.fading.designate_strongest_los),
         "omega": table.reduce(running_sum, table.amplitude * table.amplitude).tolist(),
-        "k_fit": [],
-        "m_fit": [],
-        "omega_fit": [],
-        "n_samples": [],
     }
-    for idx, (regime, k_direct, omega) in enumerate(
-        zip(regimes, columns["k_direct"], columns["omega"])
-    ):
-        k_fit = m_fit = omega_fit = None
-        n_samples = 0
+
+    def fit_row(idx: int, regime, k_direct, omega) -> tuple:
+        """(k_fit, m_fit, omega_fit, n_samples) of one row, from its own seed only."""
         fittable = (
             regime is not fading.FadingRegime.DETERMINISTIC_LOS
             and k_direct is not None
             and math.isfinite(k_direct)
         )
-        if fittable:
-            n_samples = config.fading.fit_samples
-            if regime is fading.FadingRegime.RICIAN:
-                params = fading.RicianParams(k=k_direct, omega=omega)
-            else:
-                # m = 1, the shape that fading.fit pins.
-                params = fading.ShadowedRicianParams(k=k_direct, m=1.0, omega=omega)
-            draws = fading.sample(params, n_samples, _row_seed(config.seed, idx))
-            fitted = fading.fit(draws, regime)
-            k_fit = fitted.k
-            omega_fit = fitted.omega
-            m_fit = getattr(fitted, "m", None)
-        columns["k_fit"].append(k_fit)
-        columns["m_fit"].append(m_fit)
-        columns["omega_fit"].append(omega_fit)
-        columns["n_samples"].append(n_samples)
+        if not fittable:
+            return None, None, None, 0
+        n_samples = config.fading.fit_samples
+        if regime is fading.FadingRegime.RICIAN:
+            params = fading.RicianParams(k=k_direct, omega=omega)
+        else:
+            # m = 1, the shape that fading.fit pins.
+            params = fading.ShadowedRicianParams(k=k_direct, m=1.0, omega=omega)
+        draws = fading.sample(params, n_samples, _row_seed(config.seed, idx))
+        fitted = fading.fit(draws, regime)
+        return fitted.k, getattr(fitted, "m", None), fitted.omega, n_samples
+
+    # A row's draws and fit depend only on its own seed; rows share just the
+    # mass cache, where a race computes the same value twice.  scipy's i0e
+    # releases the GIL, so rows overlap on threads.  map yields in row order:
+    # the first failing row raises, and the rows not yet started are cancelled.
+    pool = ThreadPoolExecutor(max_workers=_worker_count())
+    try:
+        rows = list(pool.map(
+            fit_row, range(len(regimes)), regimes, columns["k_direct"], columns["omega"]
+        ))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for i, key in enumerate(("k_fit", "m_fit", "omega_fit", "n_samples")):
+        columns[key] = [row[i] for row in rows]
     # The summary repeats these columns per snapshot, in this key order.
     keys = ("psi_deg", "regime", "k_direct", "k_fit", "m_fit", "omega_fit", "n_samples")
     fits = [dict(zip(keys, row)) for row in zip(*(columns[key] for key in keys))]

@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -247,7 +249,7 @@ class TestMassCache:
         # A constant stand-in for the quadrature keeps hundreds of fits cheap;
         # the cache is emptied on both sides so no stand-in mass outlives it.
         bound = fading._mass.cache_info().maxsize
-        monkeypatch.setattr(integrate, "quad", lambda f, a, b, limit: (1.0, 0.0))
+        monkeypatch.setattr(integrate, "quad", lambda f, a, b, limit, full_output: (1.0, 0.0, {}))
         fading._mass.cache_clear()
         rng = np.random.default_rng(11)
         try:
@@ -274,6 +276,54 @@ class TestMassCache:
         assert mass == fading._mass(2.0, m)
 
 
+class TestMassLeavesWarningsAlone:
+    """The mass reads QUADPACK's message rather than filtering its warning:
+    the warnings filters are process-wide, shared by rows fitted on threads."""
+
+    def test_filters_unchanged_by_fits_on_threads(self):
+        # More threads than cores and a short switch interval interleave the
+        # quadratures; a filter pushed and popped around each would leak.
+        before = list(warnings.filters)
+        rng = np.random.default_rng(5)
+        draws = [rng.rayleigh(size=200) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        fading._mass.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(draws)) as pool:
+                futures = [pool.submit(fit, r, FadingRegime.SHADOWED_RICIAN) for r in draws]
+                fitted = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            fading._mass.cache_clear()
+        assert [p.m for p in fitted] == [1.0] * len(draws)
+        assert warnings.filters == before
+
+    def test_fit_runs_where_integration_warnings_are_errors(self, monkeypatch):
+        # Like QUADPACK on an integral it flags, the stand-in warns unless
+        # asked for the message; it flags every integral.
+        quad = integrate.quad
+
+        def flagging_quad(*args, full_output=0, **kwargs):
+            result = quad(*args, full_output=full_output, **kwargs)
+            if not full_output:
+                warnings.warn("flagged", integrate.IntegrationWarning)
+            return result
+
+        monkeypatch.setattr(integrate, "quad", flagging_quad)
+        before = list(warnings.filters)
+        fading._mass.cache_clear()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", integrate.IntegrationWarning)
+                draws = np.random.default_rng(6).rayleigh(size=200)
+                fitted = fit(draws, FadingRegime.SHADOWED_RICIAN)
+        finally:
+            fading._mass.cache_clear()
+        assert fitted.m == 1.0 and fitted.k >= 0.0
+        assert warnings.filters == before
+
+
 def array_integrand(k, m):
     """The mass integrand as one-element arrays through the array density:
     the oracle the float integrand must reproduce bit for bit."""
@@ -289,7 +339,9 @@ def array_integrand(k, m):
 def float_integrand(monkeypatch, k, m):
     """The integrand `_mass` hands to its first quadrature."""
     seen = []
-    monkeypatch.setattr(integrate, "quad", lambda f, a, b, limit: seen.append(f) or (1.0, 0.0))
+    monkeypatch.setattr(
+        integrate, "quad",
+        lambda f, a, b, limit, full_output: seen.append(f) or (1.0, 0.0, {}))
     fading._mass.__wrapped__(k, m)
     return seen[0]
 

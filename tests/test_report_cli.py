@@ -1,8 +1,11 @@
 import copy
 import json
 import math
+import os
 import pickle
 import re
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from chansim.config import (
     apply_overrides,
     load_config,
 )
-from chansim.errors import ConfigError
+from chansim.errors import ConfigError, NumericError
 from chansim.geometry import PassGeometry
 from chansim.report import run_report
 
@@ -544,6 +547,102 @@ class TestCli:
         _, rows_b = read_csv(out_b / "linkbudget.csv")
         for a, b in zip(rows_a, rows_b):
             assert float(b[2]) - float(a[2]) == pytest.approx(3.0, rel=1e-9)
+
+
+SHADOWED_ALTITUDES_KM = [5.0, 15.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 85.0, 95.0]
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    """Let the process run on n CPUs, as far as the fading pool can tell."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestFadingPool:
+    """Fading rows are sampled and fitted on one thread per CPU."""
+
+    @pytest.fixture
+    def fitting_threads(self, monkeypatch):
+        from chansim import fading
+
+        names = set()
+        real_fit = fading.fit
+
+        def recorded_fit(samples, regime):
+            names.add(threading.current_thread().name)
+            return real_fit(samples, regime)
+
+        monkeypatch.setattr(fading, "fit", recorded_fit)
+        return names
+
+    @pytest.mark.parametrize("altitudes_km", [None, SHADOWED_ALTITUDES_KM],
+                             ids=["default", "all-shadowed"])
+    def test_outputs_equal_on_any_cpu_count(self, tmp_path, monkeypatch, fitting_threads,
+                                            altitudes_km):
+        from chansim import fading
+
+        cfg = ScenarioConfig()
+        if altitudes_km is not None:
+            cfg = replace(cfg, geometry=replace(cfg.geometry, altitudes_km=altitudes_km))
+        outputs = []
+        for n in (1, 2, 4):
+            _cpus(monkeypatch, n)
+            fitting_threads.clear()
+            # Each run measures its masses on its own threads.
+            fading._mass.cache_clear()
+            summary = run_report(cfg, "fading", tmp_path / str(n))
+            assert 1 <= len(fitting_threads) <= n
+            assert threading.current_thread().name not in fitting_threads
+            outputs.append([(tmp_path / str(n) / name).read_bytes()
+                            for name in ("fading.csv", "summary.json")])
+        if altitudes_km is not None:
+            assert {fit["regime"] for fit in summary["fits"]} == {"shadowed-rician"}
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.fixture
+    def failing_rows(self, monkeypatch):
+        """fading.fit raises on rows 3 and 7 of a seed-1 run; row 3 fails last."""
+        from chansim import fading, report
+
+        rows = {}
+        real_sample = fading.sample
+
+        def tagged_sample(params, n, seed):
+            draws = real_sample(params, n, seed)
+            rows[id(draws)] = seed - report._row_seed(1, 0)
+            return draws
+
+        def failing_fit(samples, regime):
+            row = rows[id(samples)]
+            if row == 3:
+                time.sleep(0.2)
+            if row in (3, 7):
+                raise NumericError(f"row {row} did not converge")
+            return fading.RicianParams(k=1.0, omega=1.0)
+
+        monkeypatch.setattr(fading, "sample", tagged_sample)
+        monkeypatch.setattr(fading, "fit", failing_fit)
+        return SHADOWED_ALTITUDES_KM
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_first_failing_row_raises(self, tmp_path, monkeypatch, failing_rows, n):
+        _cpus(monkeypatch, n)
+        cfg = ScenarioConfig(seed=1)
+        cfg = replace(cfg, geometry=replace(cfg.geometry, altitudes_km=failing_rows))
+        with pytest.raises(NumericError, match="^row 3 did not converge$"):
+            run_report(cfg, "fading", tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_first_failing_row_exits_numeric(self, tmp_path, capsys, monkeypatch,
+                                             failing_rows, n):
+        _cpus(monkeypatch, n)
+        path = tmp_path / "shadowed.yaml"
+        path.write_text(yaml.safe_dump({
+            "pass": {"arc_radius_km": 400.0, "altitudes_km": failing_rows}, "seed": 1,
+        }))
+        assert main(["fading", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "numeric error" in err and "row 3 did not converge" in err
 
 
 class TestNumpyInputs:

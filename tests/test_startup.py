@@ -55,3 +55,16 @@ def test_cli_import_loads_no_scipy_and_keeps_public_names():
     assert probe["default_psi2"] == 14.477512185929925
     assert probe["all"] == PUBLIC_NAMES
     assert probe["missing"] == []
+
+
+def test_cli_import_loads_no_thread_pool():
+    # The fading report's thread pool is imported where the report runs.
+    src = str(Path(chansim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, chansim.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
