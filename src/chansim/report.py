@@ -141,12 +141,39 @@ def _report_linkbudget(config: ScenarioConfig, table: RayTable):
     return sweep_pass(config, table), extra
 
 
+# The fading pool's ceiling: the thread count it was measured to gain from
+# (2 vCPU).  Much of a row holds the interpreter lock, so threads beyond
+# that are unmeasured and may only queue for it.
+_MAX_FADING_THREADS = 2
+
+# Where a cgroup's CPU quota is read: v2 writes "quota period" (quota "max"
+# when unlimited) to one file, v1 the two numbers to two (quota -1 when unlimited).
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+
+def _quota_cpus() -> float:
+    """The whole CPUs the process's cgroup quota grants, at least one; inf if unlimited."""
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            quota, period = (int(v) for v in " ".join(
+                Path(path).read_text() for path in paths).split())
+        except (OSError, ValueError):  # no such cgroup, or no quota ("max")
+            continue
+        if quota > 0 and period > 0:
+            return max(1, quota // period)
+    return math.inf
+
+
 def _worker_count() -> int:
-    """The number of CPUs this process may run on."""
+    """The fading pool's size: the CPUs this process may use, at most _MAX_FADING_THREADS."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, min(_MAX_FADING_THREADS, cpus, _quota_cpus()))
 
 
 def _report_fading(config: ScenarioConfig, table: RayTable):
@@ -187,14 +214,12 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
     # A row's draws and fit depend only on its own seed; rows share just the
     # mass cache, where a race computes the same value twice.  scipy's i0e
     # releases the GIL, so rows overlap on threads.  map yields in row order:
-    # the first failing row raises, and the rows not yet started are cancelled.
-    pool = ThreadPoolExecutor(max_workers=_worker_count())
-    try:
+    # the first failing row raises, and its iterator cancels the rows not yet
+    # started before the pool is shut down.
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         rows = list(pool.map(
             fit_row, range(len(regimes)), regimes, columns["k_direct"], columns["omega"]
         ))
-    finally:
-        pool.shutdown(cancel_futures=True)
     for i, key in enumerate(("k_fit", "m_fit", "omega_fit", "n_samples")):
         columns[key] = [row[i] for row in rows]
     # The summary repeats these columns per snapshot, in this key order.

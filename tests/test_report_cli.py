@@ -552,13 +552,17 @@ class TestCli:
 SHADOWED_ALTITUDES_KM = [5.0, 15.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 85.0, 95.0]
 
 
-def _cpus(monkeypatch, n: int) -> None:
-    """Let the process run on n CPUs, as far as the fading pool can tell."""
+def _cpus(monkeypatch, n: int, quota_files=()) -> None:
+    """Let the process run on n CPUs under the cgroup quota in quota_files, as far
+    as the fading pool can tell (no quota by default)."""
+    from chansim import report
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(report, "_CPU_QUOTA_FILES", quota_files)
 
 
 class TestFadingPool:
-    """Fading rows are sampled and fitted on one thread per CPU."""
+    """Fading rows are sampled and fitted on one thread per CPU, at most two."""
 
     @pytest.fixture
     def fitting_threads(self, monkeypatch):
@@ -590,13 +594,38 @@ class TestFadingPool:
             # Each run measures its masses on its own threads.
             fading._mass.cache_clear()
             summary = run_report(cfg, "fading", tmp_path / str(n))
-            assert 1 <= len(fitting_threads) <= n
+            assert 1 <= len(fitting_threads) <= min(n, 2)
             assert threading.current_thread().name not in fitting_threads
             outputs.append([(tmp_path / str(n) / name).read_bytes()
                             for name in ("fading.csv", "summary.json")])
         if altitudes_km is not None:
             assert {fit["regime"] for fit in summary["fits"]} == {"shadowed-rician"}
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("n, quota, expected", [
+        (1, None, 1), (2, None, 2), (4, None, 2), (64, None, 2),
+        (4, ("max 100000",), 2), (4, ("400000 100000",), 2),
+        (4, ("150000 100000",), 1), (4, ("50000 100000",), 1), (1, ("400000 100000",), 1),
+        (4, ("-1", "100000"), 2), (4, ("100000", "100000"), 1),
+    ], ids=lambda v: repr(v) if isinstance(v, tuple) else None)
+    def test_pool_size(self, tmp_path, monkeypatch, n, quota, expected):
+        # quota: the text of cgroup v2's cpu.max, or of v1's quota and period files.
+        from chansim import report
+
+        files = ()
+        if quota is not None:
+            files = (tuple(str(tmp_path / f"q{i}") for i in range(len(quota))),)
+            for path, text in zip(files[0], quota):
+                Path(path).write_text(text + "\n")
+        _cpus(monkeypatch, n, (("/nonexistent/cpu.max",),) + files)
+        assert report._worker_count() == expected
+
+    def test_one_cpu_quota_fits_on_one_thread(self, tmp_path, monkeypatch, fitting_threads):
+        quota = tmp_path / "cpu.max"
+        quota.write_text("100000 100000\n")
+        _cpus(monkeypatch, 4, ((str(quota),),))
+        run_report(ScenarioConfig(), "fading", tmp_path / "o")
+        assert len(fitting_threads) == 1
 
     @pytest.fixture
     def failing_rows(self, monkeypatch):
