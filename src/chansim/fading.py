@@ -15,8 +15,10 @@ The shadowed density is the exact product form
 which is not normalised in general: its total mass exists and is
 positive only for odd integer m when K > 0 and only for m = 1 when
 K = 0, and the density itself is non-negative only for m <= 1.  The
-``normalized`` mode divides by the numerically measured mass where that
-is well defined and raises NumericError with diagnostics elsewhere
+1F1 factor is evaluated for integer m only (``special.hyp1f1_neg``), so
+a non-integer m raises NumericError naming it, in the raw density too.
+The ``normalized`` mode divides by the numerically measured mass where
+that is well defined and raises NumericError with diagnostics elsewhere
 rather than returning misleading values.
 """
 
@@ -30,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import NumericError
+from .errors import NumericError, reject_non_finite
 from .geometry import ElevationAngle
 from .mpc import RayTable
-from .special import hyp1f1_neg, hyp1f1_neg_array, log_i0
+from .special import hyp1f1_neg, hyp1f1_neg_array, integer_order, log_i0
 
 # Quality gates for the numerically measured mass of the shadowed density.
 # The quadrature error estimate is conservative by orders of magnitude on
@@ -41,7 +43,6 @@ from .special import hyp1f1_neg, hyp1f1_neg_array, log_i0
 # check and the estimate only catches outright failures.
 _MASS_REL_ERR_LIMIT = 5e-6
 _MASS_CANCELLATION_LIMIT = 1e-6
-_INTEGER_M_TOL = 1e-9
 
 _MIN_FIT_SAMPLES = 100
 _K_FIT_MAX = 1e7
@@ -61,6 +62,7 @@ class RicianParams:
     omega: float
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.k < 0.0:
             raise ValueError("K-factor must be non-negative")
         if self.omega <= 0.0:
@@ -76,6 +78,7 @@ class ShadowedRicianParams:
     omega: float
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.k < 0.0:
             raise ValueError("K-factor must be non-negative")
         if self.m <= 0.0:
@@ -104,11 +107,18 @@ def select_regime(table: RayTable, psi2: ElevationAngle) -> list[FadingRegime]:
 # ---------------------------------------------------------------------------
 
 
+def _amplitudes(r: np.ndarray | float) -> np.ndarray:
+    """r as a float array, refused if any value is negative or NaN."""
+    r_arr = np.asarray(r, dtype=float)
+    # Written so that NaN fails it, which a test of r < 0 would let through.
+    if not np.all(r_arr >= 0.0):
+        raise ValueError("amplitude must be non-negative and not NaN")
+    return r_arr
+
+
 def rician_pdf(r: np.ndarray | float, p: RicianParams) -> np.ndarray | float:
     """Rician amplitude density, exact and normalised; reduces to Rayleigh at K=0."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise ValueError("amplitude must be non-negative")
+    r_arr = _amplitudes(r)
     kp1 = p.k + 1.0
     out = np.zeros_like(r_arr)
     pos = r_arr > 0.0
@@ -163,7 +173,7 @@ def shadowed_rician_mass(p: ShadowedRicianParams) -> float:
 @functools.lru_cache(maxsize=256)
 def _mass(k: float, m: float) -> float:
     if k == 0.0:
-        if abs(m - 1.0) <= _INTEGER_M_TOL:
+        if integer_order(m) == 1:
             return math.exp(-1.0)
         if m > 1.0:
             raise NumericError(
@@ -173,7 +183,7 @@ def _mass(k: float, m: float) -> float:
         raise NumericError(
             f"shadowed density is not integrable for K=0, m={m} < 1"
         )
-    if abs(m - round(m)) > _INTEGER_M_TOL:
+    if integer_order(m) is None:
         raise NumericError(
             f"shadowed density has a divergent tail for non-integer m={m} with K>0; "
             "normalisation is impossible"
@@ -235,9 +245,7 @@ def shadowed_rician_pdf(
     returned otherwise.  Note the form is signed for m > 1: far-tail
     values may be negative.
     """
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise ValueError("amplitude must be non-negative")
+    r_arr = _amplitudes(r)
     out = np.zeros_like(r_arr)
     pos = r_arr > 0.0
     if np.any(pos):
@@ -383,8 +391,9 @@ def fit(
     r = np.asarray(samples, dtype=float)
     if r.size < _MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {_MIN_FIT_SAMPLES} samples, got {r.size}")
-    if np.any(r < 0.0):
-        raise ValueError("amplitudes must be non-negative")
+    # Written so that NaN fails it.
+    if not np.all((0.0 <= r) & (r < math.inf)):
+        raise ValueError("amplitudes must be non-negative and finite")
     if np.ptp(r) == 0.0:
         raise ValueError("degenerate samples: zero variance")
     if regime is FadingRegime.DETERMINISTIC_LOS:

@@ -1,20 +1,16 @@
 """Confluent hypergeometric helper for the shadowed fading density.
 
-Evaluates 1F1(m; 1; -z) for m > 0, z >= 0.  Order m = 1 uses the exact
-identity 1F1(1; 1; -z) = exp(-z), evaluated with ``math.exp`` and cut to
-0 past z = 745: bit for bit what the paths below return at m = 1.  Otherwise
-the primary path is the power series after Kummer's transformation,
+Evaluates 1F1(m; 1; -z) for integer order m >= 1 and z >= 0, the only
+shapes for which the shadowed product form has a normalisable mass.
+Order m = 1 uses the exact identity 1F1(1; 1; -z) = exp(-z), evaluated
+with ``math.exp`` and cut to 0 past z = 745: bit for bit what the
+recurrence returns at m = 1.  Every other order uses
 
-    1F1(m; 1; -z) = exp(-z) * 1F1(1 - m; 1; z),
+    1F1(m; 1; -z) = exp(-z) * L_{m-1}(z)
 
-whose terms are positive for m <= 1 and whose alternating head is short
-for moderate m, summed to absolute tolerance 1e-12 with at most 500
-terms.  Severe cancellation (large m with z inside the oscillatory
-region) and non-convergence are detected from the running maximum term.
-Rejected arguments use the scaled Laguerre three-term recurrence for
-integer m (1F1(m;1;-z) = exp(-z) L_{m-1}(z), stable at any degree) and
-the library's asymptotic evaluation for non-integer m at large z; the
-remaining corner raises NumericError with diagnostics.
+with the Laguerre polynomial from its three-term recurrence, rescaled by
+2^±500 to stay in range, so it is stable at any degree and argument.  A
+non-integer order raises NumericError naming it.
 """
 
 from __future__ import annotations
@@ -26,34 +22,17 @@ from scipy import special as sp_special
 
 from .errors import NumericError
 
-SERIES_TOL = 1e-12
-SERIES_MAX_TERMS = 500
-# Accept the series only if fewer than ~4 digits were lost to cancellation.
-_CANCELLATION_LIMIT = 1e4
-
 _INTEGER_TOL = 1e-9
-# scipy's large-argument path is asymptotic-accurate from here on.
-_ASYMPTOTIC_Z = 100.0
 
 _LOG2 = math.log(2.0)
 
 
-def _kummer_series(a: float, z: float) -> tuple[float, bool]:
-    """sum_n (a)_n z^n / ((1)_n n!) with convergence and cancellation guards."""
-    term = 1.0
-    total = 1.0
-    max_abs = 1.0
-    for n in range(SERIES_MAX_TERMS):
-        term *= (a + n) * z / ((n + 1.0) * (n + 1.0))
-        total += term
-        max_abs = max(max_abs, abs(term))
-        if not math.isfinite(total):
-            return math.nan, False
-        if abs(term) <= SERIES_TOL * max(1.0, abs(total)) and n >= abs(a):
-            if total == 0.0 or max_abs / abs(total) > _CANCELLATION_LIMIT:
-                return math.nan, False
-            return total, True
-    return math.nan, False
+def integer_order(m: float) -> int | None:
+    """The positive integer within 1e-9 of the shape m, or None if there is none."""
+    if not math.isfinite(m):
+        return None
+    n = int(round(m))
+    return n if n >= 1 and abs(m - n) <= _INTEGER_TOL else None
 
 
 def _laguerre_scaled(m: int, z: float) -> float:
@@ -85,37 +64,23 @@ def _laguerre_scaled(m: int, z: float) -> float:
 
 
 def hyp1f1_neg(m: float, z: float) -> float:
-    """1F1(m; 1; -z) for m > 0 and z >= 0."""
-    if m <= 0.0:
+    """1F1(m; 1; -z) for integer order m >= 1 and z >= 0."""
+    if not m > 0.0:
         raise ValueError("order m must be positive")
     if z < 0.0:
         raise ValueError("z must be non-negative")
     if m == 1.0:
-        # The recurrence below returns 0 past z = 745, where math.exp(-z)
-        # is still subnormal; the same cut keeps both paths' values.
+        # The recurrence returns 0 past z = 745, where math.exp(-z) is
+        # still subnormal; the same cut keeps both routes' values.
         return 0.0 if z > 745.0 else math.exp(-z)
-    if z == 0.0:
-        return 1.0
-    # exp(-z) underflows past ~745; the series result would be 0 * huge.
-    if z < 700.0:
-        total, ok = _kummer_series(1.0 - m, z)
-        if ok:
-            return math.exp(-z) * total
-    if abs(m - round(m)) <= _INTEGER_TOL:
-        return _laguerre_scaled(int(round(m)), z)
-    if z >= _ASYMPTOTIC_Z:
-        value = float(sp_special.hyp1f1(m, 1.0, -z))
-        if math.isfinite(value):
-            return value
-    raise NumericError(
-        f"1F1({m}; 1; {-z}) could not be evaluated to tolerance: the Kummer series "
-        f"did not converge within {SERIES_MAX_TERMS} terms and no stable fallback "
-        "covers non-integer order at this argument"
-    )
+    order = integer_order(m)
+    if order is None:
+        raise NumericError(f"1F1(m; 1; -z) is evaluated for integer shapes only, got m={m}")
+    return _laguerre_scaled(order, z)
 
 
 def hyp1f1_neg_array(m: float, z: np.ndarray) -> np.ndarray:
-    """Vectorised hyp1f1_neg over an array of non-negative arguments."""
+    """hyp1f1_neg applied element by element to an array of non-negative arguments."""
     flat = np.asarray(z, dtype=float).ravel()
     out = np.array([hyp1f1_neg(m, v) for v in flat.tolist()])
     return out.reshape(np.shape(z))

@@ -71,6 +71,28 @@ class TestRicianPdf:
         with pytest.raises(ValueError):
             rician_pdf(-0.5, RicianParams(1.0, 1.0))
 
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="not NaN"):
+            rician_pdf(math.nan, RicianParams(1.0, 1.0))
+        with pytest.raises(ValueError, match="not NaN"):
+            rician_pdf(np.array([0.5, math.nan]), RicianParams(1.0, 1.0))
+
+
+class TestParamsNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["k", "omega"])
+    def test_rician_field(self, field, bad):
+        values = {"k": 1.0, "omega": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be a number, got {bad}"):
+            RicianParams(**values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["k", "m", "omega"])
+    def test_shadowed_field(self, field, bad):
+        values = {"k": 1.0, "m": 1.0, "omega": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be a number, got {bad}"):
+            ShadowedRicianParams(**values)
+
 
 class TestShadowedRicianPdf:
     def test_zero_at_origin(self):
@@ -140,6 +162,13 @@ class TestShadowedRicianPdf:
         # normalisation must refuse rather than fabricate a density.
         with pytest.raises(NumericError, match="cancellation"):
             shadowed_rician_mass(ShadowedRicianParams(5.0, 500.0, 1.0))
+
+    def test_nan_amplitude_rejected(self):
+        p = ShadowedRicianParams(1.0, 1.0, 1.0)
+        for r in (math.nan, np.array([0.5, math.nan])):
+            for normalized in (True, False):
+                with pytest.raises(ValueError, match="not NaN"):
+                    shadowed_rician_pdf(r, p, normalized=normalized)
 
     def test_verbatim_mode_needs_no_mass(self):
         # Raw evaluation works even where normalisation is impossible.
@@ -216,6 +245,14 @@ class TestFit:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit(np.linspace(0.1, 1.0, 99), FadingRegime.RICIAN)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("regime", [FadingRegime.RICIAN, FadingRegime.SHADOWED_RICIAN])
+    def test_non_finite_samples_rejected(self, regime, bad):
+        draws = np.random.default_rng(4).rayleigh(size=500)
+        draws[123] = bad
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            fit(draws, regime)
 
     def test_deterministic_regime_has_no_fit(self):
         with pytest.raises(ValueError):
