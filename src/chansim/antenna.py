@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import reject_non_finite
+from .errors import check_fields
 from .mpc import RayTable
 
 KIND_ISOTROPIC = "isotropic"
@@ -46,7 +46,7 @@ class AntennaModel:
     floor_db: float = DEFAULT_PATTERN_FLOOR_DB
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if self.kind not in _KINDS:
             raise ValueError(f"antenna kind must be one of {_KINDS}")
         if self.kind == KIND_SINGLE and (self.hpbw_deg is None or self.hpbw_deg <= 0.0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import reject_non_finite
+from .errors import check_fields
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
@@ -59,7 +59,7 @@ class AtmosphereParams:
     r_earth_km: float = 6371.0
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         for f in fields(self):
             if getattr(self, f.name) < 0.0:
                 raise ValueError(f"{f.name} must be non-negative")

@@ -59,18 +59,15 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
         )
         summary = run_report(config, args.subcommand, args.out, trace_path=args.trace)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"chansim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TraceError, FileNotFoundError) as exc:
+    except (TraceError, OSError) as exc:
         print(f"chansim: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericError as exc:
         print(f"chansim: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"chansim: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     print(
         f"chansim {args.subcommand}: {summary['n_snapshots']} snapshots -> "
         f"{args.out}/{args.subcommand}.csv, {args.out}/summary.json"

@@ -3,13 +3,16 @@
 Precedence is CLI flags > config file > built-in defaults.  The built-in
 defaults describe a 400 km circular pass of a 10 GHz, 30 dBm downlink
 with isotropic antennas and clear sky.
+
+Each config type checks its own fields (``errors.check_fields``) and its
+own rules, however it is built; the YAML loader only maps keys to
+constructors and names the config key of a value that breaks a rule.
 """
 
 from __future__ import annotations
 
 import math
-import types
-import typing
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -18,7 +21,7 @@ import yaml
 from .antenna import AntennaModel
 from .atmosphere import ALL_WEATHER, DEFAULT_FC_GHZ, AtmosphereParams
 from .clustering import DEFAULT_XI, DEFAULT_ZETA
-from .errors import ConfigError, reject_non_finite
+from .errors import ConfigError, FieldError, check_fields, checked
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
@@ -42,6 +45,7 @@ class FadingConfig:
     designate_strongest_los: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.psi2_deg is not None and not 0.0 < self.psi2_deg <= 90.0:
             raise ValueError("fading.psi2_deg must be in (0, 90]")
         if self.fit_samples < 100:
@@ -55,7 +59,7 @@ class NtnConfig:
     sigma_db: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if self.psi1_deg >= self.psi2_deg:
             raise ValueError("ntn.psi1_deg must be below ntn.psi2_deg")
         # Given sigmas override the defaults profile by profile.
@@ -80,7 +84,7 @@ class ClusteringConfig:
     zeta: int = DEFAULT_ZETA
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if self.xi <= 0.0 or self.zeta < 1:
             raise ValueError("clustering needs xi > 0 and zeta >= 1")
 
@@ -91,10 +95,10 @@ class SynthConfig:
     max_extra_rays: int = 8
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.max_extra_rays < 0:
-            raise ValueError(
-                f"synth.max_extra_rays must be non-negative, got {self.max_extra_rays!r}"
-            )
+            raise ValueError("synth.max_extra_rays must be non-negative, "
+                             f"got {self.max_extra_rays}")
 
 
 # The pass of a config that sets none.  A trace run takes its pass geometry
@@ -127,13 +131,21 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        # An infinite offset is named by its range; NaN passes on to the finiteness check.
+        # An infinite offset is named by its range; NaN and non-numbers go on to the field rule.
         for key in ("misalign_az_deg", "misalign_el_deg"):
-            if abs(getattr(self, key)) > 180.0:
-                raise ValueError(f"{key} must be in [-180, 180] deg, got {getattr(self, key)}")
-        reject_non_finite(self)
+            value = getattr(self, key)
+            if isinstance(value, numbers.Real) and abs(value) > 180.0:
+                raise ValueError(f"{key} must be in [-180, 180] deg, got {float(value)}")
+        check_fields(self)
         if self.fc_ghz <= 0.0:
             raise ValueError("fc_ghz must be positive")
+        # The default rain coefficients are 10 GHz values; another carrier needs its own.
+        rain = self.atmosphere
+        if self.fc_ghz != DEFAULT_FC_GHZ and (rain.k_rn == AtmosphereParams.k_rn
+                                              or rain.epsilon == AtmosphereParams.epsilon):
+            raise ValueError(f"fc_ghz {self.fc_ghz!r} needs its own rain coefficients: set both "
+                             "atmosphere.k_rn and atmosphere.epsilon (the defaults are for "
+                             f"{DEFAULT_FC_GHZ!r} GHz)")
         if not self.geometry.altitudes_km:
             raise ValueError("pass geometry needs at least one altitude sample")
         if self.fading.psi2_deg is None and self.geometry.arc_radius_km <= 100.0:
@@ -162,66 +174,32 @@ class ScenarioConfig:
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
-               type(None): "null"}
-
-
-def _fits(value, hint) -> bool:
-    """Whether a parsed YAML value has the declared type of a config field."""
-    origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if origin is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
-    if origin is dict:
-        return True  # a mapping field checks its own entries and names the bad one
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
-def _describe(hint) -> str:
-    origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType):
-        return " or ".join(_describe(h) for h in typing.get_args(hint))
-    if origin is tuple:
-        return f"a list, each item {_describe(typing.get_args(hint)[0])}"
-    return _TYPE_NAMES[hint]
-
-
-def _check_types(cls, data: dict, section: str = "") -> dict:
-    """The data with an int made a float wherever its field's type includes float.
-
-    Raises a ConfigError naming the first key whose value is not of its
-    field's type.
-    """
-    hints = typing.get_type_hints(cls)
-    checked = {}
-    for key, value in data.items():
-        hint = hints[key]
-        if not _fits(value, hint):
-            name = f"{section}.{key}" if section else key
-            raise ConfigError(f"config key {name!r} must be {_describe(hint)}, got {value!r}")
-        if type(value) is int and float in (hint, *typing.get_args(hint)):
-            value = float(value)
-        checked[key] = value
-    return checked
-
-
-def _build_section(cls, data: dict, section: str):
+def _mapping(data, section: str, keys) -> dict:
+    """A config section's mapping, refused if it is none or has a key not in ``keys``."""
     if not isinstance(data, dict):
         raise ConfigError(f"config section {section!r} must be a mapping")
-    valid = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(data) - valid
+    unknown = set(data) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in config section {section!r}")
+    return data
+
+
+def _build(cls, data: dict, section: str = ""):
+    """``cls(**data)``, a broken rule raised as a ConfigError naming its key or section."""
+    if section:
+        _mapping(data, section, cls.__dataclass_fields__)
     try:
-        return cls(**_check_types(cls, data, section))
+        try:
+            return cls(**data)
+        except TypeError:
+            checked(cls, data)  # a required key is missing: a bad given one is named first
+            raise
+    except FieldError as exc:
+        key = f"{section}.{exc.field}" if section else exc.field
+        raise ConfigError(f"config key {key!r} {exc.rule}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config section {section!r}: {exc}") from exc
+        message = f"bad config section {section!r}: {exc}" if section else str(exc)
+        raise ConfigError(message) from exc
 
 
 def load_config(path: str | Path | None) -> ScenarioConfig:
@@ -229,10 +207,14 @@ def load_config(path: str | Path | None) -> ScenarioConfig:
     if path is None:
         return ScenarioConfig()
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        data = yaml.load(p.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        text = p.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {p}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from None
+    try:
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{p}: invalid YAML: {exc}") from exc
     if data is None:
@@ -243,8 +225,8 @@ def load_config(path: str | Path | None) -> ScenarioConfig:
 
 
 # Top-level keys that set a ScenarioConfig field of the same name directly.
-_SCALAR_KEYS = ("fc_ghz", "p_tx_dbm", "l_hd_db", "misalign_az_deg", "misalign_el_deg",
-                "elevation_floor_deg", "seed")
+_FIELD_KEYS = ("fc_ghz", "p_tx_dbm", "l_hd_db", "weather", "misalign_az_deg",
+               "misalign_el_deg", "elevation_floor_deg", "seed")
 
 # Config sections that build one ScenarioConfig field each: key -> (field, class).
 _SECTIONS = {
@@ -256,56 +238,25 @@ _SECTIONS = {
     "synth": ("synth", SynthConfig),
 }
 
-_KNOWN_KEYS = {*_SECTIONS, *_SCALAR_KEYS, "antennas", "weather", "modes"}
+# Config sections whose keys set ScenarioConfig fields of other names: key -> field.
+_ANTENNAS = {"satellite": "sat_antenna", "ground": "gs_antenna"}
+_MODES = {"coherent": "coherent_mode", "slant": "slant_mode", "misalignment": "misalign_mode"}
+
+_KNOWN_KEYS = {*_FIELD_KEYS, *_SECTIONS, "antennas", "modes"}
 
 
 def _config_from_dict(data: dict) -> ScenarioConfig:
     unknown = set(data) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown top-level config keys {sorted(unknown)}")
-
-    kwargs = {
-        attr: _build_section(cls, data[key], key)
-        for key, (attr, cls) in _SECTIONS.items()
-        if key in data
-    }
-    scalars = {key: data[key] for key in _SCALAR_KEYS if key in data}
-    kwargs.update(_check_types(ScenarioConfig, scalars))
-    if "antennas" in data:
-        ants = data["antennas"]
-        if not isinstance(ants, dict) or set(ants) - {"satellite", "ground"}:
-            raise ConfigError("config section 'antennas' takes 'satellite' and 'ground'")
-        for key, attr in (("satellite", "sat_antenna"), ("ground", "gs_antenna")):
-            if key in ants:
-                kwargs[attr] = _build_section(AntennaModel, ants[key], f"antennas.{key}")
-    if "weather" in data:
-        terms = data["weather"]
-        if not isinstance(terms, (list, tuple)) or not all(isinstance(t, str) for t in terms):
-            raise ConfigError(
-                f"config key 'weather' must be a list, each item a string, got {terms!r}"
-            )
-        kwargs["weather"] = frozenset(terms)
-    if "modes" in data:
-        modes = data["modes"]
-        if not isinstance(modes, dict):
-            raise ConfigError("config section 'modes' must be a mapping")
-        rename = {"coherent": "coherent_mode", "slant": "slant_mode",
-                  "misalignment": "misalign_mode"}
-        unknown_modes = set(modes) - set(rename)
-        if unknown_modes:
-            raise ConfigError(f"unknown mode keys {sorted(unknown_modes)}")
-        kwargs.update((rename[key], value) for key, value in modes.items())
-    try:
-        cfg = ScenarioConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    # The default rain coefficients are 10 GHz values; another carrier needs its own.
-    if cfg.fc_ghz != DEFAULT_FC_GHZ and not {"k_rn", "epsilon"} <= set(data.get("atmosphere", {})):
-        raise ConfigError(
-            f"fc_ghz {cfg.fc_ghz!r} needs its own rain coefficients: set both "
-            f"atmosphere.k_rn and atmosphere.epsilon (the defaults are for {DEFAULT_FC_GHZ!r} GHz)"
-        )
-    return cfg
+    kwargs = {key: data[key] for key in _FIELD_KEYS if key in data}
+    kwargs.update((attr, _build(cls, data[key], key))
+                  for key, (attr, cls) in _SECTIONS.items() if key in data)
+    for key, value in _mapping(data.get("antennas", {}), "antennas", _ANTENNAS).items():
+        kwargs[_ANTENNAS[key]] = _build(AntennaModel, value, f"antennas.{key}")
+    for key, value in _mapping(data.get("modes", {}), "modes", _MODES).items():
+        kwargs[_MODES[key]] = value
+    return _build(ScenarioConfig, kwargs)
 
 
 def apply_overrides(
@@ -317,15 +268,11 @@ def apply_overrides(
     seed: int | None = None,
 ) -> ScenarioConfig:
     """Apply CLI-level overrides on top of a loaded configuration."""
-    changes: dict = {}
+    changes = {key: value for key, value in (("misalign_az_deg", misalign_az_deg),
+                                             ("misalign_el_deg", misalign_el_deg),
+                                             ("seed", seed)) if value is not None}
     if weather_add:
         changes["weather"] = cfg.weather | frozenset(weather_add)
-    if misalign_az_deg is not None:
-        changes["misalign_az_deg"] = misalign_az_deg
-    if misalign_el_deg is not None:
-        changes["misalign_el_deg"] = misalign_el_deg
-    if seed is not None:
-        changes["seed"] = seed
     if not changes:
         return cfg
     try:

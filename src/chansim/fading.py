@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import NumericError, reject_non_finite
+from .errors import NumericError, check_fields
 from .geometry import ElevationAngle
 from .mpc import RayTable
 from .special import hyp1f1_neg, hyp1f1_neg_array, integer_order, log_i0
@@ -62,7 +62,7 @@ class RicianParams:
     omega: float
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if self.k < 0.0:
             raise ValueError("K-factor must be non-negative")
         if self.omega <= 0.0:
@@ -78,7 +78,7 @@ class ShadowedRicianParams:
     omega: float
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         if self.k < 0.0:
             raise ValueError("K-factor must be non-negative")
         if self.m <= 0.0:

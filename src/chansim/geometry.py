@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ElevationFloorError, reject_non_finite
+from .errors import ElevationFloorError, check_fields
 
 DEFAULT_ELEVATION_FLOOR_DEG = 0.5
 
@@ -47,18 +47,13 @@ class PassGeometry:
     altitudes_km: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        reject_non_finite(self)
+        check_fields(self)
         d = check_arc_radius(self.arc_radius_km)
         if self.gs_height_km < 0.0:
             raise ValueError("GS height must be non-negative")
-        altitudes = tuple(self.altitudes_km)
-        bad = first_off_arc(np.array(altitudes, dtype=float), d)
+        bad = first_off_arc(np.array(self.altitudes_km), d)
         if bad is not None:
             raise ValueError(bad[1])
-        # Stored as Python floats so that numpy scalars never reach an output.
-        object.__setattr__(self, "arc_radius_km", d)
-        object.__setattr__(self, "gs_height_km", float(self.gs_height_km))
-        object.__setattr__(self, "altitudes_km", tuple(float(h) for h in altitudes))
 
     def elevations(self) -> list[ElevationAngle]:
         """Elevation angle for every altitude sample, in input order."""

@@ -33,15 +33,8 @@ COHERENT_POWER_SUM = "power-sum"
 COHERENT_PHASOR_SUM = "phasor-sum"
 COHERENT_MODES = (COHERENT_POWER_SUM, COHERENT_PHASOR_SUM)
 
-RAY_COLUMNS = (
-    "amplitude",
-    "phase_rad",
-    "delay_s",
-    "aod_az_deg",
-    "aod_el_deg",
-    "aoa_az_deg",
-    "aoa_el_deg",
-)
+RAY_COLUMNS = ("amplitude", "phase_rad", "delay_s",
+               "aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg")
 
 
 def _outside_azimuth(v: np.ndarray) -> np.ndarray:

@@ -22,17 +22,7 @@ from .mpc import RAY_COLUMNS, RayTable, first_bad_ray
 TRACE_VERSION = 1
 
 _HEADER_PREFIX = "# chansim-trace"
-_COLUMNS = (
-    "altitude_km",
-    "amplitude",
-    "phase_rad",
-    "delay_s",
-    "aod_az_deg",
-    "aod_el_deg",
-    "aoa_az_deg",
-    "aoa_el_deg",
-    "n_interactions",
-)
+_COLUMNS = ("altitude_km", *RAY_COLUMNS, "n_interactions")
 
 # Each data row: altitude and the seven ray fields, then the interaction count.
 _ROW_DTYPE = np.dtype([("values", float, (len(_COLUMNS) - 1,)), ("n_interactions", np.int64)])
@@ -82,9 +72,12 @@ def load_trace(path: str | Path) -> RayTable:
     broken snapshot rule (duplicate LOS ray, altitude off the arc).
     """
     p = Path(path)
-    if not p.exists():
-        raise TraceError(f"trace file not found: {p}")
-    lines = p.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = p.read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        raise TraceError(f"trace file not found: {p}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError(f"cannot read trace file {p}: {exc}") from None
     if not lines:
         raise TraceError(f"{p}: empty trace file")
     meta = _parse_header(lines[0], p)

@@ -412,10 +412,12 @@ class TestRunReport:
     def test_carrier_frequency_reaches_fspl_and_rain(self, tmp_path):
         # fc_ghz is the only carrier frequency: the FSPL column and the rain
         # reduction factor both follow it.
-        from chansim.atmosphere import total_atmospheric_db
+        from chansim.atmosphere import AtmosphereParams, total_atmospheric_db
         from chansim.link_budget import fspl_db
 
-        cfg = apply_overrides(ScenarioConfig(fc_ghz=20.0), weather_add={"rain"})
+        rain_20ghz = AtmosphereParams(k_rn=0.0751, epsilon=1.099)
+        cfg = apply_overrides(ScenarioConfig(fc_ghz=20.0, atmosphere=rain_20ghz),
+                              weather_add={"rain"})
         run_report(cfg, "linkbudget", tmp_path)
         _, rows = read_csv(tmp_path / "linkbudget.csv")
         assert len(rows) == len(cfg.geometry.altitudes_km)
@@ -877,3 +879,113 @@ class TestSectionTypesRejectNan:
 
     def test_zero_extra_rays_still_allowed(self):
         assert SynthConfig(max_extra_rays=0).max_extra_rays == 0
+
+
+class TestUnreadablePaths:
+    """A path that cannot be read or created exits with one line naming it."""
+
+    def _run(self, capsys, *args):
+        code = main(["linkbudget", *args])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return code, err
+
+    @pytest.fixture(params=["directory", "not-utf8"])
+    def unreadable(self, request, tmp_path):
+        if request.param == "directory":
+            return tmp_path
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfe\x00pass")
+        return path
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, unreadable):
+        code, err = self._run(capsys, "--config", str(unreadable), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("chansim: config error:") and str(unreadable) in err
+
+    def test_unreadable_trace_exits_3(self, tmp_path, capsys, unreadable):
+        code, err = self._run(capsys, "--trace", str(unreadable), "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert err.startswith("chansim: input error:") and str(unreadable) in err
+
+    def test_out_naming_a_file_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        code, err = self._run(capsys, "--out", str(out))
+        assert code == 3
+        assert err.startswith("chansim: input error:") and str(out) in err
+        assert out.read_text() == "not a directory\n"
+
+
+# One scenario in YAML; TestEntryPointsAgree builds it again as a library call.
+# Every number is exact in float32, so each scalar type stores the same float.
+AGREE_YAML = """\
+pass: {arc_radius_km: 500, gs_height_km: 0.125, altitudes_km: [5, 25.5, 136, 499]}
+fc_ghz: 12
+p_tx_dbm: 33
+l_hd_db: 2
+atmosphere: {k_rn: 0.03125, epsilon: 1.125, rain_rate_mmh: 20}
+antennas:
+  satellite: {kind: phased-array, peak_gain_dbi: 20, nx: 8, ny: 4}
+  ground: {kind: single-element, peak_gain_dbi: 35, hpbw_deg: 2}
+weather: [rain, clouds]
+misalign_az_deg: 1
+misalign_el_deg: -0.5
+clustering: {xi: 0.5, zeta: 2}
+seed: 3
+"""
+
+
+def _library_scenario(real, integer) -> ScenarioConfig:
+    from chansim.atmosphere import AtmosphereParams
+
+    return ScenarioConfig(
+        geometry=PassGeometry(real(500), real(0.125), [real(h) for h in (5, 25.5, 136, 499)]),
+        fc_ghz=real(12), p_tx_dbm=real(33), l_hd_db=real(2),
+        atmosphere=AtmosphereParams(k_rn=real(0.03125), epsilon=real(1.125),
+                                    rain_rate_mmh=real(20)),
+        sat_antenna=AntennaModel(kind="phased-array", peak_gain_dbi=real(20),
+                                 nx=integer(8), ny=integer(4)),
+        gs_antenna=AntennaModel(kind="single-element", peak_gain_dbi=real(35),
+                                hpbw_deg=real(2)),
+        weather=frozenset({"rain", "clouds"}),
+        misalign_az_deg=real(1), misalign_el_deg=real(-0.5),
+        clustering=ClusteringConfig(xi=real(0.5), zeta=integer(2)),
+        seed=integer(3),
+    )
+
+
+def _int_where_whole(v: float):
+    return int(v) if float(v).is_integer() else v
+
+
+class TestEntryPointsAgree:
+    """A YAML file and a library build of one scenario give equal configs and bytes."""
+
+    @pytest.mark.parametrize("real,integer", [
+        (_int_where_whole, int),
+        (np.float64, np.int64),
+        (np.float32, np.int64),
+        (lambda v: np.int64(v) if float(v).is_integer() else v, np.int64),
+    ], ids=["int", "float64", "float32", "int64"])
+    def test_yaml_and_library_agree(self, tmp_path, real, integer):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(AGREE_YAML)
+        from_yaml = load_config(path)
+        from_library = _library_scenario(real, integer)
+        assert from_library == from_yaml
+        for cfg, name in ((from_yaml, "yaml"), (from_library, "library")):
+            run_report(cfg, "linkbudget", tmp_path / name)
+        for output in ("linkbudget.csv", "summary.json"):
+            assert ((tmp_path / "library" / output).read_bytes()
+                    == (tmp_path / "yaml" / output).read_bytes())
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: ScenarioConfig(fc_ghz=np.float32("nan")), "fc_ghz must be a number, got nan"),
+        (lambda: ScenarioConfig(p_tx_dbm=True), "p_tx_dbm must be a number, got True"),
+        (lambda: ScenarioConfig(fc_ghz="12"), "fc_ghz must be a number, got '12'"),
+        (lambda: AntennaModel(kind="phased-array", nx=2.5), "nx must be an integer, got 2.5"),
+    ], ids=["float32-nan", "bool", "str", "fractional-nx"])
+    def test_library_refuses_naming_the_field(self, build, field):
+        with pytest.raises(ValueError, match=f"^{re.escape(field)}$"):
+            build()
