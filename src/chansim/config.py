@@ -195,7 +195,7 @@ def _build(cls, data: dict, section: str = ""):
             checked(cls, data)  # a required key is missing: a bad given one is named first
             raise
     except FieldError as exc:
-        key = f"{section}.{exc.field}" if section else exc.field
+        key = f"{section}.{exc.field}" if section else _MODE_KEYS.get(exc.field, exc.field)
         raise ConfigError(f"config key {key!r} {exc.rule}") from exc
     except (TypeError, ValueError) as exc:
         message = f"bad config section {section!r}: {exc}" if section else str(exc)
@@ -241,6 +241,7 @@ _SECTIONS = {
 # Config sections whose keys set ScenarioConfig fields of other names: key -> field.
 _ANTENNAS = {"satellite": "sat_antenna", "ground": "gs_antenna"}
 _MODES = {"coherent": "coherent_mode", "slant": "slant_mode", "misalignment": "misalign_mode"}
+_MODE_KEYS = {field: f"modes.{key}" for key, field in _MODES.items()}
 
 _KNOWN_KEYS = {*_FIELD_KEYS, *_SECTIONS, "antennas", "modes"}
 
@@ -273,8 +274,6 @@ def apply_overrides(
                                              ("seed", seed)) if value is not None}
     if weather_add:
         changes["weather"] = cfg.weather | frozenset(weather_add)
-    if not changes:
-        return cfg
     try:
         return replace(cfg, **changes)
     except ValueError as exc:

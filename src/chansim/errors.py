@@ -52,6 +52,7 @@ _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str:
                type(None): "null"}
 # The Python and numpy scalars a float or an int field takes; a bool is neither.
 _SCALARS = {float: (int, float, np.integer, np.floating), int: (int, np.integer)}
+_COLLECTIONS = {tuple: (list, tuple, np.ndarray), frozenset: (list, tuple, set, frozenset)}
 _MISFIT = object()
 
 
@@ -60,8 +61,8 @@ def _stored(value, hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return next((s for s in (_stored(value, h) for h in args) if s is not _MISFIT), _MISFIT)
-    if origin in (tuple, frozenset):  # from any sequence or set, item by item
-        if not isinstance(value, (list, tuple, set, frozenset, np.ndarray)):
+    if origin in _COLLECTIONS:  # an ordered field is not filled from a set
+        if not isinstance(value, _COLLECTIONS[origin]):
             return _MISFIT
         items = origin(_stored(v, args[0]) for v in value)
         return _MISFIT if _MISFIT in items else items
@@ -78,7 +79,7 @@ def _describe(hint) -> str:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return " or ".join(map(_describe, args))
-    if origin in (tuple, frozenset):
+    if origin in _COLLECTIONS:
         return f"a list, each item {_describe(args[0])}"
     return _TYPE_NAMES.get(hint) or f"a {hint.__name__}"
 
@@ -99,7 +100,10 @@ def checked(cls, values: dict) -> dict:
     hints = _field_hints(cls)
     out = {}
     for name, value in values.items():
-        stored = _stored(value, hints[name])
+        try:
+            stored = _stored(value, hints[name])
+        except OverflowError:  # an int beyond the range of a float
+            stored = _MISFIT
         if stored is _MISFIT:
             raise FieldError(name, f"must be {_describe(hints[name])}, got {value!r}")
         for x in stored if isinstance(stored, tuple) else (stored,):

@@ -985,7 +985,20 @@ class TestEntryPointsAgree:
         (lambda: ScenarioConfig(p_tx_dbm=True), "p_tx_dbm must be a number, got True"),
         (lambda: ScenarioConfig(fc_ghz="12"), "fc_ghz must be a number, got '12'"),
         (lambda: AntennaModel(kind="phased-array", nx=2.5), "nx must be an integer, got 2.5"),
-    ], ids=["float32-nan", "bool", "str", "fractional-nx"])
+        (lambda: ScenarioConfig(fc_ghz=10**400), f"fc_ghz must be a number, got {10**400}"),
+        (lambda: PassGeometry(400.0, altitudes_km={5.0}),
+         "altitudes_km must be a list, each item a number, got {5.0}"),
+    ], ids=["float32-nan", "bool", "str", "fractional-nx", "int-beyond-float", "unordered"])
     def test_library_refuses_naming_the_field(self, build, field):
         with pytest.raises(ValueError, match=f"^{re.escape(field)}$"):
             build()
+
+    @pytest.mark.parametrize("text,message", [
+        ("modes: {slant: 5}\n", "config key 'modes.slant' must be a string, got 5\n"),
+        ("fc_ghz: 1" + "0" * 400 + "\n", f"config key 'fc_ghz' must be a number, got {10**400}\n"),
+    ], ids=["mode-type", "int-beyond-float"])
+    def test_yaml_refuses_naming_the_key(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"chansim: config error: {message}"
