@@ -21,7 +21,7 @@ import yaml
 from .antenna import AntennaModel
 from .atmosphere import ALL_WEATHER, DEFAULT_FC_GHZ, AtmosphereParams
 from .clustering import DEFAULT_XI, DEFAULT_ZETA
-from .errors import ConfigError, FieldError, check_fields, checked
+from .errors import ConfigError, FieldError, as_float, check_fields, checked
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
@@ -70,11 +70,11 @@ class NtnConfig:
             raise ValueError(f"unknown profile names {sorted(unknown, key=str)} in sigma_db")
         merged = dict(DEFAULT_SHADOW_SIGMA_DB)
         for name, sigma in self.sigma_db.items():
-            if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
+            if (number := as_float(sigma)) is None:
                 raise ValueError(f"sigma_db[{name!r}] must be a number, got {sigma!r}")
-            if not (math.isfinite(sigma) and sigma >= 0.0):
+            if not (math.isfinite(number) and number >= 0.0):
                 raise ValueError(f"sigma_db[{name!r}] must be finite and non-negative")
-            merged[name] = float(sigma)
+            merged[name] = number
         object.__setattr__(self, "sigma_db", merged)
 
 

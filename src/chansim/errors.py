@@ -71,8 +71,17 @@ def _stored(value, hint):
     if isinstance(value, bool) and hint is not bool:
         return _MISFIT
     if hint in _SCALARS:
-        return hint(value) if isinstance(value, _SCALARS[hint]) else _MISFIT
+        try:
+            return hint(value) if isinstance(value, _SCALARS[hint]) else _MISFIT
+        except OverflowError:  # an int beyond the range of a float
+            return _MISFIT
     return value if isinstance(value, hint) else _MISFIT
+
+
+def as_float(value) -> float | None:
+    """``value`` as a float field stores it, a Python float, or None if it does not fit."""
+    stored = _stored(value, float)
+    return None if stored is _MISFIT else stored
 
 
 def _describe(hint) -> str:
@@ -100,10 +109,7 @@ def checked(cls, values: dict) -> dict:
     hints = _field_hints(cls)
     out = {}
     for name, value in values.items():
-        try:
-            stored = _stored(value, hints[name])
-        except OverflowError:  # an int beyond the range of a float
-            stored = _MISFIT
+        stored = _stored(value, hints[name])
         if stored is _MISFIT:
             raise FieldError(name, f"must be {_describe(hints[name])}, got {value!r}")
         for x in stored if isinstance(stored, tuple) else (stored,):

@@ -25,7 +25,6 @@ rather than returning misleading values.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -159,19 +158,13 @@ def _verbatim_terms(r: np.ndarray, p: ShadowedRicianParams) -> np.ndarray:
 def shadowed_rician_mass(p: ShadowedRicianParams) -> float:
     """Total mass of the verbatim shadowed density, measured by quadrature.
 
-    The mass is independent of omega (pure scale parameter).  Raises
-    NumericError when the product form is not normalisable: divergent
-    for non-integer m with K > 0 and for m < 1 with K = 0, exactly zero
-    for m > 1 with K = 0, negative for even integer m, or numerically
-    indeterminate when cancellation dominates the integral.
+    The mass is independent of omega (pure scale parameter) and is measured
+    afresh on each call.  Raises NumericError when the product form is not
+    normalisable: divergent for non-integer m with K > 0 and for m < 1 with
+    K = 0, exactly zero for m > 1 with K = 0, negative for even integer m,
+    or numerically indeterminate when cancellation dominates the integral.
     """
-    return _mass(p.k, p.m)
-
-
-# Bounded so a long run cannot grow it without limit.  Repeats come from
-# fits that start from the same likelihood bracket, a few snapshots apart.
-@functools.lru_cache(maxsize=256)
-def _mass(k: float, m: float) -> float:
+    k, m = p.k, p.m
     if k == 0.0:
         if integer_order(m) == 1:
             return math.exp(-1.0)
@@ -242,8 +235,9 @@ def shadowed_rician_pdf(
 
     With ``normalized=True`` (the default) the value is divided by the
     measured total mass so it integrates to one; the raw product form is
-    returned otherwise.  Note the form is signed for m > 1: far-tail
-    values may be negative.
+    returned otherwise.  A parameter object keeps its mass once measured,
+    so integrating the density measures it once.  Note the form is
+    signed for m > 1: far-tail values may be negative.
     """
     r_arr = _amplitudes(r)
     out = np.zeros_like(r_arr)
@@ -251,7 +245,9 @@ def shadowed_rician_pdf(
     if np.any(pos):
         out[pos] = _verbatim_terms(r_arr[pos], p)
     if normalized:
-        out = out / shadowed_rician_mass(p)
+        if "_measured_mass" not in vars(p):
+            object.__setattr__(p, "_measured_mass", shadowed_rician_mass(p))
+        out = out / p._measured_mass
     return out if np.ndim(r) else float(out)
 
 
@@ -277,14 +273,11 @@ def _shadowed_grid(p: ShadowedRicianParams) -> np.ndarray:
 def _shadowed_draws(
     p: ShadowedRicianParams, n: int, rng: np.random.Generator
 ) -> np.ndarray:
+    # m = 1 is the one shape that is a proper density for every K.
+    if integer_order(p.m) != 1:
+        raise NumericError(f"shadowed sampling takes shape m = 1 only, got m={p.m}")
     grid = _shadowed_grid(p)
     pdf = np.asarray(shadowed_rician_pdf(grid, p, normalized=True))
-    if np.min(pdf) < -1e-9 * np.max(pdf):
-        raise NumericError(
-            f"shadowed density is sign-indefinite for K={p.k}, m={p.m}; "
-            "sampling is only defined for m <= 1"
-        )
-    pdf = np.clip(pdf, 0.0, None)
     cdf = np.concatenate(
         ([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid)))
     )
@@ -302,7 +295,8 @@ def sample(
     """Draw n i.i.d. amplitudes from the given distribution, reproducibly.
 
     The seed fully determines the output, so parallel batches can each
-    carry their own seed without shared state.
+    carry their own seed without shared state.  Shadowed draws take the
+    shape m = 1 only; any other raises NumericError naming it.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")

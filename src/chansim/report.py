@@ -211,11 +211,10 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
         fitted = fading.fit(draws, regime)
         return fitted.k, getattr(fitted, "m", None), fitted.omega, n_samples
 
-    # A row's draws and fit depend only on its own seed; rows share just the
-    # mass cache, where a race computes the same value twice.  scipy's i0e
-    # releases the GIL, so rows overlap on threads.  map yields in row order:
-    # the first failing row raises, and its iterator cancels the rows not yet
-    # started before the pool is shut down.
+    # A row's draws and fit depend only on its own seed, and rows share no
+    # state.  scipy's i0e releases the GIL, so rows overlap on threads.
+    # map yields in row order: the first failing row raises, and its iterator
+    # cancels the rows not yet started before the pool is shut down.
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         rows = list(pool.map(
             fit_row, range(len(regimes)), regimes, columns["k_direct"], columns["omega"]

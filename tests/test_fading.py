@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -206,6 +207,23 @@ class TestSampling:
         with pytest.raises(NumericError):
             sample(ShadowedRicianParams(1.0, 3.0, 1.0), 100, seed=0)
 
+    @pytest.mark.parametrize("k", [0.0, 1e-6, 1.0, 1e4])
+    @pytest.mark.parametrize("m", [0.5, 1.5, 2, 3, 5, 10**6])
+    def test_shape_other_than_one_refused_before_the_density(self, monkeypatch, k, m):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the density was evaluated")
+
+        monkeypatch.setattr(fading, "shadowed_rician_pdf", unreachable)
+        with pytest.raises(NumericError, match=re.escape(f"m={float(m)}")):
+            sample(ShadowedRicianParams(k, m, 1.0), 100, seed=0)
+
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    @pytest.mark.parametrize("m", [1.0 - 1e-10, 1.0 + 1e-10])
+    def test_shape_within_tolerance_of_one_samples(self, k, m):
+        draws = sample(ShadowedRicianParams(k, m, 1.0), 1000, seed=3)
+        exact = sample(ShadowedRicianParams(k, 1.0, 1.0), 1000, seed=3)
+        np.testing.assert_allclose(draws, exact, rtol=1e-6)
+
     def test_bad_size(self):
         with pytest.raises(ValueError):
             sample(RicianParams(1.0, 1.0), 0, seed=0)
@@ -282,20 +300,9 @@ class TestSelectRegime:
 
 
 class TestMassCache:
-    def test_cache_stays_within_bound(self, monkeypatch):
-        # A constant stand-in for the quadrature keeps hundreds of fits cheap;
-        # the cache is emptied on both sides so no stand-in mass outlives it.
-        bound = fading._mass.cache_info().maxsize
-        monkeypatch.setattr(integrate, "quad", lambda f, a, b, limit, full_output: (1.0, 0.0, {}))
-        fading._mass.cache_clear()
-        rng = np.random.default_rng(11)
-        try:
-            for _ in range(bound + 1):
-                fit(rng.rayleigh(size=100), FadingRegime.SHADOWED_RICIAN)
-                assert fading._mass.cache_info().currsize <= bound
-            assert fading._mass.cache_info().misses > bound
-        finally:
-            fading._mass.cache_clear()
+    """No shared cache: each mass is measured where it is asked for, and a
+    normalised density keeps only its own object's mass, so fading rows on
+    threads share no state."""
 
     @pytest.mark.parametrize("m,quads", [(1.0, 1), (3.0, 2)])
     def test_quadratures_per_uncached_mass(self, monkeypatch, m, quads):
@@ -308,9 +315,23 @@ class TestMassCache:
             return quad(*args, **kwargs)
 
         monkeypatch.setattr(integrate, "quad", counted)
-        mass = fading._mass.__wrapped__(2.0, m)
+        mass = shadowed_rician_mass(ShadowedRicianParams(2.0, m, 1.0))
         assert len(calls) == quads
-        assert mass == fading._mass(2.0, m)
+        assert mass == shadowed_rician_mass(ShadowedRicianParams(2.0, m, 1.0))
+        assert len(calls) == 2 * quads
+
+    def test_normalised_density_measures_its_mass_once_per_object(self, monkeypatch):
+        # A quadrature over the normalised density calls it once per node.
+        measured = []
+        mass = fading.shadowed_rician_mass
+        monkeypatch.setattr(fading, "shadowed_rician_mass",
+                            lambda p: measured.append(p) or mass(p))
+        p = ShadowedRicianParams(2.0, 3.0, 1.0)
+        first = shadowed_rician_pdf(0.5, p)
+        assert shadowed_rician_pdf(0.5, p) == first
+        assert len(measured) == 1
+        assert shadowed_rician_pdf(0.5, ShadowedRicianParams(2.0, 3.0, 1.0)) == first
+        assert len(measured) == 2
 
 
 class TestMassLeavesWarningsAlone:
@@ -324,7 +345,6 @@ class TestMassLeavesWarningsAlone:
         rng = np.random.default_rng(5)
         draws = [rng.rayleigh(size=200) for _ in range(8)]
         interval = sys.getswitchinterval()
-        fading._mass.cache_clear()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=len(draws)) as pool:
@@ -332,7 +352,6 @@ class TestMassLeavesWarningsAlone:
                 fitted = [future.result(timeout=120) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-            fading._mass.cache_clear()
         assert [p.m for p in fitted] == [1.0] * len(draws)
         assert warnings.filters == before
 
@@ -349,14 +368,10 @@ class TestMassLeavesWarningsAlone:
 
         monkeypatch.setattr(integrate, "quad", flagging_quad)
         before = list(warnings.filters)
-        fading._mass.cache_clear()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", integrate.IntegrationWarning)
-                draws = np.random.default_rng(6).rayleigh(size=200)
-                fitted = fit(draws, FadingRegime.SHADOWED_RICIAN)
-        finally:
-            fading._mass.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            draws = np.random.default_rng(6).rayleigh(size=200)
+            fitted = fit(draws, FadingRegime.SHADOWED_RICIAN)
         assert fitted.m == 1.0 and fitted.k >= 0.0
         assert warnings.filters == before
 
@@ -374,12 +389,12 @@ def array_integrand(k, m):
 
 
 def float_integrand(monkeypatch, k, m):
-    """The integrand `_mass` hands to its first quadrature."""
+    """The integrand `shadowed_rician_mass` hands to its first quadrature."""
     seen = []
     monkeypatch.setattr(
         integrate, "quad",
         lambda f, a, b, limit, full_output: seen.append(f) or (1.0, 0.0, {}))
-    fading._mass.__wrapped__(k, m)
+    shadowed_rician_mass(ShadowedRicianParams(k, m, 1.0))
     return seen[0]
 
 
@@ -415,4 +430,5 @@ class TestFloatIntegrand:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", integrate.IntegrationWarning)
                 expected = integrate.quad(oracle, 0.0, np.inf, limit=400)[0] * scale
-            assert fading._mass.__wrapped__(k, m).hex() == expected.hex(), (k, m)
+            unit = ShadowedRicianParams(k, m, 1.0)
+            assert shadowed_rician_mass(unit).hex() == expected.hex(), (k, m)

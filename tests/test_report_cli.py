@@ -196,6 +196,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match):
             load_config(path)
 
+    @pytest.mark.parametrize("number", [np.float32(5.0), np.int64(5), np.float64(5.0)])
+    def test_ntn_sigma_takes_numpy_reals(self, number):
+        sigmas = NtnConfig(sigma_db={"NTN-TDL-A": number}).sigma_db
+        assert sigmas["NTN-TDL-A"] == 5.0 and type(sigmas["NTN-TDL-A"]) is float
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_ntn_sigma_refuses_bools(self, flag):
+        with pytest.raises(ValueError, match=r"sigma_db\['NTN-TDL-A'\] must be a number"):
+            NtnConfig(sigma_db={"NTN-TDL-A": flag})
+
+    def test_ntn_sigma_int_beyond_float_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sigma.yaml"
+        path.write_text(f"ntn: {{sigma_db: {{NTN-TDL-A: 1{'0' * 400}}}}}\n")
+        with pytest.raises(ConfigError, match="must be a number"):
+            load_config(path)
+        assert main(["ntn-compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "must be a number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", [
         "fc_ghz", "p_tx_dbm", "l_hd_db", "misalign_az_deg", "misalign_el_deg",
         "elevation_floor_deg", "seed",
@@ -584,8 +602,6 @@ class TestFadingPool:
                              ids=["default", "all-shadowed"])
     def test_outputs_equal_on_any_cpu_count(self, tmp_path, monkeypatch, fitting_threads,
                                             altitudes_km):
-        from chansim import fading
-
         cfg = ScenarioConfig()
         if altitudes_km is not None:
             cfg = replace(cfg, geometry=replace(cfg.geometry, altitudes_km=altitudes_km))
@@ -593,8 +609,6 @@ class TestFadingPool:
         for n in (1, 2, 4):
             _cpus(monkeypatch, n)
             fitting_threads.clear()
-            # Each run measures its masses on its own threads.
-            fading._mass.cache_clear()
             summary = run_report(cfg, "fading", tmp_path / str(n))
             assert 1 <= len(fitting_threads) <= min(n, 2)
             assert threading.current_thread().name not in fitting_threads
