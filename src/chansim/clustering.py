@@ -9,10 +9,12 @@ the working matrix has 7 columns, each z-score normalised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .mpc import RayTable
+from .pool import ordered_map
 
 NOISE = -1
 
@@ -78,38 +80,52 @@ def build_features(table: RayTable) -> np.ndarray:
 
 def _labels(pts: np.ndarray, xi: float, zeta: int) -> tuple[np.ndarray, np.ndarray]:
     """DBSCAN labels (k, n) and cluster counts (k,) of k point sets of n points."""
-    k, n, _ = pts.shape
+    k, n, dim = pts.shape
     # Squared distances are added feature by feature, the order a sum over
-    # the feature axis of the pairwise differences takes.
+    # the feature axis of the pairwise differences takes; the first feature
+    # is squared in place (0 + x*x is x*x) and the rest go through one buffer.
     d2 = np.zeros((k, n, n))
-    for j in range(pts.shape[2]):
-        diff = pts[:, :, j, None] - pts[:, None, :, j]
-        d2 += diff * diff
-    near = np.sqrt(d2) <= xi
+    diff = np.empty_like(d2)
+    for j in range(dim):
+        out = diff if j else d2
+        np.subtract(pts[:, :, j, None], pts[:, None, :, j], out=out)
+        np.multiply(out, out, out=out)
+        if j:
+            d2 += diff
+    del diff
+    near = np.sqrt(d2, out=d2) <= xi
+    del d2
     core = near.sum(axis=2) >= zeta
-    links = near & core[:, :, None] & core[:, None, :]
-    index = np.arange(n)
+    links = near & core[:, None, :]
+    links &= core[:, :, None]
+    # Point indices, n meaning "none", and NOISE fit the narrowest signed type
+    # holding -1 .. n, which keeps the (k, n, n) index arrays small.
+    itype = np.min_scalar_type(-1 - n)
+    none = itype.type(n)
+    index = np.arange(n, dtype=itype)
     # Each core point takes the lowest core index it can reach: min-label
-    # propagation with pointer jumping; n marks "no core point".
-    root = np.where(core, index, n)
-    sentinel = np.full((k, 1), n)
+    # propagation with pointer jumping.
+    root = np.where(core, index, none)
+    sentinel = np.full((k, 1), none)
     while True:
-        step = np.where(links, root[:, None, :], n).min(axis=2, initial=n)
+        step = np.where(links, root[:, None, :], none).min(axis=2, initial=none)
         step = np.take_along_axis(np.concatenate([step, sentinel], axis=1), step, axis=1)
         if np.array_equal(step, root):
             break
         root = step
+    del links
     is_root = root == index
-    rank = np.cumsum(is_root, axis=1) - 1
-    core_cluster = np.where(core, np.take_along_axis(rank, np.where(core, root, 0), axis=1), n)
-    labels = np.where(near, core_cluster[:, None, :], n).min(axis=2, initial=n)
-    labels[labels == n] = NOISE
+    rank = np.cumsum(is_root, axis=1, dtype=itype) - 1
+    core_cluster = np.where(core, np.take_along_axis(rank, np.where(core, root, 0), axis=1), none)
+    labels = np.where(near, core_cluster[:, None, :], none).min(axis=2, initial=none)
+    labels[labels == none] = NOISE
     return labels, is_root.sum(axis=1)
 
 
-# Point pairs handled per batch of equal-size point sets, bounding the
-# (sets, n, n) work arrays to a few MB.
-_BATCH_PAIRS = 1 << 18
+# Point pairs handled per batch of equal-size point sets.  The pool runs up
+# to two batches at once, so this bounds their (sets, n, n) work arrays to a
+# few MB together.
+_BATCH_PAIRS = 1 << 17
 
 
 def dbscan(
@@ -127,6 +143,8 @@ def dbscan(
 
     ``features`` is one (N x D) point set, giving one result, or a stack
     (K x N x D) of point sets of equal size, giving a list of K results.
+    A stack is clustered in batches, on the shared thread pool
+    (``chansim.pool``); the results do not depend on its size.
     """
     if xi <= 0.0:
         raise ValueError("neighbourhood radius must be positive")
@@ -138,13 +156,12 @@ def dbscan(
     batch = pts if pts.ndim == 3 else pts[None]
     k, n = batch.shape[:2]
     step = max(1, _BATCH_PAIRS // max(1, n * n))
-    results = []
-    for lo in range(0, k, step):
-        labels, counts = _labels(batch[lo:lo + step], xi, zeta)
-        results.extend(
-            ClusterResult(labels=tuple(row), n_clusters=count, xi=xi, zeta=zeta)
-            for row, count in zip(labels.tolist(), counts.tolist())
-        )
+    batches = [batch[lo:lo + step] for lo in range(0, k, step)]
+    results = [
+        ClusterResult(labels=tuple(row), n_clusters=count, xi=xi, zeta=zeta)
+        for labels, counts in ordered_map(_labels, batches, repeat(xi), repeat(zeta))
+        for row, count in zip(labels.tolist(), counts.tolist())
+    ]
     return results if pts.ndim == 3 else results[0]
 
 

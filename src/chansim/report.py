@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +19,9 @@ from .config import DEFAULT_GEOMETRY, ScenarioConfig
 from .errors import ConfigError
 from .link_budget import fspl_db, sweep_pass
 from .mpc import RayTable, k_factor, running_sum
+from .pool import ordered_map
 from .synth import synth_scenario
-from .traceio import _atomic_write_text, load_trace
+from .traceio import _atomic_write, load_trace
 
 SUBCOMMANDS = ("linkbudget", "fading", "spreads", "cluster", "ntn-compare")
 
@@ -48,15 +48,40 @@ def _json_safe(value):
     return value
 
 
+# Rows per chunk of a CSV: a chunk is formatted a column at a time and
+# written before the next is made, so the cell strings of only one chunk
+# are alive at once.
+_CSV_CHUNK_ROWS = 2048
+
+
+def _fmt_column(values) -> list[str]:
+    """``_fmt`` of each value; all-float and all-int/str columns take the
+    built-in ``repr``/``str``, which ``_fmt`` reduces to on them."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        cells = list(map(repr, values))
+        if math.inf in values:
+            cells = [UNBOUNDED if cell == "inf" else cell for cell in cells]
+        return cells
+    if kinds <= {int, str}:
+        return list(map(str, values))
+    return list(map(_fmt, values))
+
+
+def _csv_chunks(columns: dict[str, list]):
+    yield ",".join(columns) + "\n"
+    n_rows = min(map(len, columns.values()), default=0)
+    for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
+        cells = [_fmt_column(values[lo:lo + _CSV_CHUNK_ROWS]) for values in columns.values()]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def _write_csv(path: Path, columns: dict[str, list]) -> None:
-    # Formatted a row at a time, so the cell strings of only one row are alive at once.
-    lines = [",".join(columns)]
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns.values()))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv_chunks(columns))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(_json_safe(payload), indent=2) + "\n")
+    _atomic_write(path, [json.dumps(_json_safe(payload), indent=2) + "\n"])
 
 
 def _row_seed(base_seed: int, index: int) -> int:
@@ -141,45 +166,8 @@ def _report_linkbudget(config: ScenarioConfig, table: RayTable):
     return sweep_pass(config, table), extra
 
 
-# The fading pool's ceiling: the thread count it was measured to gain from
-# (2 vCPU).  Much of a row holds the interpreter lock, so threads beyond
-# that are unmeasured and may only queue for it.
-_MAX_FADING_THREADS = 2
-
-# Where a cgroup's CPU quota is read: v2 writes "quota period" (quota "max"
-# when unlimited) to one file, v1 the two numbers to two (quota -1 when unlimited).
-_CPU_QUOTA_FILES = (
-    ("/sys/fs/cgroup/cpu.max",),
-    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
-)
-
-
-def _quota_cpus() -> float:
-    """The whole CPUs the process's cgroup quota grants, at least one; inf if unlimited."""
-    for paths in _CPU_QUOTA_FILES:
-        try:
-            quota, period = (int(v) for v in " ".join(
-                Path(path).read_text() for path in paths).split())
-        except (OSError, ValueError):  # no such cgroup, or no quota ("max")
-            continue
-        if quota > 0 and period > 0:
-            return max(1, quota // period)
-    return math.inf
-
-
-def _worker_count() -> int:
-    """The fading pool's size: the CPUs this process may use, at most _MAX_FADING_THREADS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(_MAX_FADING_THREADS, cpus, _quota_cpus()))
-
-
 def _report_fading(config: ScenarioConfig, table: RayTable):
-    # Imported here so that only this subcommand pays scipy's and the pool's import time.
-    from concurrent.futures import ThreadPoolExecutor
-
+    # Imported here so that only this subcommand pays scipy's import time.
     from . import fading
 
     psi2 = config.psi2(table.arc_radius_km)
@@ -213,12 +201,9 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
 
     # A row's draws and fit depend only on its own seed, and rows share no
     # state.  scipy's i0e releases the GIL, so rows overlap on threads.
-    # map yields in row order: the first failing row raises, and its iterator
-    # cancels the rows not yet started before the pool is shut down.
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(
-            fit_row, range(len(regimes)), regimes, columns["k_direct"], columns["omega"]
-        ))
+    rows = ordered_map(
+        fit_row, range(len(regimes)), regimes, columns["k_direct"], columns["omega"]
+    )
     for i, key in enumerate(("k_fit", "m_fit", "omega_fit", "n_samples")):
         columns[key] = [row[i] for row in rows]
     # The summary repeats these columns per snapshot, in this key order.
@@ -248,15 +233,20 @@ def _report_spreads(config: ScenarioConfig, table: RayTable):
     return columns, {"cdf": cdf}
 
 
+def _per_ray_cells(values: np.ndarray, counts: list[int]) -> list[str]:
+    """Each snapshot's value formatted once, its cell shared by the snapshot's rays."""
+    return [cell for cell, n in zip(map(_fmt, values.tolist()), counts) for _ in range(n)]
+
+
 def _report_cluster(config: ScenarioConfig, table: RayTable):
     results = clustering.cluster_snapshot(
         table, xi=config.clustering.xi, zeta=config.clustering.zeta
     )
-    counts = table.counts
+    counts = table.counts.tolist()
     columns = {
-        "psi_deg": np.repeat(table.psi_deg, counts).tolist(),
-        "altitude_km": np.repeat(table.altitude_km, counts).tolist(),
-        "mpc_index": [i for n in counts.tolist() for i in range(n)],
+        "psi_deg": _per_ray_cells(table.psi_deg, counts),
+        "altitude_km": _per_ray_cells(table.altitude_km, counts),
+        "mpc_index": [i for n in counts for i in range(n)],
         "delay_s": table.delay_s.tolist(),
         "label": [label for result in results for label in result.labels],
     }

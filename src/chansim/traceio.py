@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -169,16 +170,18 @@ def save_trace(table: RayTable, path: str | Path) -> None:
     # tolist() gives Python floats, whose repr reads back exactly.
     for values, flag in zip(zip(*(c.tolist() for c in columns)), interactions):
         out.append(",".join(map(repr, values)) + "," + flag)
-    _atomic_write_text(Path(path), "\n".join(out) + "\n")
+    _atomic_write(Path(path), ["\n".join(out) + "\n"])
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write via a temp file and rename so partial output never lands."""
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks, in order, via a temp file and rename, so partial
+    output never lands: an error while a chunk is made or written removes
+    the temp file and leaves the path as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

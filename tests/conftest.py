@@ -1,8 +1,10 @@
 import math
+import os
 from types import SimpleNamespace
 
 import pytest
 
+from chansim import pool
 from chansim.mpc import RAY_COLUMNS, RayTable
 
 
@@ -46,3 +48,10 @@ def assert_close(actual, expected, rel=1e-9, abs_tol=0.0):
 
 def db(x: float) -> float:
     return 10.0 * math.log10(x)
+
+
+def allow_cpus(monkeypatch, n: int, quota_files=()) -> None:
+    """Let the process run on n CPUs under the cgroup quota in quota_files, as far
+    as the shared thread pool can tell (no quota by default)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(pool, "_CPU_QUOTA_FILES", quota_files)

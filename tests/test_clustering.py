@@ -1,14 +1,18 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chansim import clustering
 from chansim.clustering import (
     NOISE,
     build_features,
     cluster_snapshot,
     dbscan,
 )
-from conftest import make_snapshot
+from conftest import allow_cpus, make_snapshot
 
 
 def brute_force_dbscan(points: np.ndarray, xi: float, zeta: int) -> np.ndarray:
@@ -170,6 +174,56 @@ class TestDbscan:
             non_noise = sum(1 for l in result.labels if l != NOISE)
             assert non_noise >= previous
             previous = non_noise
+
+
+class TestDbscanPool:
+    """A stack's batches run on the shared pool, one thread per CPU, at most two."""
+
+    N_POINTS = 64
+
+    @pytest.fixture
+    def stack(self):
+        # Enough equal-size sets for three batches and one more set.
+        per_batch = clustering._BATCH_PAIRS // self.N_POINTS**2
+        rng = np.random.default_rng(2024)
+        return rng.normal(0.0, 1.0, size=(3 * per_batch + 1, self.N_POINTS, 7))
+
+    @staticmethod
+    def record_threads(monkeypatch) -> list[str]:
+        """Make _labels record the name of each thread that runs a batch."""
+        names = []
+        real_labels = clustering._labels
+
+        def recorded_labels(pts, xi, zeta):
+            names.append(threading.current_thread().name)
+            time.sleep(0.05)  # so that a second worker, if there is one, takes a batch
+            return real_labels(pts, xi, zeta)
+
+        monkeypatch.setattr(clustering, "_labels", recorded_labels)
+        return names
+
+    def test_stack_equals_one_by_one_on_any_cpu_count(self, monkeypatch, stack):
+        one_by_one = [dbscan(p, xi=1.5, zeta=3) for p in stack]
+        assert sum(r.n_clusters for r in one_by_one) > 0
+        batch_threads = self.record_threads(monkeypatch)
+        for n in (1, 2, 4):
+            allow_cpus(monkeypatch, n)
+            batch_threads.clear()
+            assert dbscan(stack, xi=1.5, zeta=3) == one_by_one
+            assert len(batch_threads) == 4
+            assert threading.current_thread().name not in batch_threads
+            assert len(set(batch_threads)) == min(n, 2)
+        # A single batch has nothing to overlap with: it runs on the calling thread.
+        batch_threads.clear()
+        assert dbscan(stack[:3], xi=1.5, zeta=3) == one_by_one[:3]
+        assert batch_threads == [threading.current_thread().name]
+
+    def test_stack_matches_brute_force(self, stack):
+        results = dbscan(stack, xi=1.5, zeta=3)
+        for i in (0, len(stack) - 1):
+            expected = brute_force_dbscan(stack[i], 1.5, 3)
+            assert list(results[i].labels) == expected.tolist()
+            assert results[i].n_clusters == len(set(expected[expected >= 0]))
 
 
 class TestClusterSnapshot:

@@ -1,7 +1,6 @@
 import copy
 import json
 import math
-import os
 import pickle
 import re
 import threading
@@ -29,6 +28,7 @@ from chansim.config import (
 from chansim.errors import ConfigError, NumericError
 from chansim.geometry import PassGeometry
 from chansim.report import run_report
+from conftest import allow_cpus
 
 BASE_CONFIG = {
     "pass": {
@@ -572,15 +572,6 @@ class TestCli:
 SHADOWED_ALTITUDES_KM = [5.0, 15.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 85.0, 95.0]
 
 
-def _cpus(monkeypatch, n: int, quota_files=()) -> None:
-    """Let the process run on n CPUs under the cgroup quota in quota_files, as far
-    as the fading pool can tell (no quota by default)."""
-    from chansim import report
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(report, "_CPU_QUOTA_FILES", quota_files)
-
-
 class TestFadingPool:
     """Fading rows are sampled and fitted on one thread per CPU, at most two."""
 
@@ -607,7 +598,7 @@ class TestFadingPool:
             cfg = replace(cfg, geometry=replace(cfg.geometry, altitudes_km=altitudes_km))
         outputs = []
         for n in (1, 2, 4):
-            _cpus(monkeypatch, n)
+            allow_cpus(monkeypatch, n)
             fitting_threads.clear()
             summary = run_report(cfg, "fading", tmp_path / str(n))
             assert 1 <= len(fitting_threads) <= min(n, 2)
@@ -626,20 +617,20 @@ class TestFadingPool:
     ], ids=lambda v: repr(v) if isinstance(v, tuple) else None)
     def test_pool_size(self, tmp_path, monkeypatch, n, quota, expected):
         # quota: the text of cgroup v2's cpu.max, or of v1's quota and period files.
-        from chansim import report
+        from chansim import pool
 
         files = ()
         if quota is not None:
             files = (tuple(str(tmp_path / f"q{i}") for i in range(len(quota))),)
             for path, text in zip(files[0], quota):
                 Path(path).write_text(text + "\n")
-        _cpus(monkeypatch, n, (("/nonexistent/cpu.max",),) + files)
-        assert report._worker_count() == expected
+        allow_cpus(monkeypatch, n, (("/nonexistent/cpu.max",),) + files)
+        assert pool._worker_count() == expected
 
     def test_one_cpu_quota_fits_on_one_thread(self, tmp_path, monkeypatch, fitting_threads):
         quota = tmp_path / "cpu.max"
         quota.write_text("100000 100000\n")
-        _cpus(monkeypatch, 4, ((str(quota),),))
+        allow_cpus(monkeypatch, 4, ((str(quota),),))
         run_report(ScenarioConfig(), "fading", tmp_path / "o")
         assert len(fitting_threads) == 1
 
@@ -670,7 +661,7 @@ class TestFadingPool:
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_first_failing_row_raises(self, tmp_path, monkeypatch, failing_rows, n):
-        _cpus(monkeypatch, n)
+        allow_cpus(monkeypatch, n)
         cfg = ScenarioConfig(seed=1)
         cfg = replace(cfg, geometry=replace(cfg.geometry, altitudes_km=failing_rows))
         with pytest.raises(NumericError, match="^row 3 did not converge$"):
@@ -680,7 +671,7 @@ class TestFadingPool:
     @pytest.mark.parametrize("n", [1, 4])
     def test_first_failing_row_exits_numeric(self, tmp_path, capsys, monkeypatch,
                                              failing_rows, n):
-        _cpus(monkeypatch, n)
+        allow_cpus(monkeypatch, n)
         path = tmp_path / "shadowed.yaml"
         path.write_text(yaml.safe_dump({
             "pass": {"arc_radius_km": 400.0, "altitudes_km": failing_rows}, "seed": 1,
@@ -688,6 +679,77 @@ class TestFadingPool:
         assert main(["fading", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert "numeric error" in err and "row 3 did not converge" in err
+
+
+def _row_at_a_time_csv(columns: dict) -> bytes:
+    """The CSV bytes of the row-at-a-time writer the chunked one replaced."""
+
+    def cell(value) -> str:
+        if value is None:
+            return "undefined"
+        if isinstance(value, float):
+            if math.isinf(value):
+                return "unbounded" if value > 0 else "-inf"
+            return repr(float(value))
+        return str(value)
+
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(cell, row)) for row in zip(*columns.values()))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be formatted")
+
+
+class TestWriteCsv:
+    """CSVs are formatted a column at a time and written in chunks of rows."""
+
+    @staticmethod
+    def columns(n_rows: int) -> dict:
+        from chansim import report
+
+        chunk = report._CSV_CHUNK_ROWS
+
+        def mixed(i):
+            return (None, math.inf, -math.inf, 7, "regime", np.float64(i) / 3, True, 0.25)[i % 8]
+
+        floats = [math.inf if i % 97 == 5 else -math.inf if i % 89 == 3 else
+                  math.nan if i % 83 == 1 else -0.0 if i % 79 == 2 else i * 1e-9 / 7
+                  for i in range(n_rows)]
+        return {
+            "float": floats,
+            "finite": [i / 3 for i in range(n_rows)],
+            "int": list(range(-3, n_rows - 3)),
+            "str": [f"s{i % 5}" for i in range(n_rows)],
+            "int_str": [i if i % 2 else "undefined" for i in range(n_rows)],
+            "mixed": [mixed(i) for i in range(n_rows)],
+            # All floats in the first chunk, a None in the second.
+            "late_none": [None if i == chunk + 2 else i * 0.5 for i in range(n_rows)],
+        }
+
+    @pytest.mark.parametrize("rows", ["0", "1", "chunk-1", "chunk", "chunk+1", "2chunk+1"])
+    def test_bytes_equal_row_at_a_time(self, tmp_path, rows):
+        from chansim import report
+
+        chunk = report._CSV_CHUNK_ROWS
+        n_rows = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
+                  "2chunk+1": 2 * chunk + 1}[rows]
+        columns = self.columns(n_rows)
+        report._write_csv(tmp_path / "t.csv", columns)
+        assert (tmp_path / "t.csv").read_bytes() == _row_at_a_time_csv(columns)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_error_mid_stream_leaves_no_file(self, tmp_path):
+        from chansim import report
+
+        chunk = report._CSV_CHUNK_ROWS
+        columns = self.columns(2 * chunk + 1)
+        columns["mixed"][chunk + 1] = _Unprintable()
+        with pytest.raises(RuntimeError, match="cell cannot be formatted"):
+            report._write_csv(tmp_path / "out" / "t.csv", columns)
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestNumpyInputs:
