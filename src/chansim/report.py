@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,10 @@ _CSV_CHUNK_ROWS = 2048
 
 def _fmt_column(values) -> list[str]:
     """``_fmt`` of each value; all-float and all-int/str columns take the
-    built-in ``repr``/``str``, which ``_fmt`` reduces to on them."""
+    built-in ``repr``/``str``, which ``_fmt`` reduces to on them.  A numpy
+    column is made Python numbers first, so no numpy scalar is printed."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     kinds = set(map(type, values))
     if kinds == {float}:
         cells = list(map(repr, values))
@@ -68,7 +72,7 @@ def _fmt_column(values) -> list[str]:
     return list(map(_fmt, values))
 
 
-def _csv_chunks(columns: dict[str, list]):
+def _csv_chunks(columns: dict[str, list | np.ndarray]):
     yield ",".join(columns) + "\n"
     n_rows = min(map(len, columns.values()), default=0)
     for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
@@ -76,12 +80,26 @@ def _csv_chunks(columns: dict[str, list]):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _write_csv(path: Path, columns: dict[str, list]) -> None:
+def _write_csv(path: Path, columns: dict[str, list | np.ndarray]) -> None:
     _atomic_write(path, _csv_chunks(columns))
 
 
+# Pieces of encoded JSON per write: single pieces are a few characters
+# each, and writing them one by one is slower than joining them in batches.
+_JSON_BATCH_PIECES = 4096
+
+
+def _json_chunks(payload: dict):
+    """``json.dumps(_json_safe(payload), indent=2)`` and a newline, a batch of
+    encoded pieces at a time."""
+    pieces = json.JSONEncoder(indent=2).iterencode(_json_safe(payload))
+    while batch := list(islice(pieces, _JSON_BATCH_PIECES)):
+        yield "".join(batch)
+    yield "\n"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, [json.dumps(_json_safe(payload), indent=2) + "\n"])
+    _atomic_write(path, _json_chunks(payload))
 
 
 def _row_seed(base_seed: int, index: int) -> int:
@@ -247,7 +265,7 @@ def _report_cluster(config: ScenarioConfig, table: RayTable):
         "psi_deg": _per_ray_cells(table.psi_deg, counts),
         "altitude_km": _per_ray_cells(table.altitude_km, counts),
         "mpc_index": [i for n in counts for i in range(n)],
-        "delay_s": table.delay_s.tolist(),
+        "delay_s": table.delay_s,
         "label": [label for result in results for label in result.labels],
     }
     per_snapshot = [

@@ -752,6 +752,66 @@ class TestWriteCsv:
         assert list((tmp_path / "out").iterdir()) == []
 
 
+    @pytest.mark.parametrize("rows", ["0", "1", "chunk-1", "chunk+1"])
+    def test_array_columns_equal_list_columns(self, tmp_path, rows):
+        from chansim import report
+
+        chunk = report._CSV_CHUNK_ROWS
+        n_rows = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1}[rows]
+        floats = np.array(self.columns(n_rows)["float"], dtype=float)
+        arrays = {"float": floats, "int": np.arange(-3, n_rows - 3), "flag": floats > 0}
+        report._write_csv(tmp_path / "arrays.csv", arrays)
+        report._write_csv(tmp_path / "lists.csv", {k: v.tolist() for k, v in arrays.items()})
+        assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+
+
+class TestWriteJson:
+    """summary.json is encoded in batches of pieces, byte-identical to json.dumps."""
+
+    PAYLOADS = {
+        "empty": {},
+        "nested": {"a": [], "b": {}, "c": [1, [2, {"d": None, "e": "é\u2028"}]], "f": True},
+        "sentinels": {"x": math.inf, "y": -math.inf, "z": math.nan,
+                      "cdf": {"values": [0.5, math.inf], "n": [None, -0.0]}},
+        # Some thousand pieces, so that several batches are written.
+        "long": {"fits": [{"psi_deg": i / 7, "k": None if i % 3 else i} for i in range(3000)]},
+    }
+
+    @pytest.mark.parametrize("name", PAYLOADS)
+    @pytest.mark.parametrize("batch", [1, 2, 3, None])
+    def test_bytes_equal_json_dumps(self, tmp_path, monkeypatch, name, batch):
+        from chansim import report
+
+        if batch is not None:
+            monkeypatch.setattr(report, "_JSON_BATCH_PIECES", batch)
+        payload = self.PAYLOADS[name]
+        report._write_json(tmp_path / "summary.json", payload)
+        expected = json.dumps(report._json_safe(payload), indent=2) + "\n"
+        assert (tmp_path / "summary.json").read_bytes() == expected.encode("utf-8")
+
+    def test_every_batch_boundary(self, tmp_path, monkeypatch):
+        from chansim import report
+
+        monkeypatch.setattr(report, "_JSON_BATCH_PIECES", 4)
+        ends = set()
+        for n_values in range(1, 9):
+            payload = {"a": list(range(n_values))}
+            ends.add(len(list(json.JSONEncoder(indent=2).iterencode(payload))) % 4)
+            report._write_json(tmp_path / "summary.json", payload)
+            expected = json.dumps(payload, indent=2) + "\n"
+            assert (tmp_path / "summary.json").read_bytes() == expected.encode("utf-8")
+        # The encodings end at every offset within a batch, the last piece included.
+        assert ends == {0, 1, 2, 3}
+
+    def test_unencodable_value_leaves_no_file(self, tmp_path):
+        from chansim import report
+
+        payload = {"fits": list(range(3 * report._JSON_BATCH_PIECES)) + [object()]}
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            report._write_json(tmp_path / "out" / "summary.json", payload)
+        assert list((tmp_path / "out").iterdir()) == []
+
+
 class TestNumpyInputs:
     def test_numpy_geometry_writes_plain_numbers(self, tmp_path):
         geo = PassGeometry(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -270,3 +272,182 @@ class TestNumpyBuiltPass:
         loaded = load_trace(path)
         assert loaded == snapshots
         assert loaded.altitude_km.tolist() == [25.0, 136.0, 371.0]
+
+
+ROW = "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,{}"
+
+
+def trace_text(rows, newline="\n", final=True):
+    text = newline.join([HEADER, COLS, *rows])
+    return text + newline if final else text
+
+
+class TestStreamedLines:
+    """Loading streams the file: its lines end at \\n, \\r or \\r\\n, and a
+    fault anywhere in it is named by its line as the file object counts them."""
+
+    ROWS = [ROW.format(0), ROW.format(1), ROW.replace("50.0", "60.0").format(0)]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    @pytest.mark.parametrize("final", [True, False])
+    def test_endings_load_the_same(self, tmp_path, newline, final):
+        path = tmp_path / "t.csv"
+        path.write_bytes(trace_text(self.ROWS, newline, final).encode())
+        expected = tmp_path / "lf.csv"
+        expected.write_text(trace_text(self.ROWS))
+        assert load_trace(path) == load_trace(expected)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final", [True, False])
+    def test_fault_on_the_last_line_is_named(self, tmp_path, newline, final):
+        path = tmp_path / "t.csv"
+        rows = [*self.ROWS[:2], "", self.ROWS[2].replace("0.001", "-0.001")]
+        path.write_bytes(trace_text(rows, newline, final).encode())
+        with pytest.raises(TraceError, match="line 6: delay must be non-negative"):
+            load_trace(path)
+        rows[-1] = "60.0,1e-9"
+        path.write_bytes(trace_text(rows, newline, final).encode())
+        with pytest.raises(TraceError, match="line 6: expected 9 fields, got 2"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_other_unicode_breaks_do_not_end_a_line(self, tmp_path, char):
+        # str.splitlines would split here; a CSV row ends only at \n or \r.
+        path = tmp_path / "t.csv"
+        path.write_text(trace_text([ROW.format(0) + char + ROW.format(1)]))
+        with pytest.raises(TraceError, match="line 3: expected 9 fields, got 17"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x85", "\u2028"])
+    def test_whitespace_only_line_is_one_blank_line(self, tmp_path, char):
+        path = tmp_path / "t.csv"
+        path.write_text(trace_text([ROW.format(0), char + char, ROW.format(0)]))
+        with pytest.raises(TraceError, match="line 5: duplicate LOS ray"):
+            load_trace(path)
+
+
+class TestUnreadableBytes:
+    """A byte that is not UTF-8 makes the file unreadable (exit 3), wherever
+    it lies and whatever else is wrong before it."""
+
+    def write(self, tmp_path, header, first_row):
+        # Well past the first 64 KiB, so the fault is met mid-stream.
+        text = trace_text([first_row] + [ROW.format(1)] * 5000).replace(HEADER, header, 1)
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode() + b"50.0,\xff\n")
+        assert path.stat().st_size > 2 * 65536
+        return path
+
+    @pytest.mark.parametrize("header,first_row", [
+        (HEADER, ROW.format(0)),
+        (HEADER, "50.0,x"),
+        (HEADER, ROW.format(0).replace("0.001", "-0.001")),
+        ("# chansim-trace v1 amplitude=linear", ROW.format(0)),
+    ], ids=["valid", "parse-fault", "field-fault", "header-fault"])
+    def test_exits_3_as_unreadable(self, tmp_path, capsys, header, first_row):
+        path = self.write(tmp_path, header, first_row)
+        message = f"cannot read trace file {path}: {self.whole_file_fault(path)}"
+        with pytest.raises(TraceError) as err:
+            load_trace(path)
+        assert str(err.value) == message
+        assert main(["linkbudget", "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+
+    @staticmethod
+    def whole_file_fault(path) -> str:
+        with pytest.raises(UnicodeDecodeError) as err:
+            path.read_bytes().decode("utf-8")
+        return str(err.value)
+
+    @pytest.mark.parametrize("cut", [65535, 65536, 65537, 131072])
+    @pytest.mark.parametrize("bad", [b"\xe2\x82", b"\xe2\x82(", b"\xff", b"\xf0\x9f\x98"])
+    def test_position_counts_from_the_first_byte(self, tmp_path, cut, bad):
+        # Blank lines of an em space (3 bytes), so some cuts split a character.
+        text = trace_text([ROW.format(0)] + [ROW.format(1), "\u2003"] * 3000).encode()
+        path = tmp_path / "t.csv"
+        path.write_bytes(text[:cut] + bad + text[cut:])
+        with pytest.raises(TraceError) as err:
+            load_trace(path)
+        assert str(err.value) == f"cannot read trace file {path}: {self.whole_file_fault(path)}"
+
+
+class TestPastNumpyChunk:
+    """np.loadtxt parses 50 000 rows per chunk; a fault past it keeps its line."""
+
+    N_ROWS = 50_010
+
+    def write(self, tmp_path, bad_row: int, bad: str):
+        # A blank line after every 10 000 rows shifts the line numbers.
+        lines = [HEADER, COLS]
+        for i in range(self.N_ROWS):
+            if i and i % 10_000 == 0:
+                lines.append("")
+            lines.append(bad if i == bad_row else ROW.format(int(i > 0)))
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("bad,match", [
+        ("50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0", "expected 9 fields, got 8"),
+        ("50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,91.0,1", "elevation"),
+        ("50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,-1", "negative interaction count"),
+        ("50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0", "duplicate LOS ray"),
+    ], ids=["parse", "field", "count", "snapshot"])
+    def test_fault_named_by_its_line(self, tmp_path, bad, match):
+        bad_row = 50_003
+        # Two header lines and five blank lines come before that row.
+        path = self.write(tmp_path, bad_row, bad)
+        with pytest.raises(TraceError, match=f"line {bad_row + 1 + 2 + 5}: {match}"):
+            load_trace(path)
+
+    def test_valid_rows_load(self, tmp_path):
+        table = load_trace(self.write(tmp_path, 0, ROW.format(0)))
+        assert table.n_rays == self.N_ROWS and int(table.is_los.sum()) == 1
+
+
+def generated_table(n_snapshots=40, n_rays=500, seed=3):
+    """A valid pass of n_snapshots x n_rays random rays, one LOS ray each."""
+    rng = np.random.default_rng(seed)
+    n = n_snapshots * n_rays
+    columns = {
+        "amplitude": rng.uniform(1e-10, 1e-8, n),
+        "phase_rad": rng.uniform(0.0, 2 * np.pi, n),
+        "delay_s": rng.uniform(1e-3, 2e-3, n),
+        "aod_az_deg": rng.uniform(0.0, 360.0, n),
+        "aod_el_deg": rng.uniform(-90.0, 90.0, n),
+        "aoa_az_deg": rng.uniform(0.0, 360.0, n),
+        "aoa_el_deg": rng.uniform(-90.0, 90.0, n),
+    }
+    is_los = np.zeros(n, dtype=bool)
+    is_los[::n_rays] = True
+    altitudes = 500.0 * np.arange(1, n_snapshots + 1) / n_snapshots
+    return RayTable(columns, is_los, np.arange(0, n + 1, n_rays), altitudes, 500.0)
+
+
+class TestBoundedMemory:
+    """Loading and saving hold the ray table and a chunk, never the whole text."""
+
+    LIMIT = 1.5
+
+    @staticmethod
+    def peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_peak(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_trace(generated_table(), path)
+        size = path.stat().st_size
+        assert self.peak_bytes(lambda: load_trace(path)) <= self.LIMIT * size
+
+    def test_save_peak(self, tmp_path):
+        table = generated_table()
+        path = tmp_path / "t.csv"
+        peak = self.peak_bytes(lambda: save_trace(table, path))
+        assert peak <= self.LIMIT * path.stat().st_size
+        assert load_trace(path) == table
