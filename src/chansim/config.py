@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 
 import yaml
@@ -193,6 +193,9 @@ def _build(cls, data: dict, section: str = ""):
             return cls(**data)
         except TypeError:
             checked(cls, data)  # a required key is missing: a bad given one is named first
+            for name, f in cls.__dataclass_fields__.items():
+                if name not in data and f.default is f.default_factory is MISSING:
+                    raise FieldError(name, "is required") from None
             raise
     except FieldError as exc:
         key = f"{section}.{exc.field}" if section else _MODE_KEYS.get(exc.field, exc.field)

@@ -22,21 +22,9 @@ from .link_budget import fspl_db, sweep_pass
 from .mpc import RayTable, k_factor, running_sum
 from .pool import ordered_map
 from .synth import synth_scenario
-from .traceio import _atomic_write, load_trace
+from .traceio import _CSV_CHUNK_ROWS, _atomic_write, _csv_chunks, _fmt, load_trace  # noqa: F401
 
 SUBCOMMANDS = ("linkbudget", "fading", "spreads", "cluster", "ntn-compare")
-
-UNBOUNDED = "unbounded"
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "undefined"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return UNBOUNDED if value > 0 else "-inf"
-        return repr(float(value))
-    return str(value)
 
 
 def _json_safe(value):
@@ -47,37 +35,6 @@ def _json_safe(value):
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     return value
-
-
-# Rows per chunk of a CSV: a chunk is formatted a column at a time and
-# written before the next is made, so the cell strings of only one chunk
-# are alive at once.
-_CSV_CHUNK_ROWS = 2048
-
-
-def _fmt_column(values) -> list[str]:
-    """``_fmt`` of each value; all-float and all-int/str columns take the
-    built-in ``repr``/``str``, which ``_fmt`` reduces to on them.  A numpy
-    column is made Python numbers first, so no numpy scalar is printed."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        cells = list(map(repr, values))
-        if math.inf in values:
-            cells = [UNBOUNDED if cell == "inf" else cell for cell in cells]
-        return cells
-    if kinds <= {int, str}:
-        return list(map(str, values))
-    return list(map(_fmt, values))
-
-
-def _csv_chunks(columns: dict[str, list | np.ndarray]):
-    yield ",".join(columns) + "\n"
-    n_rows = min(map(len, columns.values()), default=0)
-    for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
-        cells = [_fmt_column(values[lo:lo + _CSV_CHUNK_ROWS]) for values in columns.values()]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _write_csv(path: Path, columns: dict[str, list | np.ndarray]) -> None:

@@ -6,16 +6,20 @@ and the amplitude convention.  Rays with zero interactions are the LOS
 path.  Loading validates the schema, sorts delays, and converts powers
 in dBm into linear path gains when the header declares them.  Loading
 and saving stream the file a line or a chunk of rows at a time, so their
-memory follows the ray table, not the text.
+memory follows the ray table, not the text.  The chunked CSV writer here
+is also the report's.
 """
 
 from __future__ import annotations
 
 import codecs
+import math
 import os
+import re
 import tempfile
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -32,61 +36,57 @@ _COLUMNS = ("altitude_km", *RAY_COLUMNS, "n_interactions")
 # Each data row: altitude and the seven ray fields, then the interaction count.
 _ROW_DTYPE = np.dtype([("values", float, (len(_COLUMNS) - 1,)), ("n_interactions", np.int64)])
 
-AMPLITUDE_LINEAR = "linear"
-AMPLITUDE_DBM = "dbm"
+# The rows of data lines: this one call decides whether a line parses.
+_parse = partial(np.loadtxt, delimiter=",", comments=None, dtype=_ROW_DTYPE, ndmin=1)
 
 
-def _parse_header(line: str, path: Path) -> tuple[float, str, float | None]:
-    """The arc radius, amplitude unit and (for dBm) TX power of line 1."""
+def _parse_header(line: str, path: Path) -> tuple[float, float | None]:
+    """The arc radius and, for powers in dBm, the TX power of line 1."""
+    def fault(text: str) -> TraceError:
+        return TraceError(f"{path}: line 1: {text}")
+
     if not line.startswith(_HEADER_PREFIX):
-        raise TraceError(f"{path}: line 1: missing '{_HEADER_PREFIX}' header")
+        raise fault(f"missing '{_HEADER_PREFIX}' header")
     fields = line[len(_HEADER_PREFIX):].split()
     if not fields or fields[0] != f"v{TRACE_VERSION}":
-        raise TraceError(f"{path}: line 1: unsupported trace version {fields[:1]}")
-    meta: dict[str, str] = {}
-    for item in fields[1:]:
-        if "=" not in item:
-            raise TraceError(f"{path}: line 1: malformed header item {item!r}")
-        key, value = item.split("=", 1)
-        meta[key] = value
+        raise fault(f"unsupported trace version {fields[:1]}")
+    if malformed := [item for item in fields[1:] if "=" not in item]:
+        raise fault(f"malformed header item {malformed[0]!r}")
+    meta = dict(item.split("=", 1) for item in fields[1:])
     try:
         arc_radius_km = check_arc_radius(float(meta["arc_radius_km"]))
     except KeyError:
-        raise TraceError(f"{path}: line 1: header missing arc_radius_km") from None
+        raise fault("header missing arc_radius_km") from None
     except ValueError as exc:
-        raise TraceError(f"{path}: line 1: bad arc_radius_km: {exc}") from None
-    amplitude_unit = meta.get("amplitude", AMPLITUDE_LINEAR)
-    if amplitude_unit not in (AMPLITUDE_LINEAR, AMPLITUDE_DBM):
-        raise TraceError(f"{path}: line 1: unknown amplitude unit {amplitude_unit!r}")
-    p_tx_dbm = None
-    if amplitude_unit == AMPLITUDE_DBM:
-        try:
-            p_tx_dbm = float(meta["p_tx_dbm"])
-        except KeyError:
-            raise TraceError(
-                f"{path}: line 1: amplitude=dbm requires p_tx_dbm in the header"
-            ) from None
-        except ValueError as exc:
-            raise TraceError(f"{path}: line 1: bad p_tx_dbm: {exc}") from None
-    return arc_radius_km, amplitude_unit, p_tx_dbm
-
-
-def _row_error(line: str, amplitude_unit: str, p_tx_dbm: float | None) -> str | None:
-    """What is wrong with one data row, or None when it is valid."""
-    parts = [f.strip() for f in line.split(",")]
-    if len(parts) != len(_COLUMNS):
-        return f"expected {len(_COLUMNS)} fields, got {len(parts)}"
+        raise fault(f"bad arc_radius_km: {exc}") from None
+    amplitude_unit = meta.get("amplitude", "linear")
+    if amplitude_unit not in ("linear", "dbm"):
+        raise fault(f"unknown amplitude unit {amplitude_unit!r}")
+    if amplitude_unit == "linear":
+        return arc_radius_km, None
     try:
-        values = [float(v) for v in parts[:-1]]
-        n_interactions = int(parts[-1])
+        return arc_radius_km, float(meta["p_tx_dbm"])
+    except KeyError:
+        raise fault("amplitude=dbm requires p_tx_dbm in the header") from None
     except ValueError as exc:
-        return str(exc)
-    if n_interactions < 0:
-        return "negative interaction count"
-    if amplitude_unit == AMPLITUDE_DBM:
-        values[1] = 10.0 ** ((values[1] - p_tx_dbm) / 20.0)
-    bad = first_bad_ray({name: np.array([v]) for name, v in zip(RAY_COLUMNS, values[1:])})
-    return None if bad is None else bad[1]
+        raise fault(f"bad p_tx_dbm: {exc}") from None
+
+
+def _ray_columns(rows: np.ndarray, p_tx_dbm: float | None) -> dict:
+    """The ray columns of parsed rows, powers in dBm made linear gains.  The first row
+    that breaks a row rule raises RayRowError, a row's count checked before its fields."""
+    columns = {name: rows["values"][:, k + 1] for k, name in enumerate(RAY_COLUMNS)}
+    if p_tx_dbm is not None:
+        # A power beyond float range is an infinite gain, which the field rule names.
+        with np.errstate(over="ignore"):
+            columns["amplitude"] = 10.0 ** ((columns["amplitude"] - p_tx_dbm) / 20.0)
+    negative = np.flatnonzero(rows["n_interactions"] < 0)
+    bad = first_bad_ray(columns)
+    if negative.size and (bad is None or negative[0] <= bad[0]):
+        bad = int(negative[0]), "negative interaction count"
+    if bad is not None:
+        raise RayRowError(*bad)
+    return columns
 
 
 def _data_lines(path: Path, after: int) -> Iterator[tuple[int, str]]:
@@ -96,6 +96,44 @@ def _data_lines(path: Path, after: int) -> Iterator[tuple[int, str]]:
         for lineno, line in enumerate(handle, start=1):
             if lineno > after and not line.isspace():
                 yield lineno, line
+
+
+def _rejection(line: str) -> str | None:
+    """Why ``_parse`` rejects a line, else None: the field count or the text of
+    ``float()`` or ``int()``, else numpy's, whose row counts only this line."""
+    try:
+        _parse([line])
+        return None
+    except ValueError as exc:
+        numpy_text = re.sub(r" at row \d+, (column \d+)\.$", r" in \1", str(exc))
+    parts = [f.strip() for f in line.split(",")]
+    if len(parts) != len(_COLUMNS):
+        return f"expected {len(_COLUMNS)} fields, got {len(parts)}"
+    try:
+        for part in parts[:-1]:
+            float(part)
+        int(parts[-1])
+    except ValueError as exc:
+        return str(exc)
+    return numpy_text
+
+
+def _parse_fault(path: Path, after: int, p_tx_dbm: float | None, exc: ValueError) -> TraceError:
+    """The fault of the first line ``_parse`` rejects, searched for a chunk at a
+    time; a row before it that breaks a row rule raises its RayRowError first."""
+    lines, row = _data_lines(path, after), 0
+    while chunk := list(islice(lines, _CSV_CHUNK_ROWS)):
+        try:
+            _parse(line for _, line in chunk)
+        except ValueError:
+            row, lineno, message = next((row + i, lineno, text) for i, (lineno, line)
+                                        in enumerate(chunk) if (text := _rejection(line)))
+            if row:
+                prefix = islice(_data_lines(path, after), row)
+                _ray_columns(_parse(line for _, line in prefix), p_tx_dbm)
+            return TraceError(f"{path}: line {lineno}: {message}")
+        row += len(chunk)
+    return TraceError(f"{path}: {exc}")
 
 
 def load_trace(path: str | Path) -> RayTable:
@@ -109,24 +147,21 @@ def load_trace(path: str | Path) -> RayTable:
     try:
         try:
             return _load(p)
-        except TraceError:
+        except (TraceError, UnicodeDecodeError):
             # A fault may be found before the whole file is read; a byte
             # that is not UTF-8 anywhere in it is reported first.
-            with p.open(encoding="utf-8") as handle:
-                while handle.read(1 << 16):
-                    pass
-            raise
+            if (fault := _utf8_fault(p)) is None:
+                raise
+            raise TraceError(f"cannot read trace file {p}: {fault}") from None
     except FileNotFoundError:
         raise TraceError(f"trace file not found: {p}") from None
-    except UnicodeDecodeError:
-        raise TraceError(f"cannot read trace file {p}: {_utf8_fault(p)}") from None
     except OSError as exc:
         raise TraceError(f"cannot read trace file {p}: {exc}") from None
 
 
-def _utf8_fault(path: Path) -> str:
-    """The file's first UTF-8 fault as ``bytes.decode`` of the whole file
-    words it; a text stream counts the position from its current chunk."""
+def _utf8_fault(path: Path) -> str | None:
+    """The file's first UTF-8 fault, or None, as ``bytes.decode`` of the whole
+    file words it; a text stream counts the position from its current chunk."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     offset = 0
     with path.open("rb") as handle:
@@ -143,101 +178,61 @@ def _utf8_fault(path: Path) -> str:
                 else:
                     where = f"bytes in position {start}-{start + exc.end - exc.start - 1}"
                 return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+            if not chunk:
+                return None
             offset += len(chunk)
 
 
 def _load(p: Path) -> RayTable:
     # Lines end at \n, \r or \r\n only, as the file object splits them.
-    with p.open(encoding="utf-8") as handle:
-        header = handle.readline()
-        if not header:
-            raise TraceError(f"{p}: empty trace file")
-        arc_radius_km, amplitude_unit, p_tx_dbm = _parse_header(header, p)
-
-        # The column header row is the first non-blank line after line 1.
-        for first_no, first in enumerate(handle, start=2):
-            if not first.isspace():
-                break
-        else:
-            raise TraceError(f"{p}: trace file holds no rows")
-        first = first.strip()
-        if first.split(",")[0].strip() != _COLUMNS[0]:
-            raise TraceError(f"{p}: line {first_no}: missing column header row")
-        header_cols = tuple(c.strip() for c in first.split(","))
-        if header_cols != _COLUMNS:
-            raise TraceError(
-                f"{p}: line {first_no}: columns {header_cols} do not match {_COLUMNS}"
-            )
-
-        # np.loadtxt refuses whitespace-only lines, so the rows skip them.
-        try:
-            rows = np.loadtxt(
-                (line for line in handle if not line.isspace()), delimiter=",",
-                comments=None, dtype=_ROW_DTYPE, ndmin=1,
-            )
-        except UnicodeDecodeError:
-            raise  # a ValueError too, which load_trace reports as unreadable
-        except ValueError as exc:
-            # Re-read row by row to name the first bad line as the format demands.
-            for lineno, line in _data_lines(p, first_no):
-                message = _row_error(line, amplitude_unit, p_tx_dbm)
-                if message is not None:
-                    raise TraceError(f"{p}: line {lineno}: {message}") from exc
-            raise TraceError(f"{p}: {exc}") from exc
-
-    def fail_at(row: int, message: str) -> TraceError:
-        lineno, _ = next(islice(_data_lines(p, first_no), row, None))
-        return TraceError(f"{p}: line {lineno}: {message}")
-
-    values = rows["values"]
-    n_interactions = rows["n_interactions"]
-    columns = {name: values[:, k + 1] for k, name in enumerate(RAY_COLUMNS)}
-    if amplitude_unit == AMPLITUDE_DBM:
-        columns["amplitude"] = 10.0 ** ((columns["amplitude"] - p_tx_dbm) / 20.0)
-    # The first bad row is reported; its interaction count is checked first.
-    negative = np.flatnonzero(n_interactions < 0)
-    bad = first_bad_ray(columns)
-    if negative.size and (bad is None or negative[0] <= bad[0]):
-        raise fail_at(int(negative[0]), "negative interaction count")
-    if bad is not None:
-        raise fail_at(*bad)
-
-    altitude = values[:, 0]
-    # A snapshot is a run of rows with equal altitude.
-    starts = np.concatenate([[0], np.flatnonzero(altitude[1:] != altitude[:-1]) + 1])
-    offsets = np.append(starts, altitude.size)
     try:
-        return RayTable(columns, n_interactions == 0, offsets, altitude[starts], arc_radius_km)
+        with p.open(encoding="utf-8") as handle:
+            header = handle.readline()
+            if not header:
+                raise TraceError(f"{p}: empty trace file")
+            arc_radius_km, p_tx_dbm = _parse_header(header, p)
+
+            # The column header row is the first non-blank line after line 1.
+            for first_no, first in enumerate(handle, start=2):
+                if not first.isspace():
+                    break
+            else:
+                raise TraceError(f"{p}: trace file holds no rows")
+            header_cols = tuple(c.strip() for c in first.split(","))
+            if header_cols[0] != _COLUMNS[0]:
+                raise TraceError(f"{p}: line {first_no}: missing column header row")
+            if header_cols != _COLUMNS:
+                raise TraceError(f"{p}: line {first_no}: columns {header_cols} "
+                                 f"do not match {_COLUMNS}")
+
+            # np.loadtxt refuses whitespace-only lines, so the rows skip them.
+            try:
+                rows = _parse(line for line in handle if not line.isspace())
+            except ValueError as exc:
+                raise _parse_fault(p, first_no, p_tx_dbm, exc) from exc
+
+        columns = _ray_columns(rows, p_tx_dbm)
+        altitude = rows["values"][:, 0]
+        # A snapshot is a run of rows with equal altitude.
+        starts = np.concatenate([[0], np.flatnonzero(altitude[1:] != altitude[:-1]) + 1])
+        offsets = np.append(starts, altitude.size)
+        los = rows["n_interactions"] == 0
+        return RayTable(columns, los, offsets, altitude[starts], arc_radius_km)
     except RayRowError as exc:
-        raise fail_at(exc.row, str(exc)) from exc
-
-
-# Rays per chunk of a saved trace: a chunk is formatted and written before
-# the next is made, so the text of only one chunk is alive at once.
-_SAVE_CHUNK_ROWS = 2048
-
-
-def _trace_chunks(table: RayTable) -> Iterator[str]:
-    yield (
-        f"{_HEADER_PREFIX} v{TRACE_VERSION} arc_radius_km={table.arc_radius_km!r}"
-        " amplitude=linear\n" + ",".join(_COLUMNS) + "\n"
-    )
-    columns = [np.repeat(table.altitude_km, table.counts)]
-    columns += [getattr(table, name) for name in RAY_COLUMNS]
-    interactions = np.where(table.is_los, "0", "1")
-    for lo in range(0, table.n_rays, _SAVE_CHUNK_ROWS):
-        rows = slice(lo, lo + _SAVE_CHUNK_ROWS)
-        # tolist() gives Python floats, whose repr reads back exactly.
-        cells = [list(map(repr, column[rows].tolist())) for column in columns]
-        cells.append(interactions[rows].tolist())
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        # A row or snapshot rule's fault is named by its row's line.
+        lineno, _ = next(islice(_data_lines(p, first_no), exc.row, None))
+        raise TraceError(f"{p}: line {lineno}: {exc}") from exc
 
 
 def save_trace(table: RayTable, path: str | Path) -> None:
     """Write a pass as a linear-amplitude trace; loading it back is exact."""
     if len(table) == 0:
         raise ValueError("nothing to save")
-    _atomic_write(Path(path), _trace_chunks(table))
+    header = (f"{_HEADER_PREFIX} v{TRACE_VERSION} arc_radius_km={table.arc_radius_km!r}"
+              " amplitude=linear\n")
+    columns = [np.repeat(table.altitude_km, table.counts),
+               *(getattr(table, name) for name in RAY_COLUMNS), np.where(table.is_los, 0, 1)]
+    _atomic_write(Path(path), chain([header], _csv_chunks(dict(zip(_COLUMNS, columns)))))
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
@@ -254,3 +249,47 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+UNBOUNDED = "unbounded"
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "undefined"
+    if isinstance(value, float):
+        if math.isinf(value):
+            return UNBOUNDED if value > 0 else "-inf"
+        return repr(float(value))
+    return str(value)
+
+
+# Rows per chunk of a CSV: a chunk is formatted a column at a time and
+# written before the next is made, so the cell strings of only one chunk
+# are alive at once.  A trace's parse fault is also searched for by chunk.
+_CSV_CHUNK_ROWS = 2048
+
+
+def _fmt_column(values) -> list[str]:
+    """``_fmt`` of each value; all-float and all-int/str columns take the
+    built-in ``repr``/``str``, which ``_fmt`` reduces to on them.  A numpy
+    column is made Python numbers first, so no numpy scalar is printed."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        cells = list(map(repr, values))
+        if math.inf in values:
+            cells = [UNBOUNDED if cell == "inf" else cell for cell in cells]
+        return cells
+    if kinds <= {int, str}:
+        return list(map(str, values))
+    return list(map(_fmt, values))
+
+
+def _csv_chunks(columns: dict[str, list | np.ndarray]) -> Iterator[str]:
+    yield ",".join(columns) + "\n"
+    n_rows = min(map(len, columns.values()), default=0)
+    for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
+        cells = [_fmt_column(values[lo:lo + _CSV_CHUNK_ROWS]) for values in columns.values()]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"

@@ -1138,3 +1138,42 @@ class TestEntryPointsAgree:
         path.write_text(text)
         assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"chansim: config error: {message}"
+
+
+class TestMissingSectionKey:
+    @pytest.mark.parametrize("text,message", [
+        ("pass: {altitudes_km: [50.0]}\n", "config key 'pass.arc_radius_km' is required"),
+        # A bad given key is named before a missing one.
+        ("pass: {altitudes_km: [50.0], gs_height_km: low}\n",
+         "config key 'pass.gs_height_km' must be a number, got 'low'"),
+    ], ids=["missing", "bad-before-missing"])
+    def test_names_the_key(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"chansim: config error: {message}\n"
+
+
+class TestSavedTraceRelation:
+    """A synthetic pass saved with save_trace and run with --trace gives the
+    synthetic run's outputs: the same CSV bytes and, but for its source, summary."""
+
+    @pytest.mark.parametrize("sub", ["linkbudget", "fading", "spreads", "cluster",
+                                     "ntn-compare"])
+    def test_same_outputs(self, tmp_path, sub):
+        from chansim.report import gather_snapshots
+        from chansim.traceio import save_trace
+
+        cfg = ScenarioConfig()
+        trace = tmp_path / "pass.trace.csv"
+        save_trace(gather_snapshots(cfg, None), trace)
+        run_report(cfg, sub, tmp_path / "synthetic")
+        run_report(cfg, sub, tmp_path / "traced", trace_path=trace)
+        assert ((tmp_path / "traced" / f"{sub}.csv").read_bytes()
+                == (tmp_path / "synthetic" / f"{sub}.csv").read_bytes())
+        summaries = [json.loads((tmp_path / run / "summary.json").read_text())
+                     for run in ("synthetic", "traced")]
+        assert [s.pop("source") for s in summaries] == ["synthetic", "trace"]
+        assert summaries[0] == summaries[1]

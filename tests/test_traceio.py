@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from chansim.cli import main
 from chansim.errors import TraceError
 from chansim.geometry import PassGeometry, default_psi2
-from chansim.mpc import RAY_COLUMNS, RayTable
+from chansim.mpc import RAY_COLUMNS, RayTable, first_bad_ray
 from chansim.synth import synth_scenario
 from chansim.traceio import load_trace, save_trace
 
@@ -451,3 +452,74 @@ class TestBoundedMemory:
         peak = self.peak_bytes(lambda: save_trace(table, path))
         assert peak <= self.LIMIT * path.stat().st_size
         assert load_trace(path) == table
+
+
+class TestSingleRowCheck:
+    """numpy alone decides whether a line parses; the rows before the first line it
+    rejects are checked by the same rule as a file it accepts, in one call."""
+
+    @pytest.mark.parametrize("bad_row", [1, 2049, 50_003])
+    def test_row_check_runs_once_whatever_the_row(self, tmp_path, monkeypatch, bad_row):
+        from chansim import traceio
+
+        calls = []
+
+        def counted(columns):
+            calls.append(len(columns["amplitude"]))
+            return first_bad_ray(columns)
+
+        monkeypatch.setattr(traceio, "first_bad_ray", counted)
+        path = TestPastNumpyChunk().write(tmp_path, bad_row, ROW.format(1)[:-2])
+        with pytest.raises(TraceError, match="expected 9 fields, got 8"):
+            load_trace(path)
+        assert calls == [bad_row]
+
+    @pytest.mark.parametrize("field,value,column,dtype", [
+        (1, "1_000", 2, "float64"),
+        (1, "١٢", 2, "float64"),
+        (8, "99999999999999999999", 9, "int64"),
+    ], ids=["underscore", "arabic-indic-digits", "count-beyond-int64"])
+    def test_numpy_only_rejection_named_by_its_line(self, tmp_path, field, value, column, dtype):
+        # float() and int() take these values; np.loadtxt does not.
+        parts = ROW.format(1).split(",")
+        parts[field] = value
+        path = tmp_path / "t.csv"
+        path.write_text(trace_text([ROW.format(0), "", "", ",".join(parts)]))
+        message = f"line 6: could not convert string '{value}' to {dtype} in column {column}"
+        with pytest.raises(TraceError) as err:
+            load_trace(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_rejected_line_before_a_later_row_fault(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(trace_text([ROW.format(0), ROW.format(1).replace("1e-9", "1_000"),
+                                    ROW.format(-1)]))
+        with pytest.raises(TraceError, match="line 4: could not convert string '1_000'"):
+            load_trace(path)
+
+    def test_row_fault_before_the_rejected_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(trace_text([ROW.format(0), ROW.format(-1), "50.0,x"]))
+        with pytest.raises(TraceError, match="line 4: negative interaction count"):
+            load_trace(path)
+
+
+DBM_HEADER = "# chansim-trace v1 arc_radius_km=400.0 amplitude=dbm p_tx_dbm=30.0"
+
+
+class TestDbmBeyondFloatRange:
+    """A dBm power too large for a float is a bad amplitude of its own line, reported
+    as one stderr line with no warning, whatever follows it."""
+
+    @pytest.mark.parametrize("later", [[], ["50.0,1e-9"]], ids=["alone", "later-bad-row"])
+    def test_one_line_naming_line_3(self, tmp_path, capsys, later):
+        rows = [ROW.format(0).replace("1e-9", "1e308"), *later]
+        path = tmp_path / "t.csv"
+        path.write_text(trace_text(rows).replace(HEADER, DBM_HEADER))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["linkbudget", "--trace", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (f"chansim: input error: {path}: line 3: amplitude must be "
+                       "non-negative and finite, got inf\n")
