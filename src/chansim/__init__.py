@@ -15,7 +15,7 @@ from .atmosphere import (
     snow_attenuation_db,
     total_atmospheric_db,
 )
-from .clustering import ClusterResult, build_features, cluster_snapshot, dbscan
+from .clustering import build_features, cluster_snapshot, dbscan
 from .config import ScenarioConfig, load_config
 from .dispersion import azimuth_spread, elevation_spread, spread_report
 from .errors import ChansimError, ConfigError, ElevationFloorError, NumericError, TraceError
@@ -54,7 +54,6 @@ __all__ = [
     "AntennaModel",
     "AtmosphereParams",
     "ChansimError",
-    "ClusterResult",
     "ConfigError",
     "ElevationAngle",
     "ElevationFloorError",

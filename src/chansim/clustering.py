@@ -8,7 +8,7 @@ the working matrix has 7 columns, each z-score normalised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -34,14 +34,6 @@ _CONSTANT_COLUMN_TOL = 1e-12
 
 DEFAULT_XI = 0.3
 DEFAULT_ZETA = 2
-
-
-@dataclass(frozen=True)
-class ClusterResult:
-    labels: tuple[int, ...]
-    n_clusters: int
-    xi: float
-    zeta: int
 
 
 def _zscored_features(delay, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg) -> np.ndarray:
@@ -78,8 +70,8 @@ def build_features(table: RayTable) -> np.ndarray:
     )
 
 
-def _labels(pts: np.ndarray, xi: float, zeta: int) -> tuple[np.ndarray, np.ndarray]:
-    """DBSCAN labels (k, n) and cluster counts (k,) of k point sets of n points."""
+def _labels(pts: np.ndarray, xi: float, zeta: int) -> np.ndarray:
+    """DBSCAN labels (k, n) of k point sets of n points."""
     k, n, dim = pts.shape
     # Squared distances are added feature by feature, the order a sum over
     # the feature axis of the pairwise differences takes; the first feature
@@ -119,7 +111,7 @@ def _labels(pts: np.ndarray, xi: float, zeta: int) -> tuple[np.ndarray, np.ndarr
     core_cluster = np.where(core, np.take_along_axis(rank, np.where(core, root, 0), axis=1), none)
     labels = np.where(near, core_cluster[:, None, :], none).min(axis=2, initial=none)
     labels[labels == none] = NOISE
-    return labels, is_root.sum(axis=1)
+    return labels
 
 
 # Point pairs handled per batch of equal-size point sets.  The pool runs up
@@ -128,9 +120,7 @@ def _labels(pts: np.ndarray, xi: float, zeta: int) -> tuple[np.ndarray, np.ndarr
 _BATCH_PAIRS = 1 << 17
 
 
-def dbscan(
-    features: np.ndarray, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZETA
-) -> ClusterResult | list[ClusterResult]:
+def dbscan(features: np.ndarray, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZETA) -> np.ndarray:
     """Density-based clustering with Euclidean distance.
 
     A point is a core point when its closed xi-neighbourhood (which
@@ -138,13 +128,14 @@ def dbscan(
     the connected components of core points under neighbourhood, numbered
     by their lowest core index; a non-core point within xi of a core
     point is a border point and takes the smallest cluster id among its
-    core neighbours; everything else is noise.  This is the labelling a
-    scan in input order with first-come border assignment produces.
+    core neighbours; everything else is noise (``NOISE``).  This is the
+    labelling a scan in input order with first-come border assignment
+    produces, so a point set's cluster count is its largest label plus one.
 
-    ``features`` is one (N x D) point set, giving one result, or a stack
-    (K x N x D) of point sets of equal size, giving a list of K results.
+    ``features`` is one (N x D) point set or a stack (K x N x D) of point
+    sets of equal size; the integer labels have the shape (N,) or (K, N).
     A stack is clustered in batches, on the shared thread pool
-    (``chansim.pool``); the results do not depend on its size.
+    (``chansim.pool``); the labels do not depend on its size.
     """
     if xi <= 0.0:
         raise ValueError("neighbourhood radius must be positive")
@@ -157,21 +148,15 @@ def dbscan(
     k, n = batch.shape[:2]
     step = max(1, _BATCH_PAIRS // max(1, n * n))
     batches = [batch[lo:lo + step] for lo in range(0, k, step)]
-    results = [
-        ClusterResult(labels=tuple(row), n_clusters=count, xi=xi, zeta=zeta)
-        for labels, counts in ordered_map(_labels, batches, repeat(xi), repeat(zeta))
-        for row, count in zip(labels.tolist(), counts.tolist())
-    ]
-    return results if pts.ndim == 3 else results[0]
+    parts = ordered_map(_labels, batches, repeat(xi), repeat(zeta))
+    # The empty block keeps the (0, n) shape of a stack of no point sets.
+    labels = np.concatenate([np.empty((0, n), dtype=np.intp), *parts], dtype=np.intp)
+    return labels.reshape(pts.shape[:-1])
 
 
 def cluster_snapshot(
     table: RayTable, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZETA
-) -> list[ClusterResult]:
-    """Build features and cluster them, one result per snapshot."""
-    features = build_features(table)
-    results: list[ClusterResult | None] = [None] * len(table)
-    for snaps, rows in table.blocks():
-        for i, result in zip(snaps.tolist(), dbscan(features[rows], xi=xi, zeta=zeta)):
-            results[i] = result
-    return results
+) -> np.ndarray:
+    """Build features and cluster each snapshot's rays on their own: one label
+    per ray, in table order."""
+    return table.map_rays(partial(dbscan, xi=xi, zeta=zeta), build_features(table))

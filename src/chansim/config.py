@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 
@@ -52,18 +53,40 @@ class FadingConfig:
             raise ValueError("fading.fit_samples must be at least 100")
 
 
+class _Sigmas(Mapping):
+    """The shadowing sigma of each TDL profile: a read-only mapping that hashes."""
+
+    def __init__(self, sigmas: Mapping[str, float]) -> None:
+        self._sigmas = dict(sigmas)
+
+    def __getitem__(self, name: str) -> float:
+        return self._sigmas[name]
+
+    def __iter__(self):
+        return iter(self._sigmas)
+
+    def __len__(self) -> int:
+        return len(self._sigmas)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._sigmas.items()))
+
+    def __repr__(self) -> str:
+        return repr(self._sigmas)
+
+
 @dataclass(frozen=True)
 class NtnConfig:
     psi1_deg: float = DEFAULT_PSI1_DEG
     psi2_deg: float = DEFAULT_PSI2_DEG
-    sigma_db: dict[str, float] = field(default_factory=dict)
+    sigma_db: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_fields(self)
         if self.psi1_deg >= self.psi2_deg:
             raise ValueError("ntn.psi1_deg must be below ntn.psi2_deg")
         # Given sigmas override the defaults profile by profile.
-        if not isinstance(self.sigma_db, dict):
+        if not isinstance(self.sigma_db, Mapping):
             raise ValueError("sigma_db must map profile names to sigmas")
         unknown = self.sigma_db.keys() - DEFAULT_SHADOW_SIGMA_DB.keys()
         if unknown:
@@ -75,7 +98,7 @@ class NtnConfig:
             if not (math.isfinite(number) and number >= 0.0):
                 raise ValueError(f"sigma_db[{name!r}] must be finite and non-negative")
             merged[name] = number
-        object.__setattr__(self, "sigma_db", merged)
+        object.__setattr__(self, "sigma_db", _Sigmas(merged))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import functools
 import math
 import types
 import typing
+from collections.abc import Mapping
 from dataclasses import fields
 
 import numpy as np
@@ -66,7 +67,7 @@ def _stored(value, hint):
             return _MISFIT
         items = origin(_stored(v, args[0]) for v in value)
         return _MISFIT if _MISFIT in items else items
-    if origin is dict:
+    if origin is Mapping:
         return value  # a mapping field checks its own entries and names the bad one
     if isinstance(value, bool) and hint is not bool:
         return _MISFIT

@@ -161,8 +161,9 @@ def shadowed_rician_mass(p: ShadowedRicianParams) -> float:
     The mass is independent of omega (pure scale parameter) and is measured
     afresh on each call.  Raises NumericError when the product form is not
     normalisable: divergent for non-integer m with K > 0 and for m < 1 with
-    K = 0, exactly zero for m > 1 with K = 0, negative for even integer m,
-    or numerically indeterminate when cancellation dominates the integral.
+    K = 0, exactly zero for m > 1 with K = 0, negative for even integer m
+    (refused before any quadrature), or numerically indeterminate when
+    cancellation dominates the integral.
     """
     k, m = p.k, p.m
     if k == 0.0:
@@ -176,9 +177,15 @@ def shadowed_rician_mass(p: ShadowedRicianParams) -> float:
         raise NumericError(
             f"shadowed density is not integrable for K=0, m={m} < 1"
         )
-    if integer_order(m) is None:
+    if (order := integer_order(m)) is None:
         raise NumericError(
             f"shadowed density has a divergent tail for non-integer m={m} with K>0; "
+            "normalisation is impossible"
+        )
+    # The exact mass for integer m and K > 0 has the sign of (-1)^(m-1).
+    if order % 2 == 0:
+        raise NumericError(
+            f"shadowed density has negative total mass for K={k}, m={m} (even m); "
             "normalisation is impossible"
         )
 
@@ -220,8 +227,8 @@ def shadowed_rician_mass(p: ShadowedRicianParams) -> float:
         )
     if net < 0.0:
         raise NumericError(
-            f"shadowed density has negative total mass {net * scale:.3e} for "
-            f"K={k}, m={m} (even m); normalisation is impossible"
+            f"shadowed mass quadrature gave a negative total {net * scale:.3e} for "
+            f"K={k}, m={m}, whose exact mass is positive"
         )
     return net * scale
 

@@ -214,7 +214,7 @@ def _per_ray_cells(values: np.ndarray, counts: list[int]) -> list[str]:
 
 
 def _report_cluster(config: ScenarioConfig, table: RayTable):
-    results = clustering.cluster_snapshot(
+    labels = clustering.cluster_snapshot(
         table, xi=config.clustering.xi, zeta=config.clustering.zeta
     )
     counts = table.counts.tolist()
@@ -223,17 +223,19 @@ def _report_cluster(config: ScenarioConfig, table: RayTable):
         "altitude_km": _per_ray_cells(table.altitude_km, counts),
         "mpc_index": [i for n in counts for i in range(n)],
         "delay_s": table.delay_s,
-        "label": [label for result in results for label in result.labels],
+        "label": labels,
     }
+    # Clusters are numbered from 0 and noise is -1: a count is the largest label plus one.
+    n_clusters = table.reduce(lambda block: block.max(axis=1) + 1, labels).tolist()
     per_snapshot = [
-        {"psi_deg": psi_deg, "n_mpcs": len(result.labels), "n_clusters": result.n_clusters}
-        for psi_deg, result in zip(table.psi_deg.tolist(), results)
+        {"psi_deg": psi_deg, "n_mpcs": n_mpcs, "n_clusters": n}
+        for psi_deg, n_mpcs, n in zip(table.psi_deg.tolist(), counts, n_clusters)
     ]
     extra = {
         "xi": config.clustering.xi,
         "zeta": config.clustering.zeta,
         "per_snapshot": per_snapshot,
-        "total_clusters": sum(p["n_clusters"] for p in per_snapshot),
+        "total_clusters": sum(n_clusters),
     }
     return columns, extra
 

@@ -65,11 +65,14 @@ def _parse_header(line: str, path: Path) -> tuple[float, float | None]:
     if amplitude_unit == "linear":
         return arc_radius_km, None
     try:
-        return arc_radius_km, float(meta["p_tx_dbm"])
+        p_tx_dbm = float(meta["p_tx_dbm"])
     except KeyError:
         raise fault("amplitude=dbm requires p_tx_dbm in the header") from None
     except ValueError as exc:
         raise fault(f"bad p_tx_dbm: {exc}") from None
+    if not math.isfinite(p_tx_dbm):
+        raise fault(f"bad p_tx_dbm: must be finite, got {p_tx_dbm}")
+    return arc_radius_km, p_tx_dbm
 
 
 def _ray_columns(rows: np.ndarray, p_tx_dbm: float | None) -> dict:
@@ -205,9 +208,12 @@ def _load(p: Path) -> RayTable:
                 raise TraceError(f"{p}: line {first_no}: columns {header_cols} "
                                  f"do not match {_COLUMNS}")
 
-            # np.loadtxt refuses whitespace-only lines, so the rows skip them.
+            # np.loadtxt refuses blank lines, so the rows skip them, and warns on no rows.
+            lines = (line for line in handle if not line.isspace())
+            if (row := next(lines, None)) is None:
+                raise TraceError(f"{p}: trace file holds no rows")
             try:
-                rows = _parse(line for line in handle if not line.isspace())
+                rows = _parse(chain([row], lines))
             except ValueError as exc:
                 raise _parse_fault(p, first_no, p_tx_dbm, exc) from exc
 
@@ -225,9 +231,15 @@ def _load(p: Path) -> RayTable:
 
 
 def save_trace(table: RayTable, path: str | Path) -> None:
-    """Write a pass as a linear-amplitude trace; loading it back is exact."""
+    """Write a pass as a linear-amplitude trace; loading it back is exact.  A trace
+    tells snapshots apart by a change of altitude, so adjacent snapshots at one
+    altitude raise ValueError before anything is written."""
     if len(table) == 0:
         raise ValueError("nothing to save")
+    altitude = table.altitude_km
+    if (repeated := np.flatnonzero(altitude[1:] == altitude[:-1])).size:
+        raise ValueError(f"adjacent snapshots share altitude {float(altitude[repeated[0]])} km, "
+                         "which a trace file would merge into one snapshot")
     header = (f"{_HEADER_PREFIX} v{TRACE_VERSION} arc_radius_km={table.arc_radius_km!r}"
               " amplitude=linear\n")
     columns = [np.repeat(table.altitude_km, table.counts),

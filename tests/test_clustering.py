@@ -43,6 +43,12 @@ def brute_force_dbscan(points: np.ndarray, xi: float, zeta: int) -> np.ndarray:
     return np.array([-1 if l is None else l for l in labels])
 
 
+def cluster_count(labels) -> int:
+    """A point set's cluster count as the cluster report reads it: the largest
+    label plus one, 0 when every point is noise."""
+    return int(np.max(labels, initial=NOISE)) + 1
+
+
 def relabel_canonical(labels) -> list:
     mapping = {}
     out = []
@@ -101,33 +107,33 @@ class TestDbscan:
         xi = 0.3
         group_a = np.zeros((3, 2))
         group_b = np.full((3, 2), 10.0 * xi)
-        result = dbscan(np.vstack([group_a, group_b]), xi=xi, zeta=2)
-        assert result.n_clusters == 2
-        assert NOISE not in result.labels
-        assert result.labels[:3] == (0, 0, 0)
-        assert result.labels[3:] == (1, 1, 1)
+        labels = dbscan(np.vstack([group_a, group_b]), xi=xi, zeta=2)
+        assert cluster_count(labels) == 2
+        assert NOISE not in labels
+        assert labels.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_all_isolated(self):
         pts = np.arange(8.0).reshape(-1, 1) * 10.0
-        result = dbscan(pts, xi=0.3, zeta=2)
-        assert result.n_clusters == 0
-        assert set(result.labels) == {NOISE}
+        labels = dbscan(pts, xi=0.3, zeta=2)
+        assert cluster_count(labels) == 0
+        assert set(labels.tolist()) == {NOISE}
 
     def test_no_points(self):
-        result = dbscan(np.zeros((0, 7)), xi=0.3, zeta=2)
-        assert result.labels == () and result.n_clusters == 0
-        assert dbscan(np.zeros((3, 0, 7))) == [result] * 3
+        labels = dbscan(np.zeros((0, 7)), xi=0.3, zeta=2)
+        assert labels.shape == (0,) and cluster_count(labels) == 0
+        assert dbscan(np.zeros((3, 0, 7))).shape == (3, 0)
+        assert dbscan(np.zeros((0, 5, 7))).shape == (0, 5)
 
     def test_single_point_zeta2(self):
-        result = dbscan(np.zeros((1, 7)), xi=0.3, zeta=2)
-        assert result.n_clusters == 0
-        assert result.labels == (NOISE,)
+        labels = dbscan(np.zeros((1, 7)), xi=0.3, zeta=2)
+        assert cluster_count(labels) == 0
+        assert labels.tolist() == [NOISE]
 
     def test_neighborhood_is_closed_and_includes_self(self):
         # two points exactly xi apart: each neighbourhood holds both points
         pts = np.array([[0.0], [0.3]])
-        result = dbscan(pts, xi=0.3, zeta=2)
-        assert result.n_clusters == 1
+        labels = dbscan(pts, xi=0.3, zeta=2)
+        assert cluster_count(labels) == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -143,8 +149,8 @@ class TestDbscan:
             pts = rng.normal(0.0, 1.0, size=(n, dim))
             got = dbscan(pts, xi=0.3, zeta=2)
             expected = brute_force_dbscan(pts, 0.3, 2)
-            assert relabel_canonical(got.labels) == relabel_canonical(expected), trial
-            assert got.n_clusters == len(set(expected[expected >= 0]))
+            assert relabel_canonical(got) == relabel_canonical(expected), trial
+            assert cluster_count(got) == len(set(expected[expected >= 0]))
 
     def test_permutation_invariance_up_to_relabeling(self):
         rng = np.random.default_rng(7)
@@ -161,17 +167,14 @@ class TestDbscan:
                         groups.setdefault(lab, set()).add(int(order[pos]))
                 return sorted(map(frozenset, groups.values()), key=sorted)
 
-            assert partition(base.labels, np.arange(len(pts))) == partition(
-                permuted.labels, perm
-            )
+            assert partition(base, np.arange(len(pts))) == partition(permuted, perm)
 
     def test_growing_xi_never_loses_points(self):
         rng = np.random.default_rng(42)
         pts = rng.normal(0.0, 1.0, size=(40, 2))
         previous = -1
         for xi in (0.1, 0.2, 0.4, 0.8, 1.6):
-            result = dbscan(pts, xi=xi, zeta=2)
-            non_noise = sum(1 for l in result.labels if l != NOISE)
+            non_noise = int(np.count_nonzero(dbscan(pts, xi=xi, zeta=2) != NOISE))
             assert non_noise >= previous
             previous = non_noise
 
@@ -203,35 +206,37 @@ class TestDbscanPool:
         return names
 
     def test_stack_equals_one_by_one_on_any_cpu_count(self, monkeypatch, stack):
-        one_by_one = [dbscan(p, xi=1.5, zeta=3) for p in stack]
-        assert sum(r.n_clusters for r in one_by_one) > 0
+        one_by_one = np.stack([dbscan(p, xi=1.5, zeta=3) for p in stack])
+        assert sum(map(cluster_count, one_by_one)) > 0
         batch_threads = self.record_threads(monkeypatch)
         for n in (1, 2, 4):
             allow_cpus(monkeypatch, n)
             batch_threads.clear()
-            assert dbscan(stack, xi=1.5, zeta=3) == one_by_one
+            np.testing.assert_array_equal(dbscan(stack, xi=1.5, zeta=3), one_by_one)
             assert len(batch_threads) == 4
             assert threading.current_thread().name not in batch_threads
             assert len(set(batch_threads)) == min(n, 2)
         # A single batch has nothing to overlap with: it runs on the calling thread.
         batch_threads.clear()
-        assert dbscan(stack[:3], xi=1.5, zeta=3) == one_by_one[:3]
+        np.testing.assert_array_equal(dbscan(stack[:3], xi=1.5, zeta=3), one_by_one[:3])
         assert batch_threads == [threading.current_thread().name]
 
     def test_stack_matches_brute_force(self, stack):
-        results = dbscan(stack, xi=1.5, zeta=3)
+        labels = dbscan(stack, xi=1.5, zeta=3)
+        assert labels.shape == stack.shape[:2]
         for i in (0, len(stack) - 1):
             expected = brute_force_dbscan(stack[i], 1.5, 3)
-            assert list(results[i].labels) == expected.tolist()
-            assert results[i].n_clusters == len(set(expected[expected >= 0]))
+            assert labels[i].tolist() == expected.tolist()
+            assert cluster_count(labels[i]) == len(set(expected[expected >= 0]))
 
 
 class TestClusterSnapshot:
     def test_two_mpcs_far_apart_no_cluster(self):
         snap = make_snapshot([(1.0, 0.0, 0.0, True), (0.5, 0.0, 10e-9)])
-        [result] = cluster_snapshot(snap, xi=0.3, zeta=2)
+        labels = cluster_snapshot(snap, xi=0.3, zeta=2)
         # z-scored columns put the two rows ~2 apart: both noise
-        assert result.n_clusters == 0
+        assert labels.tolist() == [NOISE, NOISE]
+        assert cluster_count(labels) == 0
 
     def test_tight_pair_clusters(self):
         snap = make_snapshot(
@@ -240,9 +245,9 @@ class TestClusterSnapshot:
             aoa_az_deg=[10.0, 200.0, 201.0, 100.0],
             aoa_el_deg=[5.0, -20.0, -20.5, 30.0],
         )
-        [result] = cluster_snapshot(snap, xi=0.3, zeta=2)
-        assert result.n_clusters == 1
-        labels = result.labels
+        labels = cluster_snapshot(snap, xi=0.3, zeta=2)
+        assert labels.shape == (4,)
+        assert cluster_count(labels) == 1
         assert labels[1] == labels[2] != NOISE
         assert labels[0] == NOISE and labels[3] == NOISE
 
@@ -264,15 +269,16 @@ class TestDbscanOracle:
     def test_matches_brute_force_exactly(self, pts, xi, zeta):
         got = dbscan(pts, xi=xi, zeta=zeta)
         expected = brute_force_dbscan(pts, xi, zeta)
-        assert list(got.labels) == expected.tolist()
-        assert got.n_clusters == len(set(expected[expected >= 0]))
+        assert got.tolist() == expected.tolist()
+        assert cluster_count(got) == len(set(expected[expected >= 0]))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(lattice_points(), min_size=1, max_size=4), st.integers(1, 4))
     def test_stack_equals_one_by_one(self, sets, zeta):
         n = min(len(p) for p in sets)
         stack = np.stack([p[:n, :1] for p in sets])
-        assert dbscan(stack, xi=1.0, zeta=zeta) == [dbscan(p, xi=1.0, zeta=zeta) for p in stack]
+        np.testing.assert_array_equal(dbscan(stack, xi=1.0, zeta=zeta),
+                                      [dbscan(p, xi=1.0, zeta=zeta) for p in stack])
 
     @pytest.mark.parametrize("border_first", [True, False])
     def test_border_point_reachable_from_two_clusters(self, border_first):
@@ -283,7 +289,7 @@ class TestDbscanOracle:
         border = [(1.0, 0.0)]
         pts = np.array(border + b + a if border_first else b + a + border)
         got = dbscan(pts, xi=1.0, zeta=4)
-        assert got.n_clusters == 2
-        assert list(got.labels) == brute_force_dbscan(pts, 1.0, 4).tolist()
-        border_label = got.labels[0] if border_first else got.labels[-1]
+        assert cluster_count(got) == 2
+        assert got.tolist() == brute_force_dbscan(pts, 1.0, 4).tolist()
+        border_label = got[0] if border_first else got[-1]
         assert border_label == 0

@@ -157,11 +157,14 @@ class TestShadowedRicianPdf:
         p = ShadowedRicianParams(0.0, 1.0, 1.0)
         assert shadowed_rician_mass(p) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
-    def test_huge_m_cancellation_detected(self):
-        # The large-shape limit of this product form is dominated by
-        # oscillation; its mass is not resolvable in double precision and
-        # normalisation must refuse rather than fabricate a density.
-        with pytest.raises(NumericError, match="cancellation"):
+    def test_huge_even_m_refused_before_quadrature(self, monkeypatch):
+        # Every even m with K > 0 has a negative exact mass (here -e^-1888.8),
+        # so it is refused before the two quadratures that took seconds.
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(integrate, "quad", no_quad)
+        with pytest.raises(NumericError, match=r"negative total mass .*\(even m\)"):
             shadowed_rician_mass(ShadowedRicianParams(5.0, 500.0, 1.0))
 
     def test_nan_amplitude_rejected(self):

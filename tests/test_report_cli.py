@@ -214,6 +214,28 @@ class TestConfig:
         assert main(["ntn-compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "must be a number" in capsys.readouterr().err
 
+    def test_config_hashes_and_sigmas_are_read_only(self, tmp_path):
+        # The sigmas were a plain dict: hashing raised, and assignment changed a checked config.
+        assert hash(ScenarioConfig()) == hash(ScenarioConfig())
+        cfg = ScenarioConfig()
+        with pytest.raises(TypeError):
+            cfg.ntn.sigma_db["NTN-TDL-A"] = math.nan
+        assert cfg.ntn.sigma_db["NTN-TDL-A"] == 8.0
+        path = tmp_path / "defaults.yaml"
+        path.write_text(
+            "pass: {arc_radius_km: 400, gs_height_km: 0.023,"
+            " altitudes_km: [5, 25, 50, 90, 136, 200, 264, 330, 371, 398]}\n"
+            "fc_ghz: 10\n"
+            "p_tx_dbm: 30\n"
+            "ntn: {psi1_deg: 10, psi2_deg: 15,"
+            " sigma_db: {NTN-TDL-C: 4, NTN-TDL-A: 8, NTN-TDL-B: 6}}\n"
+            "clustering: {xi: 0.3, zeta: 2}\n"
+            "seed: 1\n"
+        )
+        loaded = load_config(path)
+        assert loaded == ScenarioConfig()
+        assert hash(loaded) == hash(ScenarioConfig())
+
     @pytest.mark.parametrize("key", [
         "fc_ghz", "p_tx_dbm", "l_hd_db", "misalign_az_deg", "misalign_el_deg",
         "elevation_floor_deg", "seed",

@@ -9,7 +9,7 @@ from pathlib import Path
 import chansim
 
 PUBLIC_NAMES = [
-    "AntennaModel", "AtmosphereParams", "ChansimError", "ClusterResult", "ConfigError",
+    "AntennaModel", "AtmosphereParams", "ChansimError", "ConfigError",
     "ElevationAngle", "ElevationFloorError", "FadingRegime",
     "NumericError", "PassGeometry", "RayTable", "RicianParams", "ScenarioConfig",
     "ShadowedRicianParams", "TraceError",

@@ -67,6 +67,18 @@ class TestLoadValidation:
         with pytest.raises(TraceError, match="no rows"):
             load_trace(path)
 
+    @pytest.mark.parametrize("tail", ["", "\n  \n"], ids=["no-rows", "blank-rows"])
+    def test_column_row_without_data_rows(self, tmp_path, capsys, tail):
+        # np.loadtxt given no rows warns; the loader refuses the file before it.
+        path = tmp_path / "t.csv"
+        path.write_text(HEADER + "\n" + COLS + "\n" + tail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["linkbudget", "--trace", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"chansim: input error: {path}: trace file holds no rows\n")
+
     def test_bad_version(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("# chansim-trace v9 arc_radius_km=400\n" + COLS + "\n")
@@ -252,11 +264,45 @@ class TestDbmConversion:
         with pytest.raises(TraceError, match="p_tx_dbm"):
             load_trace(path)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_ptx_names_line_1(self, tmp_path, capsys, value):
+        # inf made every gain 0 and the run exit 0; -inf and nan blamed line 3.
+        path = tmp_path / "t.csv"
+        path.write_text(
+            f"# chansim-trace v1 arc_radius_km=400.0 amplitude=dbm p_tx_dbm={value}\n"
+            + COLS + "\n" + "50.0,-134.49,0.0,0.001,180.0,-7.0,0.0,7.0,0\n"
+            + "50.0,-140.0,0.0,0.002,180.0,-7.0,0.0,7.0,1\n"
+        )
+        assert main(["linkbudget", "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (f"chansim: input error: {path}: line 1: "
+                                           f"bad p_tx_dbm: must be finite, got {value}\n")
+        assert not (tmp_path / "o").exists()
+
 
 class TestSave:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_trace(sample_snapshots().take([]), tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("is_los", [[True, False, True, False], [True, False, False, False]],
+                             ids=["both-los", "one-los"])
+    def test_adjacent_equal_altitudes_refused(self, tmp_path, is_los):
+        # Saved as one run of 50 km rows, these two snapshots loaded back as a
+        # duplicate LOS ray, or as one merged snapshot.
+        ray = (1e-9, 0.0, 1e-3, 180.0, -7.0, 0.0, 7.0)
+        table = RayTable(dict(zip(RAY_COLUMNS, zip(*[ray] * 4))), is_los, [0, 2, 4],
+                         [50.0, 50.0], 400.0)
+        with pytest.raises(ValueError, match="adjacent snapshots share altitude 50.0 km"):
+            save_trace(table, tmp_path / "t.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_altitude_apart_round_trips(self, tmp_path):
+        # Equal altitudes with another snapshot between them stay two snapshots.
+        table = sample_snapshots().take([0, 1, 0])
+        assert table.altitude_km.tolist() == [50.0, 136.0, 50.0]
+        path = tmp_path / "t.csv"
+        save_trace(table, path)
+        assert load_trace(path) == table
 
 
 class TestNumpyBuiltPass:
