@@ -388,6 +388,9 @@ def fit(
     member of the implemented family whose normalised form is a valid
     density for every K) and omega is the family scale that matches the
     empirical mean power at the fitted K.
+
+    The amplitudes must be positive and finite: a zero amplitude has zero
+    density under every K, so no K is more likely than another.
     """
     r = np.asarray(samples, dtype=float)
     if r.size < _MIN_FIT_SAMPLES:
@@ -395,6 +398,8 @@ def fit(
     # Written so that NaN fails it.
     if not np.all((0.0 <= r) & (r < math.inf)):
         raise ValueError("amplitudes must be non-negative and finite")
+    if np.any(r == 0.0):
+        raise ValueError("amplitudes must be positive: a zero amplitude has zero likelihood")
     if np.ptp(r) == 0.0:
         raise ValueError("degenerate samples: zero variance")
     if regime is FadingRegime.DETERMINISTIC_LOS:

@@ -302,14 +302,18 @@ def k_factor(table: RayTable, designate_strongest: bool = False) -> list[float |
 
     Gives None for a snapshot holding only the LOS path, where the ratio
     is undefined.  A snapshot without a LOS flag is a structural error
-    unless ``designate_strongest`` promotes its strongest path.
+    unless it holds more than one ray and ``designate_strongest``
+    promotes its strongest path; the error names the first such snapshot.
     """
     counts = table.counts
     flagged = np.logical_or.reduceat(table.is_los, table.offsets[:-1])
-    if not np.all(flagged | (designate_strongest & (counts > 1))):
-        raise ValueError(
-            "snapshot has no LOS-flagged MPC; flag one or pass designate_strongest=True"
-        )
+    has_los = flagged | (designate_strongest & (counts > 1))
+    if not has_los.all():
+        altitude = float(table.altitude_km[np.argmin(has_los)])
+        remedy = ("flag one: designate_strongest promotes the strongest path only in a "
+                  "snapshot of more than one ray" if designate_strongest
+                  else "flag one or pass designate_strongest=True")
+        raise ValueError(f"snapshot at altitude {altitude} km has no LOS-flagged MPC; {remedy}")
     los_rows = table.offsets[:-1] + table.reduce(_los_index, table.is_los, table.amplitude)
     powers = table.amplitude * table.amplitude
     nlos_powers = powers.copy()

@@ -22,7 +22,7 @@ from .link_budget import fspl_db, sweep_pass
 from .mpc import RayTable, k_factor, running_sum
 from .pool import ordered_map
 from .synth import synth_scenario
-from .traceio import _CSV_CHUNK_ROWS, _atomic_write, _csv_chunks, _fmt, load_trace  # noqa: F401
+from .traceio import _atomic_write, _csv_chunks, _fmt, load_trace
 
 SUBCOMMANDS = ("linkbudget", "fading", "spreads", "cluster", "ntn-compare")
 

@@ -31,6 +31,8 @@ from .mpc import RAY_COLUMNS, RayTable, first_bad_ray
 TRACE_VERSION = 1
 
 _HEADER_PREFIX = "# chansim-trace"
+# The items line 1 may give after the version, each at most once.
+_HEADER_ITEMS = ("arc_radius_km", "amplitude", "p_tx_dbm")
 _COLUMNS = ("altitude_km", *RAY_COLUMNS, "n_interactions")
 
 # Each data row: altitude and the seven ray fields, then the interaction count.
@@ -52,7 +54,13 @@ def _parse_header(line: str, path: Path) -> tuple[float, float | None]:
         raise fault(f"unsupported trace version {fields[:1]}")
     if malformed := [item for item in fields[1:] if "=" not in item]:
         raise fault(f"malformed header item {malformed[0]!r}")
-    meta = dict(item.split("=", 1) for item in fields[1:])
+    meta: dict[str, str] = {}
+    for key, value in (item.split("=", 1) for item in fields[1:]):
+        if key not in _HEADER_ITEMS:
+            raise fault(f"unknown header item {key!r}; expected one of {', '.join(_HEADER_ITEMS)}")
+        if key in meta:
+            raise fault(f"header item {key!r} given twice")
+        meta[key] = value
     try:
         arc_radius_km = check_arc_radius(float(meta["arc_radius_km"]))
     except KeyError:

@@ -1,9 +1,11 @@
 import math
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import chansim
 from chansim import pool
 from chansim.mpc import RAY_COLUMNS, RayTable
 
@@ -28,6 +30,19 @@ def make_snapshot(
     is_los = [len(spec) > 3 and spec[3] for spec in specs]
     altitude = distance_km * math.sin(math.radians(psi_deg))
     return RayTable(columns, is_los, [0, n], [altitude], distance_km)
+
+
+# The sys.path entry that holds the chansim this process imported: the
+# source tree, or the installed package when pytest runs outside the checkout.
+CHANSIM_ROOT = str(Path(chansim.__file__).resolve().parents[1])
+
+
+def child_env(**variables: str) -> dict:
+    """The environment, plus ``variables``, for a child Python that imports
+    the chansim this process imported."""
+    env = {**os.environ, **variables}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (CHANSIM_ROOT, os.environ.get("PYTHONPATH"))))
+    return env
 
 
 def rows_of(columns: dict) -> list[SimpleNamespace]:

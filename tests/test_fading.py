@@ -275,6 +275,16 @@ class TestFit:
         with pytest.raises(ValueError, match="non-negative and finite"):
             fit(draws, regime)
 
+    @pytest.mark.parametrize("regime", [FadingRegime.RICIAN, FadingRegime.SHADOWED_RICIAN])
+    def test_zero_amplitude_rejected(self, regime):
+        # A zero has zero likelihood under every K; it gave K = 537.23 and a log warning.
+        draws = sample(RicianParams(5.0, 1.0), 1000, 3)
+        draws[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be positive: a zero amplitude"):
+                fit(draws, regime)
+
     def test_deterministic_regime_has_no_fit(self):
         with pytest.raises(ValueError):
             fit(np.linspace(0.1, 1.0, 500), FadingRegime.DETERMINISTIC_LOS)

@@ -154,6 +154,22 @@ class TestKFactor:
         # explicit opt-in designates the strongest path
         assert k_factor(snap, designate_strongest=True)[0] == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("designate, altitude, remedy", [
+        (False, 200.0, "flag one or pass designate_strongest=True"),
+        (True, 300.0, "flag one: designate_strongest promotes the strongest path only in a "
+                      "snapshot of more than one ray"),
+    ], ids=["flag-only", "designate-strongest"])
+    def test_missing_los_names_the_first_such_snapshot(self, designate, altitude, remedy):
+        # Snapshots at 100, 200 and 300 km: one flagged ray, two unflagged rays, one unflagged.
+        columns = {name: [0.0] * 4 for name in RAY_COLUMNS}
+        columns["amplitude"] = [1.0, 1.0, 0.5, 1.0]
+        table = RayTable(columns, [True, False, False, False], [0, 1, 3, 4],
+                         [100.0, 200.0, 300.0], 400.0)
+        with pytest.raises(ValueError) as info:
+            k_factor(table, designate_strongest=designate)
+        assert str(info.value) == (
+            f"snapshot at altitude {altitude} km has no LOS-flagged MPC; {remedy}")
+
     @given(st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance(self, scale):
         snap = make_snapshot(

@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from chansim import config as config_mod
+from chansim import traceio
 from chansim.antenna import AntennaModel
 from chansim.cli import main
 from chansim.config import (
@@ -559,6 +560,23 @@ class TestCli:
         data = json.loads((out / "summary.json").read_text())
         assert data["source"] == "trace"
 
+    def test_unflagged_single_ray_names_altitude_and_promotion_rule(self, tmp_path, capsys):
+        # designate_strongest_los promotes nothing in a one-ray snapshot; the
+        # refusal used to tell the user to pass it.
+        config = tmp_path / "scenario.yaml"
+        config.write_text("fading: {designate_strongest_los: true}\n")
+        trace = _write_trace(tmp_path / "t.csv", 400.0, [50.0, 136.0]).read_text()
+        trace = trace.replace("136.0,1e-9,0.0,0.001,180.0,-10.0,0.0,10.0,0",
+                              "136.0,1e-9,0.0,0.001,180.0,-10.0,0.0,10.0,1")
+        (tmp_path / "t.csv").write_text(trace)
+        code = main(["fading", "--config", str(config), "--trace", str(tmp_path / "t.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "chansim: config error: snapshot at altitude 136.0 km has no LOS-flagged MPC; "
+            "flag one: designate_strongest promotes the strongest path only in a snapshot "
+            "of more than one ray\n")
+
     def test_elevation_floor_gates_only_the_weather_terms(self, tmp_path, capsys):
         # The default pass starts at 0.716 deg: under a 1 deg floor the clear
         # sky budget runs, and a 1/sin(psi) term refuses the lowest snapshot.
@@ -730,9 +748,7 @@ class TestWriteCsv:
 
     @staticmethod
     def columns(n_rows: int) -> dict:
-        from chansim import report
-
-        chunk = report._CSV_CHUNK_ROWS
+        chunk = traceio._CSV_CHUNK_ROWS
 
         def mixed(i):
             return (None, math.inf, -math.inf, 7, "regime", np.float64(i) / 3, True, 0.25)[i % 8]
@@ -755,7 +771,7 @@ class TestWriteCsv:
     def test_bytes_equal_row_at_a_time(self, tmp_path, rows):
         from chansim import report
 
-        chunk = report._CSV_CHUNK_ROWS
+        chunk = traceio._CSV_CHUNK_ROWS
         n_rows = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
                   "2chunk+1": 2 * chunk + 1}[rows]
         columns = self.columns(n_rows)
@@ -766,7 +782,7 @@ class TestWriteCsv:
     def test_error_mid_stream_leaves_no_file(self, tmp_path):
         from chansim import report
 
-        chunk = report._CSV_CHUNK_ROWS
+        chunk = traceio._CSV_CHUNK_ROWS
         columns = self.columns(2 * chunk + 1)
         columns["mixed"][chunk + 1] = _Unprintable()
         with pytest.raises(RuntimeError, match="cell cannot be formatted"):
@@ -778,7 +794,7 @@ class TestWriteCsv:
     def test_array_columns_equal_list_columns(self, tmp_path, rows):
         from chansim import report
 
-        chunk = report._CSV_CHUNK_ROWS
+        chunk = traceio._CSV_CHUNK_ROWS
         n_rows = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1}[rows]
         floats = np.array(self.columns(n_rows)["float"], dtype=float)
         arrays = {"float": floats, "int": np.arange(-3, n_rows - 3), "flag": floats > 0}

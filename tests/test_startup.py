@@ -1,12 +1,10 @@
 """Start-up cost: only the fading fits may pull in scipy."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import chansim
+from conftest import child_env
 
 PUBLIC_NAMES = [
     "AntennaModel", "AtmosphereParams", "ChansimError", "ConfigError",
@@ -42,11 +40,8 @@ print(json.dumps({
 
 
 def test_cli_import_loads_no_scipy_and_keeps_public_names():
-    src = str(Path(chansim.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", PROBE], env=child_env(), capture_output=True, text=True,
         check=True, timeout=120,
     )
     probe = json.loads(out.stdout)
@@ -59,12 +54,9 @@ def test_cli_import_loads_no_scipy_and_keeps_public_names():
 
 def test_cli_import_loads_no_thread_pool():
     # The fading report's thread pool is imported where the report runs.
-    src = str(Path(chansim.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     probe = "import sys, chansim.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"

@@ -211,6 +211,32 @@ class TestHeaderArcRadius:
         assert "line 1" in capsys.readouterr().err
 
 
+class TestHeaderItems:
+    """Line 1 gives arc_radius_km, amplitude and p_tx_dbm, each at most once; an
+    unknown item was ignored and a repeated one silently took the last value."""
+
+    UNKNOWN = "unknown header item {!r}; expected one of arc_radius_km, amplitude, p_tx_dbm"
+
+    @pytest.mark.parametrize("items, message", [
+        ("fc_ghz=20.0", UNKNOWN.format("fc_ghz")),
+        ("carrier=whatever", UNKNOWN.format("carrier")),
+        ("arc_radius_km=500.0", "header item 'arc_radius_km' given twice"),
+        ("amplitude=linear", "header item 'amplitude' given twice"),
+        ("p_tx_dbm=30.0 p_tx_dbm=30.0", "header item 'p_tx_dbm' given twice"),
+    ])
+    def test_names_line_1_and_exits_3(self, tmp_path, capsys, items, message):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{HEADER} {items}\n{COLS}\n50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0\n")
+        assert main(["linkbudget", "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"chansim: input error: {path}: line 1: {message}\n"
+
+    def test_each_item_once_in_any_order_loads(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# chansim-trace v1 p_tx_dbm=30.0 amplitude=linear arc_radius_km=500.0\n"
+                        f"{COLS}\n50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0\n")
+        assert load_trace(path).arc_radius_km == 500.0
+
+
 class TestFaultOrder:
     """Line faults first, then each snapshot's duplicate LOS, then its altitude."""
 
