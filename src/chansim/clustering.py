@@ -55,6 +55,10 @@ def _zscored_features(delay, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg) -> 
     return out.reshape(k, len(FEATURE_COLUMNS), n).transpose(0, 2, 1)
 
 
+def _feature_columns(table: RayTable) -> tuple[np.ndarray, ...]:
+    return table.delay_s, table.aod_az_deg, table.aod_el_deg, table.aoa_az_deg, table.aoa_el_deg
+
+
 def build_features(table: RayTable) -> np.ndarray:
     """Normalised feature matrix (N x 7), one row per ray of the table.
 
@@ -64,60 +68,78 @@ def build_features(table: RayTable) -> np.ndarray:
     zeros.  Rows follow the table's ray order, so snapshot ``i`` owns rows
     ``offsets[i]:offsets[i + 1]``.
     """
-    return table.map_rays(
-        _zscored_features,
-        table.delay_s, table.aod_az_deg, table.aod_el_deg, table.aoa_az_deg, table.aoa_el_deg,
-    )
+    return table.map_rays(_zscored_features, *_feature_columns(table))
 
 
-def _labels(pts: np.ndarray, xi: float, zeta: int) -> np.ndarray:
-    """DBSCAN labels (k, n) of k point sets of n points."""
+# Point pairs per batch of equal-size point sets.  The kernel holds one bool
+# per pair of a batch, and makes the float64 distances of at most this many
+# pairs at a time: a set of more pairs is a batch of its own, taken a block
+# of rows at a time.  On a 100 x 300-ray trace (2 vCPU) a `cluster` run's
+# peak RSS read 37.3, 37.8 and 38.8 MB with 2^14, 2^15 and 2^16 pairs, and
+# 2^14 clustered it about a third slower.
+_BATCH_CELLS = 1 << 15
+
+
+def _neighbourhoods(pts: np.ndarray, xi: float, rows: list[slice]) -> np.ndarray:
+    """(k, n, n) bools: which points of each set lie within xi of each other."""
     k, n, dim = pts.shape
-    # Squared distances are added feature by feature, the order a sum over
-    # the feature axis of the pairwise differences takes; the first feature
-    # is squared in place (0 + x*x is x*x) and the rest go through one buffer.
-    d2 = np.zeros((k, n, n))
-    diff = np.empty_like(d2)
-    for j in range(dim):
-        out = diff if j else d2
-        np.subtract(pts[:, :, j, None], pts[:, None, :, j], out=out)
-        np.multiply(out, out, out=out)
-        if j:
+    near = np.empty((k, n, n), dtype=bool)
+    # Two distance buffers, made once and viewed in each block's shape.
+    buffers = np.empty((2, k * n * max((r.stop - r.start for r in rows), default=0)))
+    for r in rows:
+        a = pts[:, r]
+        d2, diff = buffers[:, :k * a.shape[1] * n].reshape(2, k, a.shape[1], n)
+        # Squared distances are added feature by feature, the order a sum
+        # over the feature axis of the pairwise differences takes.
+        np.subtract(a[:, :, 0, None], pts[:, None, :, 0], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for j in range(1, dim):
+            np.subtract(a[:, :, j, None], pts[:, None, :, j], out=diff)
+            np.multiply(diff, diff, out=diff)
             d2 += diff
-    del diff
-    near = np.sqrt(d2, out=d2) <= xi
-    del d2
-    core = near.sum(axis=2) >= zeta
-    links = near & core[:, None, :]
-    links &= core[:, :, None]
+        np.less_equal(np.sqrt(d2, out=d2), xi, out=near[:, r])
+    return near
+
+
+def _batch_labels(pts: np.ndarray, xi: float, zeta: int) -> np.ndarray:
+    """DBSCAN labels (k, n) of a batch of k point sets of n points."""
+    k, n, _ = pts.shape
+    # Blocks of rows of at most _BATCH_CELLS pairs; a batch of several sets is one block.
+    per_block = max(1, _BATCH_CELLS // max(1, k * n))
+    rows = [slice(lo, min(lo + per_block, n)) for lo in range(0, n, per_block)]
+    near = _neighbourhoods(pts, xi, rows)
+    core = np.count_nonzero(near, axis=2) >= zeta
     # Point indices, n meaning "none", and NOISE fit the narrowest signed type
-    # holding -1 .. n, which keeps the (k, n, n) index arrays small.
+    # holding -1 .. n, which keeps the index blocks small.
     itype = np.min_scalar_type(-1 - n)
     none = itype.type(n)
     index = np.arange(n, dtype=itype)
+
+    def neighbour_minima(values: np.ndarray) -> np.ndarray:
+        # Each point's least value over its neighbours, a block of rows at a time.
+        out = np.empty((k, n), dtype=itype)
+        for r in rows:
+            np.min(np.where(near[:, r], values[:, None, :], none),
+                   axis=2, initial=none, out=out[:, r])
+        return out
+
     # Each core point takes the lowest core index it can reach: min-label
-    # propagation with pointer jumping.
+    # propagation with pointer jumping.  A non-core point's root is "none",
+    # so the minima over all neighbours are the minima over core neighbours.
     root = np.where(core, index, none)
     sentinel = np.full((k, 1), none)
     while True:
-        step = np.where(links, root[:, None, :], none).min(axis=2, initial=none)
+        step = np.where(core, neighbour_minima(root), none)
         step = np.take_along_axis(np.concatenate([step, sentinel], axis=1), step, axis=1)
         if np.array_equal(step, root):
             break
         root = step
-    del links
     is_root = root == index
     rank = np.cumsum(is_root, axis=1, dtype=itype) - 1
     core_cluster = np.where(core, np.take_along_axis(rank, np.where(core, root, 0), axis=1), none)
-    labels = np.where(near, core_cluster[:, None, :], none).min(axis=2, initial=none)
+    labels = neighbour_minima(core_cluster)
     labels[labels == none] = NOISE
     return labels
-
-
-# Point pairs handled per batch of equal-size point sets.  The pool runs up
-# to two batches at once, so this bounds their (sets, n, n) work arrays to a
-# few MB together.
-_BATCH_PAIRS = 1 << 17
 
 
 def dbscan(features: np.ndarray, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZETA) -> np.ndarray:
@@ -134,8 +156,12 @@ def dbscan(features: np.ndarray, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZET
 
     ``features`` is one (N x D) point set or a stack (K x N x D) of point
     sets of equal size; the integer labels have the shape (N,) or (K, N).
-    A stack is clustered in batches, on the shared thread pool
-    (``chansim.pool``); the labels do not depend on its size.
+    A stack is clustered in batches of at most ``_BATCH_CELLS`` point
+    pairs (or one set of more), on the shared thread pool
+    (``chansim.pool``); the labels do not depend on its size.  A batch
+    holds one bool per point pair, its neighbourhoods, and index and
+    float64 temporaries of at most ``_BATCH_CELLS`` pairs, made a block
+    of rows at a time; so one set of n points takes about n² bytes.
     """
     if xi <= 0.0:
         raise ValueError("neighbourhood radius must be positive")
@@ -146,17 +172,25 @@ def dbscan(features: np.ndarray, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZET
         raise ValueError("features must be one (N x D) point set or a (K x N x D) stack")
     batch = pts if pts.ndim == 3 else pts[None]
     k, n = batch.shape[:2]
-    step = max(1, _BATCH_PAIRS // max(1, n * n))
+    step = max(1, _BATCH_CELLS // max(1, n * n))
     batches = [batch[lo:lo + step] for lo in range(0, k, step)]
-    parts = ordered_map(_labels, batches, repeat(xi), repeat(zeta))
+    parts = ordered_map(_batch_labels, batches, repeat(xi), repeat(zeta))
     # The empty block keeps the (0, n) shape of a stack of no point sets.
     labels = np.concatenate([np.empty((0, n), dtype=np.intp), *parts], dtype=np.intp)
     return labels.reshape(pts.shape[:-1])
 
 
+def _cluster_block(xi: float, zeta: int, *columns: np.ndarray) -> np.ndarray:
+    return dbscan(_zscored_features(*columns), xi, zeta)
+
+
 def cluster_snapshot(
     table: RayTable, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZETA
 ) -> np.ndarray:
-    """Build features and cluster each snapshot's rays on their own: one label
-    per ray, in table order."""
-    return table.map_rays(partial(dbscan, xi=xi, zeta=zeta), build_features(table))
+    """Cluster each snapshot's rays on their own: one label per ray, in table order.
+
+    Each block of the table (``RayTable.blocks``) has its features built
+    and clustered before the next block's, on the shared thread pool, so
+    the whole pass's feature matrix is never held at once.
+    """
+    return table.map_rays(partial(_cluster_block, xi, zeta), *_feature_columns(table))

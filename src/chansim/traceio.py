@@ -70,17 +70,18 @@ def _parse_header(line: str, path: Path) -> tuple[float, float | None]:
     amplitude_unit = meta.get("amplitude", "linear")
     if amplitude_unit not in ("linear", "dbm"):
         raise fault(f"unknown amplitude unit {amplitude_unit!r}")
-    if amplitude_unit == "linear":
+    if "p_tx_dbm" not in meta:
+        if amplitude_unit == "dbm":
+            raise fault("amplitude=dbm requires p_tx_dbm in the header")
         return arc_radius_km, None
+    # A given p_tx_dbm is checked under either unit; linear amplitudes do not use it.
     try:
         p_tx_dbm = float(meta["p_tx_dbm"])
-    except KeyError:
-        raise fault("amplitude=dbm requires p_tx_dbm in the header") from None
     except ValueError as exc:
         raise fault(f"bad p_tx_dbm: {exc}") from None
     if not math.isfinite(p_tx_dbm):
         raise fault(f"bad p_tx_dbm: must be finite, got {p_tx_dbm}")
-    return arc_radius_km, p_tx_dbm
+    return arc_radius_km, p_tx_dbm if amplitude_unit == "dbm" else None
 
 
 def _ray_columns(rows: np.ndarray, p_tx_dbm: float | None) -> dict:
@@ -194,21 +195,26 @@ def _utf8_fault(path: Path) -> str | None:
             offset += len(chunk)
 
 
+def _next_filled(handle, lineno: int, path: Path) -> tuple[int, str]:
+    """Number and text of the first non-blank line after line ``lineno``; at the
+    end of the file, a fault named by the last line read."""
+    for lineno, line in enumerate(handle, start=lineno + 1):
+        if not line.isspace():
+            return lineno, line
+    raise TraceError(f"{path}: line {lineno}: trace file holds no rows")
+
+
 def _load(p: Path) -> RayTable:
     # Lines end at \n, \r or \r\n only, as the file object splits them.
     try:
         with p.open(encoding="utf-8") as handle:
             header = handle.readline()
             if not header:
-                raise TraceError(f"{p}: empty trace file")
+                raise TraceError(f"{p}: line 1: empty trace file")
             arc_radius_km, p_tx_dbm = _parse_header(header, p)
 
             # The column header row is the first non-blank line after line 1.
-            for first_no, first in enumerate(handle, start=2):
-                if not first.isspace():
-                    break
-            else:
-                raise TraceError(f"{p}: trace file holds no rows")
+            first_no, first = _next_filled(handle, 1, p)
             header_cols = tuple(c.strip() for c in first.split(","))
             if header_cols[0] != _COLUMNS[0]:
                 raise TraceError(f"{p}: line {first_no}: missing column header row")
@@ -216,10 +222,10 @@ def _load(p: Path) -> RayTable:
                 raise TraceError(f"{p}: line {first_no}: columns {header_cols} "
                                  f"do not match {_COLUMNS}")
 
-            # np.loadtxt refuses blank lines, so the rows skip them, and warns on no rows.
+            # np.loadtxt warns on no rows and refuses blank lines, so the rows
+            # start at the first data line and skip blank ones.
+            _, row = _next_filled(handle, first_no, p)
             lines = (line for line in handle if not line.isspace())
-            if (row := next(lines, None)) is None:
-                raise TraceError(f"{p}: trace file holds no rows")
             try:
                 rows = _parse(chain([row], lines))
             except ValueError as exc:

@@ -137,7 +137,7 @@ def fault_trace(tmp_path: Path, name: str) -> Path:
 FAULTS = {
     "second-los": "line 4: duplicate LOS ray for altitude 5.0 km",
     "dbm-overflow": "line 3: amplitude must be non-negative and finite, got inf",
-    "no-rows": "trace file holds no rows",
+    "no-rows": "line 2: trace file holds no rows",
     "inf-p-tx": "line 1: bad p_tx_dbm: must be finite, got inf",
 }
 

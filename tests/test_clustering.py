@@ -1,5 +1,6 @@
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from chansim.clustering import (
     dbscan,
 )
 from conftest import allow_cpus, make_snapshot
+from test_traceio import generated_table
 
 
 def brute_force_dbscan(points: np.ndarray, xi: float, zeta: int) -> np.ndarray:
@@ -187,22 +189,22 @@ class TestDbscanPool:
     @pytest.fixture
     def stack(self):
         # Enough equal-size sets for three batches and one more set.
-        per_batch = clustering._BATCH_PAIRS // self.N_POINTS**2
+        per_batch = clustering._BATCH_CELLS // self.N_POINTS**2
         rng = np.random.default_rng(2024)
         return rng.normal(0.0, 1.0, size=(3 * per_batch + 1, self.N_POINTS, 7))
 
     @staticmethod
     def record_threads(monkeypatch) -> list[str]:
-        """Make _labels record the name of each thread that runs a batch."""
+        """Make _batch_labels record the name of each thread that runs a batch."""
         names = []
-        real_labels = clustering._labels
+        real_labels = clustering._batch_labels
 
         def recorded_labels(pts, xi, zeta):
             names.append(threading.current_thread().name)
             time.sleep(0.05)  # so that a second worker, if there is one, takes a batch
             return real_labels(pts, xi, zeta)
 
-        monkeypatch.setattr(clustering, "_labels", recorded_labels)
+        monkeypatch.setattr(clustering, "_batch_labels", recorded_labels)
         return names
 
     def test_stack_equals_one_by_one_on_any_cpu_count(self, monkeypatch, stack):
@@ -220,6 +222,18 @@ class TestDbscanPool:
         batch_threads.clear()
         np.testing.assert_array_equal(dbscan(stack[:3], xi=1.5, zeta=3), one_by_one[:3])
         assert batch_threads == [threading.current_thread().name]
+
+    def test_table_blocks_start_no_pool_of_their_own(self, monkeypatch):
+        # Two blocks of 300-ray snapshots, six and two, each of one-set batches:
+        # every batch runs on the thread of its block, on the two-thread pool.
+        table = generated_table(n_snapshots=8, n_rays=300)
+        assert len(table.blocks()) == 2
+        batch_threads = self.record_threads(monkeypatch)
+        allow_cpus(monkeypatch, 2)
+        cluster_snapshot(table)
+        assert len(batch_threads) == 8
+        assert threading.current_thread().name not in batch_threads
+        assert len(set(batch_threads)) == 2
 
     def test_stack_matches_brute_force(self, stack):
         labels = dbscan(stack, xi=1.5, zeta=3)
@@ -293,3 +307,32 @@ class TestDbscanOracle:
         assert got.tolist() == brute_force_dbscan(pts, 1.0, 4).tolist()
         border_label = got[0] if border_first else got[-1]
         assert border_label == 0
+
+
+class TestBoundedMemory:
+    """DBSCAN holds one bool per point pair of a batch, not float64 (k, n, n)
+    buffers, and a pass is clustered a block of the table at a time."""
+
+    @staticmethod
+    def peak_mb(call) -> float:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_dbscan_on_4000_points(self):
+        # Eight Gaussian clusters in 7-D: about 17 B per point pair, 272 MB,
+        # with the batched float64 kernel.
+        rng = np.random.default_rng(0)
+        centres = rng.normal(0.0, 1.5, size=(8, 7))
+        pts = centres[rng.integers(0, 8, 4000)] + rng.normal(0.0, 0.2, size=(4000, 7))
+        labels = []
+        assert self.peak_mb(lambda: labels.append(dbscan(pts, xi=0.3, zeta=2))) < 40.0
+        assert cluster_count(labels[0]) > 0
+
+    def test_cluster_snapshot_on_100_x_300_rays(self):
+        # About 8 MB when the whole pass's features were built before clustering.
+        table = generated_table(n_snapshots=100, n_rays=300)
+        assert self.peak_mb(lambda: cluster_snapshot(table)) < 4.0

@@ -17,7 +17,9 @@ from chansim.dispersion import spread_report
 from chansim.errors import RayRowError
 from chansim.geometry import altitude_to_elevation
 from chansim.mpc import (
+    _BLOCK_RAYS,
     COHERENT_PHASOR_SUM,
+    COHERENT_MODES,
     COHERENT_POWER_SUM,
     RAY_COLUMNS,
     RayTable,
@@ -133,11 +135,12 @@ def ref_gain_db(model, az_off, el_off):
     return model.peak_gain_dbi + max(pattern, -model.floor_db)
 
 
-def dense_pass(seed: int = 5) -> RayTable:
-    """Snapshots of every count in RAY_COUNTS, three each, interleaved, with
-    trace-like scales: ms delays with ns excesses and 0.01-deg azimuths."""
+def dense_pass(seed: int = 5, counts=RAY_COUNTS * 3) -> RayTable:
+    """Snapshots of the given ray counts (by default every count in RAY_COUNTS,
+    three each), interleaved, with trace-like scales: ms delays with ns
+    excesses and 0.01-deg azimuths."""
     rng = np.random.default_rng(seed)
-    counts = list(RAY_COUNTS) * 3
+    counts = list(counts)
     rng.shuffle(counts)
     radius = 500.0
     altitudes = np.sort(rng.uniform(5.0, radius, len(counts)))
@@ -239,6 +242,54 @@ class TestPassLayersMatchPerSnapshotLoops:
         got = gain_dbi(model, offsets, offsets / 3.0)
         want = [ref_gain_db(model, a, a / 3.0) for a in offsets]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+
+
+class TestSplitBlocksMatchOneSnapshotTables:
+    """More rays of one count than a block holds: the blocks split, and every
+    layer equals its result on each snapshot alone, a block of its own."""
+
+    # Three blocks of 300-ray snapshots and two of 7-ray ones.
+    table = dense_pass(seed=11, counts=[300] * (2 * (_BLOCK_RAYS // 300) + 1)
+                       + [7] * (_BLOCK_RAYS // 7 + 5))
+    singles = list(map(table.take, np.arange(len(table))[:, None]))
+
+    def each(self, layer) -> list:
+        return [layer(single) for single in self.singles]
+
+    def test_blocks_are_split_and_capped(self):
+        blocks = self.table.blocks()
+        assert [rows.shape for _, rows in blocks] == [
+            (_BLOCK_RAYS // 7, 7), (5, 7), *[(_BLOCK_RAYS // 300, 300)] * 2, (1, 300)]
+        assert sorted(np.concatenate([snaps for snaps, _ in blocks]).tolist()) == list(
+            range(len(self.table)))
+
+    def test_reduce_and_map_rays(self):
+        a = self.table.amplitude
+        totals = self.table.reduce(running_sum, a * a)
+        assert totals.tolist() == [t for [t] in self.each(
+            lambda s: s.reduce(running_sum, s.amplitude * s.amplitude).tolist())]
+        sums = self.table.map_rays(lambda d: np.cumsum(d, axis=1), self.table.delay_s)
+        assert sums.tolist() == [x for t in self.each(
+            lambda s: s.map_rays(lambda d: np.cumsum(d, axis=1), s.delay_s).tolist())
+            for x in t]
+
+    def test_spreads(self):
+        assert rows_of(spread_report(self.table)) == [
+            row for [row] in self.each(lambda s: rows_of(spread_report(s)))]
+
+    def test_k_factor_and_coherent_power(self):
+        assert k_factor(self.table) == [k for [k] in self.each(k_factor)]
+        for mode in COHERENT_MODES:
+            assert coherent_power_dbm(self.table, mode, 30.0) == [
+                p for [p] in self.each(lambda s: coherent_power_dbm(s, mode, 30.0))]
+
+    def test_features_and_clusters(self):
+        np.testing.assert_array_equal(build_features(self.table),
+                                      np.concatenate(self.each(build_features)))
+        labels = cluster_snapshot(self.table, xi=0.6, zeta=2)
+        assert labels.max() > 0
+        np.testing.assert_array_equal(
+            labels, np.concatenate(self.each(lambda s: cluster_snapshot(s, xi=0.6, zeta=2))))
 
 
 class TestRayTable:

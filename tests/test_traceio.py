@@ -58,17 +58,20 @@ class TestLoadValidation:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match=": line 1: empty trace file$"):
             load_trace(path)
 
     def test_header_only(self, tmp_path):
+        # The fault names the last line read, blank or not.
         path = tmp_path / "empty.csv"
-        path.write_text(HEADER + "\n")
-        with pytest.raises(TraceError, match="no rows"):
-            load_trace(path)
+        for tail, line in [("", 1), ("\n \n", 3)]:
+            path.write_text(HEADER + "\n" + tail)
+            with pytest.raises(TraceError, match=f": line {line}: trace file holds no rows$"):
+                load_trace(path)
 
-    @pytest.mark.parametrize("tail", ["", "\n  \n"], ids=["no-rows", "blank-rows"])
-    def test_column_row_without_data_rows(self, tmp_path, capsys, tail):
+    @pytest.mark.parametrize("tail, line", [("", 2), ("\n  \n", 4)],
+                             ids=["no-rows", "blank-rows"])
+    def test_column_row_without_data_rows(self, tmp_path, capsys, tail, line):
         # np.loadtxt given no rows warns; the loader refuses the file before it.
         path = tmp_path / "t.csv"
         path.write_text(HEADER + "\n" + COLS + "\n" + tail)
@@ -77,7 +80,7 @@ class TestLoadValidation:
             code = main(["linkbudget", "--trace", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
         assert capsys.readouterr().err == (
-            f"chansim: input error: {path}: trace file holds no rows\n")
+            f"chansim: input error: {path}: line {line}: trace file holds no rows\n")
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -302,6 +305,25 @@ class TestDbmConversion:
         assert main(["linkbudget", "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (f"chansim: input error: {path}: line 1: "
                                            f"bad p_tx_dbm: must be finite, got {value}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("amplitude", [" amplitude=linear", ""], ids=["linear", "default"])
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("inf", "must be finite, got inf"),
+        ("nan", "must be finite, got nan"),
+    ])
+    def test_bad_ptx_under_linear_names_line_1(self, tmp_path, capsys, amplitude, value,
+                                               message):
+        # Linear amplitudes do not use p_tx_dbm, but a given one must still parse.
+        path = tmp_path / "t.csv"
+        path.write_text(
+            f"# chansim-trace v1 arc_radius_km=400.0{amplitude} p_tx_dbm={value}\n"
+            + COLS + "\n" + "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0\n"
+        )
+        assert main(["linkbudget", "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (f"chansim: input error: {path}: line 1: "
+                                           f"bad p_tx_dbm: {message}\n")
         assert not (tmp_path / "o").exists()
 
 
