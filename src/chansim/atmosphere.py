@@ -94,8 +94,9 @@ def rain_attenuation_db(
     and therefore stays finite at zenith.  The carrier frequency enters
     through the horizontal reduction factor.
     """
-    if fc_ghz <= 0.0:
-        raise ValueError("carrier frequency must be positive")
+    # Written so that NaN fails it.
+    if not fc_ghz > 0.0:
+        raise ValueError(f"carrier frequency must be positive, got {fc_ghz}")
     gamma_r = specific_rain_attenuation(p)
     l_s = np.array(rain_slant_length(
         psi_deg, p.h_rain_km, gs_height_km, p.r_earth_km, mode=slant_mode, floor_deg=floor_deg

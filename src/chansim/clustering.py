@@ -9,12 +9,10 @@ the working matrix has 7 columns, each z-score normalised.
 from __future__ import annotations
 
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
 from .mpc import RayTable
-from .pool import ordered_map
 
 NOISE = -1
 
@@ -157,15 +155,16 @@ def dbscan(features: np.ndarray, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZET
     ``features`` is one (N x D) point set or a stack (K x N x D) of point
     sets of equal size; the integer labels have the shape (N,) or (K, N).
     A stack is clustered in batches of at most ``_BATCH_CELLS`` point
-    pairs (or one set of more), on the shared thread pool
-    (``chansim.pool``); the labels do not depend on its size.  A batch
-    holds one bool per point pair, its neighbourhoods, and index and
-    float64 temporaries of at most ``_BATCH_CELLS`` pairs, made a block
-    of rows at a time; so one set of n points takes about n² bytes.
+    pairs (or one set of more), one after another on the calling thread;
+    the labels do not depend on the batch size.  A batch holds one bool
+    per point pair, its neighbourhoods, and index and float64 temporaries
+    of at most ``_BATCH_CELLS`` pairs, made a block of rows at a time; so
+    one set of n points takes about n² bytes.
     """
-    if xi <= 0.0:
-        raise ValueError("neighbourhood radius must be positive")
-    if zeta < 1:
+    # Written so that NaN fails them.
+    if not xi > 0.0:
+        raise ValueError(f"neighbourhood radius must be positive, got {xi}")
+    if not zeta >= 1:
         raise ValueError("minimum points must be at least 1")
     pts = np.asarray(features, dtype=float)
     if pts.ndim not in (2, 3):
@@ -173,8 +172,7 @@ def dbscan(features: np.ndarray, xi: float = DEFAULT_XI, zeta: int = DEFAULT_ZET
     batch = pts if pts.ndim == 3 else pts[None]
     k, n = batch.shape[:2]
     step = max(1, _BATCH_CELLS // max(1, n * n))
-    batches = [batch[lo:lo + step] for lo in range(0, k, step)]
-    parts = ordered_map(_batch_labels, batches, repeat(xi), repeat(zeta))
+    parts = [_batch_labels(batch[lo:lo + step], xi, zeta) for lo in range(0, k, step)]
     # The empty block keeps the (0, n) shape of a stack of no point sets.
     labels = np.concatenate([np.empty((0, n), dtype=np.intp), *parts], dtype=np.intp)
     return labels.reshape(pts.shape[:-1])
@@ -190,7 +188,7 @@ def cluster_snapshot(
     """Cluster each snapshot's rays on their own: one label per ray, in table order.
 
     Each block of the table (``RayTable.blocks``) has its features built
-    and clustered before the next block's, on the shared thread pool, so
-    the whole pass's feature matrix is never held at once.
+    and clustered before the next block's, on the calling thread, so the
+    whole pass's feature matrix is never held at once.
     """
     return table.map_rays(partial(_cluster_block, xi, zeta), *_feature_columns(table))

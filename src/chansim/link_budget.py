@@ -31,10 +31,11 @@ MISALIGN_MODES = (MISALIGN_AGGREGATE, MISALIGN_PER_RAY)
 
 def fspl_db(d_km: float, fc_ghz: float) -> float:
     """Free-space path loss 20 log10(4 pi d / lambda), in dB."""
-    if d_km <= 0.0:
-        raise ValueError("distance must be positive")
-    if fc_ghz <= 0.0:
-        raise ValueError("frequency must be positive")
+    # Written so that NaN fails them.
+    if not d_km > 0.0:
+        raise ValueError(f"distance must be positive, got {d_km}")
+    if not 0.0 < fc_ghz < math.inf:
+        raise ValueError(f"frequency must be positive and finite, got {fc_ghz}")
     wavelength_m = SPEED_OF_LIGHT_M_S / (fc_ghz * 1e9)
     return 20.0 * math.log10(4.0 * math.pi * d_km * 1e3 / wavelength_m)
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import RayRowError
 from .geometry import arc_elevations, check_arc_radius, first_off_arc
-from .pool import ordered_map
 
 TWO_PI = 2.0 * math.pi
 
@@ -200,8 +199,9 @@ class RayTable:
                 f"arc_radius_km={self.arc_radius_km!r})")
 
     def take(self, snapshots: Iterable[int]) -> "RayTable":
-        """Table of the given snapshots, in the given order."""
-        idx = np.asarray(snapshots, dtype=np.int64).reshape(-1)
+        """Table of the given snapshots in the given order, negative ones counted from the end."""
+        # Normalised first: offsets holds one more entry than there are snapshots.
+        idx = np.arange(len(self))[np.asarray(snapshots, dtype=np.int64).reshape(-1)]
         counts = self.counts[idx]
         rows = np.repeat(self.offsets[idx] - np.concatenate([[0], np.cumsum(counts)[:-1]]),
                          counts) + np.arange(int(counts.sum()))
@@ -265,15 +265,13 @@ class RayTable:
     def map_rays(self, fn: Callable[..., np.ndarray], *columns: np.ndarray) -> np.ndarray:
         """Apply ``fn`` to (snapshots, rays) blocks and scatter the result back per ray.
 
-        The blocks run on the shared thread pool (``chansim.pool``), each
-        gathering its own columns, so ``fn`` must be safe to call from two
-        threads at once.
+        The blocks run one after another on the calling thread, each
+        gathering its own columns, so one block's temporaries are held at
+        a time.
         """
-        blocks = self.blocks()
-        parts = ordered_map(lambda rows: fn(*(c[rows] for c in columns)),
-                            [rows for _, rows in blocks])
         out = None
-        for (_, rows), part in zip(blocks, parts):
+        for _, rows in self.blocks():
+            part = fn(*(c[rows] for c in columns))
             if out is None:
                 out = np.empty((self.n_rays,) + part.shape[2:], dtype=part.dtype)
             out[rows] = part

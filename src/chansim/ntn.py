@@ -15,6 +15,7 @@ attenuation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -47,12 +48,19 @@ def select_profile(
     return [PROFILE_NAMES[i] for i in bins.tolist()]
 
 
+def _checked_sigma(sigma_db: float) -> float:
+    # Written so that NaN fails it.
+    if not 0.0 <= sigma_db < math.inf:
+        raise ValueError(f"shadowing sigma must be finite and non-negative, got {sigma_db}")
+    return sigma_db
+
+
 def shadowing_draws(sigma_db: float, n: int, seed: int) -> np.ndarray:
     """n log-normal shadowing draws (dB domain), reproducible under seed."""
     if n < 1:
         raise ValueError("need at least one draw")
     rng = np.random.default_rng(seed)
-    return rng.normal(0.0, sigma_db, size=n)
+    return rng.normal(0.0, _checked_sigma(sigma_db), size=n)
 
 
 def ntn_attenuation_db(
@@ -67,11 +75,13 @@ def ntn_attenuation_db(
     Row i draws with ``sigma_db[i]`` from its own stream seeded with
     ``seeds[i]``, the draw ``shadowing_draws(sigma_db[i], 1, seeds[i])``
     makes, so every row is reproducible in isolation.  With zero sigma the value is exactly
-    FSPL - gains, which is also the expectation over draws.
+    FSPL - gains, which is also the expectation over draws.  A sigma that is
+    not finite and non-negative raises ``ValueError``.
     """
     base = fspl_db(d_km, fc_ghz)
+    sigmas = [_checked_sigma(sigma) for sigma in sigma_db]
     # numpy draws normal(0, sigma) as sigma * standard_normal(), bit for bit.
     return [
         base + (sigma * rng.standard_normal() if sigma > 0.0 else 0.0) - antenna_gains_db
-        for sigma, rng in zip(sigma_db, streams(seeds), strict=True)
+        for sigma, rng in zip(sigmas, streams(seeds), strict=True)
     ]

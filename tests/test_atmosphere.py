@@ -253,6 +253,6 @@ class TestParamsValidation:
             AtmosphereParams(**{name: math.nan})
 
     def test_nonpositive_carrier_rejected(self):
-        for fc_ghz in (0.0, -10.0):
-            with pytest.raises(ValueError, match="carrier frequency"):
+        for fc_ghz in (0.0, -10.0, float("nan")):
+            with pytest.raises(ValueError, match=f"frequency must be positive, got {fc_ghz}"):
                 rain_attenuation_db([45.0], PARAMS, GS_HEIGHT_KM, fc_ghz=fc_ghz)

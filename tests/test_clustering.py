@@ -1,5 +1,4 @@
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -138,8 +137,9 @@ class TestDbscan:
         assert cluster_count(labels) == 1
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            dbscan(np.zeros((2, 2)), xi=0.0, zeta=2)
+        for xi in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match=f"radius must be positive, got {xi}"):
+                dbscan(np.zeros((2, 2)), xi=xi, zeta=2)
         with pytest.raises(ValueError):
             dbscan(np.zeros((2, 2)), xi=0.3, zeta=0)
 
@@ -182,7 +182,7 @@ class TestDbscan:
 
 
 class TestDbscanPool:
-    """A stack's batches run on the shared pool, one thread per CPU, at most two."""
+    """A stack's batches, and a table's blocks, run on the calling thread."""
 
     N_POINTS = 64
 
@@ -201,39 +201,26 @@ class TestDbscanPool:
 
         def recorded_labels(pts, xi, zeta):
             names.append(threading.current_thread().name)
-            time.sleep(0.05)  # so that a second worker, if there is one, takes a batch
             return real_labels(pts, xi, zeta)
 
         monkeypatch.setattr(clustering, "_batch_labels", recorded_labels)
         return names
 
-    def test_stack_equals_one_by_one_on_any_cpu_count(self, monkeypatch, stack):
+    def test_stack_equals_one_by_one(self, monkeypatch, stack):
         one_by_one = np.stack([dbscan(p, xi=1.5, zeta=3) for p in stack])
         assert sum(map(cluster_count, one_by_one)) > 0
         batch_threads = self.record_threads(monkeypatch)
-        for n in (1, 2, 4):
-            allow_cpus(monkeypatch, n)
-            batch_threads.clear()
-            np.testing.assert_array_equal(dbscan(stack, xi=1.5, zeta=3), one_by_one)
-            assert len(batch_threads) == 4
-            assert threading.current_thread().name not in batch_threads
-            assert len(set(batch_threads)) == min(n, 2)
-        # A single batch has nothing to overlap with: it runs on the calling thread.
-        batch_threads.clear()
-        np.testing.assert_array_equal(dbscan(stack[:3], xi=1.5, zeta=3), one_by_one[:3])
-        assert batch_threads == [threading.current_thread().name]
+        np.testing.assert_array_equal(dbscan(stack, xi=1.5, zeta=3), one_by_one)
+        assert len(batch_threads) == 4
 
-    def test_table_blocks_start_no_pool_of_their_own(self, monkeypatch):
-        # Two blocks of 300-ray snapshots, six and two, each of one-set batches:
-        # every batch runs on the thread of its block, on the two-thread pool.
+    def test_table_blocks_run_on_the_calling_thread(self, monkeypatch):
+        # Two blocks of 300-ray snapshots, six and two, each of one-set batches.
         table = generated_table(n_snapshots=8, n_rays=300)
         assert len(table.blocks()) == 2
         batch_threads = self.record_threads(monkeypatch)
         allow_cpus(monkeypatch, 2)
         cluster_snapshot(table)
-        assert len(batch_threads) == 8
-        assert threading.current_thread().name not in batch_threads
-        assert len(set(batch_threads)) == 2
+        assert batch_threads == [threading.current_thread().name] * 8
 
     def test_stack_matches_brute_force(self, stack):
         labels = dbscan(stack, xi=1.5, zeta=3)

@@ -51,10 +51,12 @@ class TestFspl:
         )
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            fspl_db(0.0, 10.0)
-        with pytest.raises(ValueError):
-            fspl_db(100.0, -1.0)
+        for d_km in (0.0, math.nan):
+            with pytest.raises(ValueError, match=f"distance must be positive, got {d_km}"):
+                fspl_db(d_km, 10.0)
+        for fc_ghz in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"must be positive and finite, got {fc_ghz}"):
+                fspl_db(100.0, fc_ghz)
 
 
 class TestEvaluate:

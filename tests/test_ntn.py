@@ -97,6 +97,14 @@ class TestAttenuation:
         assert all(type(v) is float for v in values)
         assert values == expected
 
+    @pytest.mark.parametrize("sigma", [float("nan"), -3.0, float("inf")])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        match = f"sigma must be finite and non-negative, got {sigma}"
+        with pytest.raises(ValueError, match=match):
+            ntn_attenuation_db(400.0, 10.0, [4.0, sigma], [1, 2])
+        with pytest.raises(ValueError, match=match):
+            shadowing_draws(sigma, 1, 2)
+
     def test_one_seed_per_sigma(self):
         with pytest.raises(ValueError):
             ntn_attenuation_db(400.0, 10.0, [4.0, 6.0], [1])

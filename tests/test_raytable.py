@@ -391,8 +391,23 @@ class TestRayTable:
         assert reverse.altitude_km.tolist() == [69.0, 200.0]
         assert table.sorted_by_altitude() == reverse
         assert repr(table) == "RayTable(2 snapshots, 3 rays, arc_radius_km=400.0)"
-        with pytest.raises(IndexError):
-            table.take([2])
+        assert table.take([-1, -2]) == reverse
+        for index in (2, -3):
+            with pytest.raises(IndexError, match="axis 0 with size 2"):
+                table.take([index])
+        # Negative indices count from the end on a pass of uneven ray counts.
+        counts = [5, 4, 1, 2]
+        uneven = self.make(
+            columns={name: np.arange(12.0) * (1e-9 if name == "delay_s" else 1.0)
+                     for name in RAY_COLUMNS},
+            is_los=np.zeros(12, dtype=bool), offsets=np.cumsum([0, *counts]),
+            altitude_km=[5.0, 100.0, 300.0, 350.0])
+        for k in range(1, 5):
+            assert uneven.take([-k]) == uneven.take([4 - k])
+            assert uneven.take([-k]).counts.tolist() == [counts[4 - k]]
+        assert uneven.take([-1, 0, -3]) == uneven.take([3, 0, 1])
+        with pytest.raises(IndexError, match="axis 0 with size 4"):
+            uneven.take([-5])
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

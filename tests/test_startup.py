@@ -60,3 +60,26 @@ def test_cli_import_loads_no_thread_pool():
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+CLUSTER_PROBE = """
+import sys
+from chansim.clustering import build_features
+from chansim.config import ScenarioConfig
+from chansim.report import gather_snapshots, run_report
+config = ScenarioConfig()
+table = gather_snapshots(config, None)
+assert len(table.blocks()) >= 2, table.counts
+build_features(table)
+run_report(config, "cluster", sys.argv[1])
+print('concurrent.futures' in sys.modules)
+"""
+
+
+def test_clustering_loads_no_thread_pool(tmp_path):
+    # Ray-table blocks and DBSCAN batches run on the calling thread.
+    out = subprocess.run(
+        [sys.executable, "-c", CLUSTER_PROBE, str(tmp_path)], env=child_env(),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
