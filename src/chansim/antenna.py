@@ -57,6 +57,10 @@ class AntennaModel:
             raise ValueError("element spacing must be positive")
         if self.floor_db <= 0.0:
             raise ValueError("pattern floor must be positive")
+        # Ray elevations lie in [-90, 90], so every offset from such a pointing
+        # lies in [-180, 180], the range gain_dbi takes.
+        if not -90.0 <= self.steer_el_deg <= 90.0:
+            raise ValueError(f"steer_el_deg must be in [-90, 90] deg, got {self.steer_el_deg}")
 
     def steered(self, az_deg: float, el_deg: float) -> "AntennaModel":
         """New model pointing at the given direction."""

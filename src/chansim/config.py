@@ -31,7 +31,7 @@ from .geometry import (
     PassGeometry,
     default_psi2,
 )
-from .link_budget import MISALIGN_AGGREGATE, MISALIGN_MODES
+from .link_budget import MISALIGN_AGGREGATE, MISALIGN_MODES, MISALIGN_PER_RAY
 from .mpc import COHERENT_MODES, COHERENT_POWER_SUM
 from .ntn import DEFAULT_PSI1_DEG, DEFAULT_PSI2_DEG, DEFAULT_SHADOW_SIGMA_DB
 
@@ -182,6 +182,11 @@ class ScenarioConfig:
                                     ("misalignment", self.misalign_mode, MISALIGN_MODES)):
             if value not in choices:
                 raise ValueError(f"mode {key!r} must be one of {choices}, got {value!r}")
+        # Per-ray misalignment steers the ground antenna by the offset.
+        steer_el = self.gs_antenna.steer_el_deg + self.misalign_el_deg
+        if self.misalign_mode == MISALIGN_PER_RAY and not -90.0 <= steer_el <= 90.0:
+            raise ValueError(f"misalign_el_deg {self.misalign_el_deg} steers the ground antenna "
+                             f"to elevation {steer_el}, outside [-90, 90] deg")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 

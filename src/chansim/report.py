@@ -1,15 +1,16 @@
 """Report generation: runs a subcommand over a pass and emits CSV + JSON.
 
 Snapshots come from a trace file when one is given, otherwise from the
-synthetic generator.  Every writer goes through write-then-rename so a
-failed run never leaves partial output, and all outputs are pure
-functions of (config, trace, seed).
+synthetic generator.  A run writes both its files to temp files before it
+renames either into place, so a failed run never leaves partial output,
+and all outputs are pure functions of (config, trace, seed).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from itertools import islice
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from .config import DEFAULT_GEOMETRY, ScenarioConfig
 from .errors import ConfigError
 from .link_budget import fspl_db, sweep_pass
 from .mpc import RayTable, k_factor, running_sum
-from .pool import ordered_map
 from .synth import synth_scenario
 from .traceio import _atomic_write, _csv_chunks, _fmt, load_trace
 
@@ -37,10 +37,6 @@ def _json_safe(value):
     return value
 
 
-def _write_csv(path: Path, columns: dict[str, list | np.ndarray]) -> None:
-    _atomic_write(path, _csv_chunks(columns))
-
-
 # Pieces of encoded JSON per write: single pieces are a few characters
 # each, and writing them one by one is slower than joining them in batches.
 _JSON_BATCH_PIECES = 4096
@@ -55,8 +51,39 @@ def _json_chunks(payload: dict):
     yield "\n"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, _json_chunks(payload))
+# The fading report's thread pool ceiling: the thread count it was measured
+# to gain from (2 vCPU).  Much of a fading row holds the interpreter lock, so
+# threads beyond that are unmeasured and may only queue for it.
+_MAX_THREADS = 2
+
+# Where a cgroup's CPU quota is read: v2 writes "quota period" (quota "max"
+# when unlimited) to one file, v1 the two numbers to two (quota -1 when unlimited).
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+
+def _quota_cpus() -> float:
+    """The whole CPUs the process's cgroup quota grants, at least one; inf if unlimited."""
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            quota, period = (int(v) for v in " ".join(
+                Path(path).read_text() for path in paths).split())
+        except (OSError, ValueError):  # no such cgroup, or no quota ("max")
+            continue
+        if quota > 0 and period > 0:
+            return max(1, quota // period)
+    return math.inf
+
+
+def _worker_count() -> int:
+    """The fading pool's size: the CPUs this process may use, at most _MAX_THREADS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(_MAX_THREADS, cpus, _quota_cpus())
 
 
 def _row_seed(base_seed: int, index: int) -> int:
@@ -123,8 +150,8 @@ def run_report(
     }[subcommand]
     columns, extra = builder(config, table)
     summary.update(extra)
-    _write_csv(out / f"{subcommand}.csv", columns)
-    _write_json(out / "summary.json", summary)
+    _atomic_write({out / f"{subcommand}.csv": _csv_chunks(columns),
+                   out / "summary.json": _json_chunks(summary)})
     return summary
 
 
@@ -142,7 +169,10 @@ def _report_linkbudget(config: ScenarioConfig, table: RayTable):
 
 
 def _report_fading(config: ScenarioConfig, table: RayTable):
-    # Imported here so that only this subcommand pays scipy's import time.
+    # Imported here so that only this subcommand pays scipy's and the pool's
+    # import time.
+    from concurrent.futures import ThreadPoolExecutor
+
     from . import fading
 
     psi2 = config.psi2(table.arc_radius_km)
@@ -175,10 +205,12 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
         return fitted.k, getattr(fitted, "m", None), fitted.omega, n_samples
 
     # A row's draws and fit depend only on its own seed, and rows share no
-    # state.  scipy's i0e releases the GIL, so rows overlap on threads.
-    rows = ordered_map(
-        fit_row, range(len(regimes)), regimes, columns["k_direct"], columns["omega"]
-    )
+    # state.  scipy's i0e releases the GIL, so rows overlap on threads.  Rows
+    # keep their order, so outputs equal the serial run's on any CPU count.
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        rows = list(pool.map(
+            fit_row, range(len(regimes)), regimes, columns["k_direct"], columns["omega"]
+        ))
     for i, key in enumerate(("k_fit", "m_fit", "omega_fit", "n_samples")):
         columns[key] = [row[i] for row in rows]
     # The summary repeats these columns per snapshot, in this key order.

@@ -42,6 +42,16 @@ _ROW_DTYPE = np.dtype([("values", float, (len(_COLUMNS) - 1,)), ("n_interactions
 _parse = partial(np.loadtxt, delimiter=",", comments=None, dtype=_ROW_DTYPE, ndmin=1)
 
 
+def _header_number(text: str) -> float:
+    """``text`` as a float by the rule the data rows are parsed by; a text it
+    refuses raises ValueError with ``float()``'s message, else numpy's."""
+    float(text)
+    try:
+        return float(np.loadtxt([text], delimiter=",", comments=None))
+    except ValueError as exc:
+        raise ValueError(re.sub(r" at row \d+, column \d+\.$", "", str(exc))) from None
+
+
 def _parse_header(line: str, path: Path) -> tuple[float, float | None]:
     """The arc radius and, for powers in dBm, the TX power of line 1."""
     def fault(text: str) -> TraceError:
@@ -62,7 +72,7 @@ def _parse_header(line: str, path: Path) -> tuple[float, float | None]:
             raise fault(f"header item {key!r} given twice")
         meta[key] = value
     try:
-        arc_radius_km = check_arc_radius(float(meta["arc_radius_km"]))
+        arc_radius_km = check_arc_radius(_header_number(meta["arc_radius_km"]))
     except KeyError:
         raise fault("header missing arc_radius_km") from None
     except ValueError as exc:
@@ -76,7 +86,7 @@ def _parse_header(line: str, path: Path) -> tuple[float, float | None]:
         return arc_radius_km, None
     # A given p_tx_dbm is checked under either unit; linear amplitudes do not use it.
     try:
-        p_tx_dbm = float(meta["p_tx_dbm"])
+        p_tx_dbm = _header_number(meta["p_tx_dbm"])
     except ValueError as exc:
         raise fault(f"bad p_tx_dbm: {exc}") from None
     if not math.isfinite(p_tx_dbm):
@@ -258,22 +268,28 @@ def save_trace(table: RayTable, path: str | Path) -> None:
               " amplitude=linear\n")
     columns = [np.repeat(table.altitude_km, table.counts),
                *(getattr(table, name) for name in RAY_COLUMNS), np.where(table.is_los, 0, 1)]
-    _atomic_write(Path(path), chain([header], _csv_chunks(dict(zip(_COLUMNS, columns)))))
+    _atomic_write({Path(path): chain([header], _csv_chunks(dict(zip(_COLUMNS, columns))))})
 
 
-def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
-    """Write the chunks, in order, via a temp file and rename, so partial
-    output never lands: an error while a chunk is made or written removes
-    the temp file and leaves the path as it was."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+def _atomic_write(files: dict[Path, Iterable[str]]) -> None:
+    """Write each path's chunks, in order, to a temp file, then rename every
+    temp file into place, so partial output never lands: an error while a
+    chunk is made or written removes every temp file and leaves each path
+    as it was."""
+    temps = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
+        for path, chunks in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+        for path, tmp in zip(files, temps):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 

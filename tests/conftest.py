@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import chansim
-from chansim import pool
+from chansim import report
 from chansim.mpc import RAY_COLUMNS, RayTable
 
 
@@ -67,6 +67,6 @@ def db(x: float) -> float:
 
 def allow_cpus(monkeypatch, n: int, quota_files=()) -> None:
     """Let the process run on n CPUs under the cgroup quota in quota_files, as far
-    as the shared thread pool can tell (no quota by default)."""
+    as the fading report's thread pool can tell (no quota by default)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(pool, "_CPU_QUOTA_FILES", quota_files)
+    monkeypatch.setattr(report, "_CPU_QUOTA_FILES", quota_files)

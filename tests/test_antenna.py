@@ -155,6 +155,13 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             AntennaModel(kind="horn")
 
+    @pytest.mark.parametrize("el", [90.5, -90.5, 150.0])
+    def test_steering_beyond_ray_elevations(self, el):
+        with pytest.raises(ValueError, match=r"steer_el_deg must be in \[-90, 90\] deg"):
+            AntennaModel(steer_el_deg=el)
+        with pytest.raises(ValueError, match=r"steer_el_deg must be in \[-90, 90\] deg"):
+            AntennaModel().steered(0.0, el)
+
     def test_steered_copy(self):
         arr = AntennaModel(kind="phased-array", nx=4, ny=4)
         steered = arr.steered(10.0, 5.0)

@@ -31,8 +31,8 @@ FLAGS = {"linkbudget": ("--rain", "--clouds", "--snow")}
 PINNED_CLI = """
 import os, runpy
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from chansim import pool
-assert pool._worker_count() == 1
+from chansim import report
+assert report._worker_count() == 1
 runpy.run_module("chansim.cli", run_name="__main__", alter_sys=True)
 """
 

@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from chansim import config as config_mod
+from chansim import report
 from chansim import traceio
 from chansim.antenna import AntennaModel
 from chansim.cli import main
@@ -353,6 +354,26 @@ class TestConfig:
         assert code == 2
         assert "misalign_az_deg must be in [-180, 180] deg, got 200.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,text,flags", [
+        ("steer_el_deg", "antennas: {ground: {steer_el_deg: 150}}\n", []),
+        ("steer_el_deg", "antennas: {satellite: {steer_el_deg: -95}}\n", []),
+        ("misalign_el_deg", "antennas: {ground: {steer_el_deg: 60}}\nmisalign_el_deg: 40\n"
+         "modes: {misalignment: per-ray}\n", []),
+        ("misalign_el_deg", "modes: {misalignment: per-ray}\n", ["--misalign-el", "-150"]),
+    ], ids=["ground-150", "satellite-95", "per-ray-file", "per-ray-flag"])
+    def test_steering_beyond_ray_elevations_names_key(self, tmp_path, capsys, key, text, flags):
+        # Ray elevations lie in [-90, 90]: a pointing outside that range would
+        # fail mid-run, or not, depending on the pass.
+        path = tmp_path / "steer.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["linkbudget", "--config", str(path), "--out", str(out), *flags]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_aggregate_misalignment_takes_any_elevation_offset(self, tmp_path):
+        assert main(["linkbudget", "--misalign-el", "-150", "--out", str(tmp_path / "o")]) == 0
+
 
 class TestConfigTypes:
     """Every config type checks its own fields, however it is built."""
@@ -373,6 +394,7 @@ class TestConfigTypes:
         ({"misalign_az_deg": math.nan}, "misalign_az_deg must be a number"),
         ({"misalign_az_deg": math.inf}, r"misalign_az_deg must be in \[-180, 180\] deg"),
         ({"misalign_el_deg": 180.5}, r"misalign_el_deg must be in \[-180, 180\] deg"),
+        ({"misalign_mode": "per-ray", "misalign_el_deg": -90.5}, "misalign_el_deg -90.5 steers"),
     ])
     def test_scenario_checked_at_construction_and_replace(self, changes, match):
         with pytest.raises(ValueError, match=match):
@@ -424,6 +446,22 @@ class TestRunReport:
         assert (tmp_path / "a" / "summary.json").read_bytes() == (
             tmp_path / "b" / "summary.json"
         ).read_bytes()
+
+    def test_failed_summary_leaves_no_new_file(self, tmp_path, monkeypatch):
+        old = tmp_path / "old"
+        run_report(ScenarioConfig(seed=1), "ntn-compare", old)
+        before = {path.name: path.read_bytes() for path in old.iterdir()}
+
+        def failing_chunks(payload):
+            yield "{"
+            raise OSError("disk full")
+
+        monkeypatch.setattr(report, "_json_chunks", failing_chunks)
+        for out in (old, tmp_path / "new"):
+            with pytest.raises(OSError, match="disk full"):
+                run_report(ScenarioConfig(seed=2), "ntn-compare", out)
+        assert {path.name: path.read_bytes() for path in old.iterdir()} == before
+        assert list((tmp_path / "new").iterdir()) == []
 
     def test_cluster_counts_in_expected_range(self, tmp_path):
         summary = run_report(ScenarioConfig(), "cluster", tmp_path)
@@ -629,8 +667,8 @@ class TestFadingPool:
         monkeypatch.setattr(fading, "fit", recorded_fit)
         return names
 
-    @pytest.mark.parametrize("altitudes_km", [None, SHADOWED_ALTITUDES_KM],
-                             ids=["default", "all-shadowed"])
+    @pytest.mark.parametrize("altitudes_km", [None, SHADOWED_ALTITUDES_KM, [136.0]],
+                             ids=["default", "all-shadowed", "one-row"])
     def test_outputs_equal_on_any_cpu_count(self, tmp_path, monkeypatch, fitting_threads,
                                             altitudes_km):
         cfg = ScenarioConfig()
@@ -645,7 +683,7 @@ class TestFadingPool:
             assert threading.current_thread().name not in fitting_threads
             outputs.append([(tmp_path / str(n) / name).read_bytes()
                             for name in ("fading.csv", "summary.json")])
-        if altitudes_km is not None:
+        if altitudes_km == SHADOWED_ALTITUDES_KM:
             assert {fit["regime"] for fit in summary["fits"]} == {"shadowed-rician"}
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -657,7 +695,7 @@ class TestFadingPool:
     ], ids=lambda v: repr(v) if isinstance(v, tuple) else None)
     def test_pool_size(self, tmp_path, monkeypatch, n, quota, expected):
         # quota: the text of cgroup v2's cpu.max, or of v1's quota and period files.
-        from chansim import pool
+        from chansim import report
 
         files = ()
         if quota is not None:
@@ -665,7 +703,7 @@ class TestFadingPool:
             for path, text in zip(files[0], quota):
                 Path(path).write_text(text + "\n")
         allow_cpus(monkeypatch, n, (("/nonexistent/cpu.max",),) + files)
-        assert pool._worker_count() == expected
+        assert report._worker_count() == expected
 
     def test_one_cpu_quota_fits_on_one_thread(self, tmp_path, monkeypatch, fitting_threads):
         quota = tmp_path / "cpu.max"
@@ -721,6 +759,16 @@ class TestFadingPool:
         assert "numeric error" in err and "row 3 did not converge" in err
 
 
+def write_csv(path: Path, columns: dict) -> None:
+    """The CSV of a report's named columns at ``path``, as ``run_report`` writes it."""
+    traceio._atomic_write({path: traceio._csv_chunks(columns)})
+
+
+def write_json(path: Path, payload: dict) -> None:
+    """``payload`` as ``run_report`` writes ``summary.json``, at ``path``."""
+    traceio._atomic_write({path: report._json_chunks(payload)})
+
+
 def _row_at_a_time_csv(columns: dict) -> bytes:
     """The CSV bytes of the row-at-a-time writer the chunked one replaced."""
 
@@ -769,37 +817,31 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize("rows", ["0", "1", "chunk-1", "chunk", "chunk+1", "2chunk+1"])
     def test_bytes_equal_row_at_a_time(self, tmp_path, rows):
-        from chansim import report
-
         chunk = traceio._CSV_CHUNK_ROWS
         n_rows = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
                   "2chunk+1": 2 * chunk + 1}[rows]
         columns = self.columns(n_rows)
-        report._write_csv(tmp_path / "t.csv", columns)
+        write_csv(tmp_path / "t.csv", columns)
         assert (tmp_path / "t.csv").read_bytes() == _row_at_a_time_csv(columns)
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     def test_error_mid_stream_leaves_no_file(self, tmp_path):
-        from chansim import report
-
         chunk = traceio._CSV_CHUNK_ROWS
         columns = self.columns(2 * chunk + 1)
         columns["mixed"][chunk + 1] = _Unprintable()
         with pytest.raises(RuntimeError, match="cell cannot be formatted"):
-            report._write_csv(tmp_path / "out" / "t.csv", columns)
+            write_csv(tmp_path / "out" / "t.csv", columns)
         assert list((tmp_path / "out").iterdir()) == []
 
 
     @pytest.mark.parametrize("rows", ["0", "1", "chunk-1", "chunk+1"])
     def test_array_columns_equal_list_columns(self, tmp_path, rows):
-        from chansim import report
-
         chunk = traceio._CSV_CHUNK_ROWS
         n_rows = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1}[rows]
         floats = np.array(self.columns(n_rows)["float"], dtype=float)
         arrays = {"float": floats, "int": np.arange(-3, n_rows - 3), "flag": floats > 0}
-        report._write_csv(tmp_path / "arrays.csv", arrays)
-        report._write_csv(tmp_path / "lists.csv", {k: v.tolist() for k, v in arrays.items()})
+        write_csv(tmp_path / "arrays.csv", arrays)
+        write_csv(tmp_path / "lists.csv", {k: v.tolist() for k, v in arrays.items()})
         assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
 
 
@@ -818,35 +860,29 @@ class TestWriteJson:
     @pytest.mark.parametrize("name", PAYLOADS)
     @pytest.mark.parametrize("batch", [1, 2, 3, None])
     def test_bytes_equal_json_dumps(self, tmp_path, monkeypatch, name, batch):
-        from chansim import report
-
         if batch is not None:
             monkeypatch.setattr(report, "_JSON_BATCH_PIECES", batch)
         payload = self.PAYLOADS[name]
-        report._write_json(tmp_path / "summary.json", payload)
+        write_json(tmp_path / "summary.json", payload)
         expected = json.dumps(report._json_safe(payload), indent=2) + "\n"
         assert (tmp_path / "summary.json").read_bytes() == expected.encode("utf-8")
 
     def test_every_batch_boundary(self, tmp_path, monkeypatch):
-        from chansim import report
-
         monkeypatch.setattr(report, "_JSON_BATCH_PIECES", 4)
         ends = set()
         for n_values in range(1, 9):
             payload = {"a": list(range(n_values))}
             ends.add(len(list(json.JSONEncoder(indent=2).iterencode(payload))) % 4)
-            report._write_json(tmp_path / "summary.json", payload)
+            write_json(tmp_path / "summary.json", payload)
             expected = json.dumps(payload, indent=2) + "\n"
             assert (tmp_path / "summary.json").read_bytes() == expected.encode("utf-8")
         # The encodings end at every offset within a batch, the last piece included.
         assert ends == {0, 1, 2, 3}
 
     def test_unencodable_value_leaves_no_file(self, tmp_path):
-        from chansim import report
-
         payload = {"fits": list(range(3 * report._JSON_BATCH_PIECES)) + [object()]}
         with pytest.raises(TypeError, match="not JSON serializable"):
-            report._write_json(tmp_path / "out" / "summary.json", payload)
+            write_json(tmp_path / "out" / "summary.json", payload)
         assert list((tmp_path / "out").iterdir()) == []
 
 

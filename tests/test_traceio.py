@@ -214,6 +214,22 @@ class TestHeaderArcRadius:
         assert "line 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("radius", ["4_00", "\u0664\u0660\u0660"],
+                             ids=["underscore", "arabic-indic"])
+    def test_radius_parsed_as_row_cells_are(self, tmp_path, capsys, radius):
+        # float() read both as 400 km, while a row cell of either form is refused.
+        path = tmp_path / "t.csv"
+        path.write_text(
+            f"# chansim-trace v1 arc_radius_km={radius} amplitude=linear\n" + COLS + "\n"
+            + "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0\n", encoding="utf-8"
+        )
+        assert main(["linkbudget", "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"chansim: input error: {path}: line 1: bad arc_radius_km: "
+            f"could not convert string '{radius}' to float64\n")
+        assert not (tmp_path / "o").exists()
+
+
 class TestHeaderItems:
     """Line 1 gives arc_radius_km, amplitude and p_tx_dbm, each at most once; an
     unknown item was ignored and a repeated one silently took the last value."""
@@ -312,6 +328,8 @@ class TestDbmConversion:
         ("abc", "could not convert string to float: 'abc'"),
         ("inf", "must be finite, got inf"),
         ("nan", "must be finite, got nan"),
+        ("3_0", "could not convert string '3_0' to float64"),
+        ("\u0663\u0660", "could not convert string '\u0663\u0660' to float64"),
     ])
     def test_bad_ptx_under_linear_names_line_1(self, tmp_path, capsys, amplitude, value,
                                                message):
@@ -319,7 +337,7 @@ class TestDbmConversion:
         path = tmp_path / "t.csv"
         path.write_text(
             f"# chansim-trace v1 arc_radius_km=400.0{amplitude} p_tx_dbm={value}\n"
-            + COLS + "\n" + "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0\n"
+            + COLS + "\n" + "50.0,1e-9,0.0,0.001,180.0,-7.0,0.0,7.0,0\n", encoding="utf-8"
         )
         assert main(["linkbudget", "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (f"chansim: input error: {path}: line 1: "
