@@ -83,6 +83,10 @@ class NtnConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        for key in ("psi1_deg", "psi2_deg"):
+            value = getattr(self, key)
+            if not 0.0 < value <= 90.0:
+                raise ValueError(f"ntn.{key} must be in (0, 90] deg, got {value!r}")
         if self.psi1_deg >= self.psi2_deg:
             raise ValueError("ntn.psi1_deg must be below ntn.psi2_deg")
         # Given sigmas override the defaults profile by profile.
@@ -170,12 +174,17 @@ class ScenarioConfig:
                              "atmosphere.k_rn and atmosphere.epsilon (the defaults are for "
                              f"{DEFAULT_FC_GHZ!r} GHz)")
         if not self.geometry.altitudes_km:
-            raise ValueError("pass geometry needs at least one altitude sample")
+            raise ValueError("pass geometry needs at least one altitude sample: "
+                             "pass.altitudes_km is empty")
         if self.fading.psi2_deg is None and self.geometry.arc_radius_km <= 100.0:
             raise ValueError("set fading.psi2_deg explicitly for arc radii of 100 km or less")
         bad = set(self.weather) - ALL_WEATHER
         if bad:
             raise ValueError(f"unknown weather terms {sorted(bad)}")
+        # Rain attenuates the slant path from the GS up to the rain height.
+        if "rain" in self.weather and self.geometry.gs_height_km >= rain.h_rain_km:
+            raise ValueError(f"rain needs pass.gs_height_km {self.geometry.gs_height_km!r} "
+                             f"below atmosphere.h_rain_km {rain.h_rain_km!r}")
         # Each mode's choices are those of the module that branches on it.
         for key, value, choices in (("coherent", self.coherent_mode, COHERENT_MODES),
                                     ("slant", self.slant_mode, SLANT_MODES),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from itertools import islice
 from pathlib import Path
 
@@ -51,39 +50,10 @@ def _json_chunks(payload: dict):
     yield "\n"
 
 
-# The fading report's thread pool ceiling: the thread count it was measured
-# to gain from (2 vCPU).  Much of a fading row holds the interpreter lock, so
-# threads beyond that are unmeasured and may only queue for it.
-_MAX_THREADS = 2
-
-# Where a cgroup's CPU quota is read: v2 writes "quota period" (quota "max"
-# when unlimited) to one file, v1 the two numbers to two (quota -1 when unlimited).
-_CPU_QUOTA_FILES = (
-    ("/sys/fs/cgroup/cpu.max",),
-    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
-)
-
-
-def _quota_cpus() -> float:
-    """The whole CPUs the process's cgroup quota grants, at least one; inf if unlimited."""
-    for paths in _CPU_QUOTA_FILES:
-        try:
-            quota, period = (int(v) for v in " ".join(
-                Path(path).read_text() for path in paths).split())
-        except (OSError, ValueError):  # no such cgroup, or no quota ("max")
-            continue
-        if quota > 0 and period > 0:
-            return max(1, quota // period)
-    return math.inf
-
-
-def _worker_count() -> int:
-    """The fading pool's size: the CPUs this process may use, at most _MAX_THREADS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(_MAX_THREADS, cpus, _quota_cpus())
+# The fading report's thread count: the count it was measured to gain from
+# (2 vCPU).  Much of a fading row holds the interpreter lock, so threads
+# beyond that are unmeasured and may only queue for it.
+_FADING_THREADS = 2
 
 
 def _row_seed(base_seed: int, index: int) -> int:
@@ -206,8 +176,8 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
 
     # A row's draws and fit depend only on its own seed, and rows share no
     # state.  scipy's i0e releases the GIL, so rows overlap on threads.  Rows
-    # keep their order, so outputs equal the serial run's on any CPU count.
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    # keep their order, so outputs equal the serial run's on any thread count.
+    with ThreadPoolExecutor(max_workers=_FADING_THREADS) as pool:
         rows = list(pool.map(
             fit_row, range(len(regimes)), regimes, columns["k_direct"], columns["omega"]
         ))

@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 
 import chansim
-from chansim import report
 from chansim.mpc import RAY_COLUMNS, RayTable
 
 
@@ -64,9 +63,3 @@ def assert_close(actual, expected, rel=1e-9, abs_tol=0.0):
 def db(x: float) -> float:
     return 10.0 * math.log10(x)
 
-
-def allow_cpus(monkeypatch, n: int, quota_files=()) -> None:
-    """Let the process run on n CPUs under the cgroup quota in quota_files, as far
-    as the fading report's thread pool can tell (no quota by default)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(report, "_CPU_QUOTA_FILES", quota_files)

@@ -12,7 +12,7 @@ from chansim.clustering import (
     cluster_snapshot,
     dbscan,
 )
-from conftest import allow_cpus, make_snapshot
+from conftest import make_snapshot
 from test_traceio import generated_table
 
 
@@ -218,7 +218,6 @@ class TestDbscanPool:
         table = generated_table(n_snapshots=8, n_rays=300)
         assert len(table.blocks()) == 2
         batch_threads = self.record_threads(monkeypatch)
-        allow_cpus(monkeypatch, 2)
         cluster_snapshot(table)
         assert batch_threads == [threading.current_thread().name] * 8
 

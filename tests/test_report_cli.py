@@ -16,6 +16,7 @@ from chansim import config as config_mod
 from chansim import report
 from chansim import traceio
 from chansim.antenna import AntennaModel
+from chansim.atmosphere import AtmosphereParams
 from chansim.cli import main
 from chansim.config import (
     DEFAULT_ALTITUDES_KM,
@@ -30,7 +31,6 @@ from chansim.config import (
 from chansim.errors import ConfigError, NumericError
 from chansim.geometry import PassGeometry
 from chansim.report import run_report
-from conftest import allow_cpus
 
 BASE_CONFIG = {
     "pass": {
@@ -374,6 +374,34 @@ class TestConfig:
     def test_aggregate_misalignment_takes_any_elevation_offset(self, tmp_path):
         assert main(["linkbudget", "--misalign-el", "-150", "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("text,key", [
+        ("ntn: {psi1_deg: -5, psi2_deg: 200}\n", "ntn.psi1_deg"),
+        ("ntn: {psi1_deg: 10, psi2_deg: 200}\n", "ntn.psi2_deg"),
+    ], ids=["psi1-negative", "psi2-above"])
+    def test_ntn_thresholds_beyond_elevations_name_key(self, tmp_path, capsys, text, key):
+        # select_profile would label every row by one profile, whatever the elevation.
+        path = tmp_path / "ntn.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["ntn-compare", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{key} must be in (0, 90] deg" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rain_needs_gs_below_rain_height(self, tmp_path, capsys):
+        # The rain slant path runs from the GS up to the rain height.
+        path = tmp_path / "high-gs.yaml"
+        path.write_text("pass: {arc_radius_km: 400.0, gs_height_km: 6.0,"
+                        " altitudes_km: [100.0, 200.0]}\n")
+        with pytest.raises(ConfigError, match="pass.gs_height_km 6.0 below atmosphere.h_rain_km"):
+            apply_overrides(load_config(path), weather_add={"rain"})
+        out = tmp_path / "o"
+        assert main(["linkbudget", "--config", str(path), "--out", str(out), "--rain"]) == 2
+        err = capsys.readouterr().err
+        assert "pass.gs_height_km" in err and "atmosphere.h_rain_km" in err
+        assert not out.exists()
+        assert main(["linkbudget", "--config", str(path), "--out", str(out),
+                     "--clouds", "--snow"]) == 0
+
 
 class TestConfigTypes:
     """Every config type checks its own fields, however it is built."""
@@ -395,6 +423,11 @@ class TestConfigTypes:
         ({"misalign_az_deg": math.inf}, r"misalign_az_deg must be in \[-180, 180\] deg"),
         ({"misalign_el_deg": 180.5}, r"misalign_el_deg must be in \[-180, 180\] deg"),
         ({"misalign_mode": "per-ray", "misalign_el_deg": -90.5}, "misalign_el_deg -90.5 steers"),
+        ({"weather": frozenset({"rain"}),
+          "geometry": PassGeometry(arc_radius_km=400.0, gs_height_km=6.0, altitudes_km=(100.0,))},
+         "rain needs pass.gs_height_km 6.0 below atmosphere.h_rain_km 5.0"),
+        ({"weather": frozenset({"rain"}), "atmosphere": AtmosphereParams(h_rain_km=0.023)},
+         "rain needs pass.gs_height_km 0.023 below atmosphere.h_rain_km 0.023"),
     ])
     def test_scenario_checked_at_construction_and_replace(self, changes, match):
         with pytest.raises(ValueError, match=match):
@@ -415,7 +448,11 @@ class TestConfigTypes:
         (lambda: FadingConfig(fit_samples=10), "at least 100"),
         (lambda: FadingConfig(psi2_deg=91.0), r"\(0, 90\]"),
         (lambda: NtnConfig(psi1_deg=20, psi2_deg=15), "psi1_deg must be below"),
-    ], ids=["xi", "zeta", "fit_samples", "psi2_deg", "ntn-order"])
+        (lambda: NtnConfig(psi1_deg=-5, psi2_deg=200), r"ntn.psi1_deg must be in \(0, 90\]"),
+        (lambda: NtnConfig(psi1_deg=0.0), r"ntn.psi1_deg must be in \(0, 90\] deg, got 0.0"),
+        (lambda: NtnConfig(psi2_deg=90.5), r"ntn.psi2_deg must be in \(0, 90\] deg, got 90.5"),
+    ], ids=["xi", "zeta", "fit_samples", "psi2_deg", "ntn-order", "ntn-psi1-negative",
+            "ntn-psi1-zero", "ntn-psi2-above"])
     def test_sections_checked_at_construction(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
@@ -651,7 +688,7 @@ SHADOWED_ALTITUDES_KM = [5.0, 15.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 85.0, 95
 
 
 class TestFadingPool:
-    """Fading rows are sampled and fitted on one thread per CPU, at most two."""
+    """Fading rows are sampled and fitted on a pool of report._FADING_THREADS threads."""
 
     @pytest.fixture
     def fitting_threads(self, monkeypatch):
@@ -669,48 +706,23 @@ class TestFadingPool:
 
     @pytest.mark.parametrize("altitudes_km", [None, SHADOWED_ALTITUDES_KM, [136.0]],
                              ids=["default", "all-shadowed", "one-row"])
-    def test_outputs_equal_on_any_cpu_count(self, tmp_path, monkeypatch, fitting_threads,
-                                            altitudes_km):
+    def test_outputs_equal_on_any_thread_count(self, tmp_path, monkeypatch, fitting_threads,
+                                               altitudes_km):
         cfg = ScenarioConfig()
         if altitudes_km is not None:
             cfg = replace(cfg, geometry=replace(cfg.geometry, altitudes_km=altitudes_km))
         outputs = []
         for n in (1, 2, 4):
-            allow_cpus(monkeypatch, n)
+            monkeypatch.setattr(report, "_FADING_THREADS", n)
             fitting_threads.clear()
             summary = run_report(cfg, "fading", tmp_path / str(n))
-            assert 1 <= len(fitting_threads) <= min(n, 2)
+            assert 1 <= len(fitting_threads) <= n
             assert threading.current_thread().name not in fitting_threads
             outputs.append([(tmp_path / str(n) / name).read_bytes()
                             for name in ("fading.csv", "summary.json")])
         if altitudes_km == SHADOWED_ALTITUDES_KM:
             assert {fit["regime"] for fit in summary["fits"]} == {"shadowed-rician"}
         assert outputs[0] == outputs[1] == outputs[2]
-
-    @pytest.mark.parametrize("n, quota, expected", [
-        (1, None, 1), (2, None, 2), (4, None, 2), (64, None, 2),
-        (4, ("max 100000",), 2), (4, ("400000 100000",), 2),
-        (4, ("150000 100000",), 1), (4, ("50000 100000",), 1), (1, ("400000 100000",), 1),
-        (4, ("-1", "100000"), 2), (4, ("100000", "100000"), 1),
-    ], ids=lambda v: repr(v) if isinstance(v, tuple) else None)
-    def test_pool_size(self, tmp_path, monkeypatch, n, quota, expected):
-        # quota: the text of cgroup v2's cpu.max, or of v1's quota and period files.
-        from chansim import report
-
-        files = ()
-        if quota is not None:
-            files = (tuple(str(tmp_path / f"q{i}") for i in range(len(quota))),)
-            for path, text in zip(files[0], quota):
-                Path(path).write_text(text + "\n")
-        allow_cpus(monkeypatch, n, (("/nonexistent/cpu.max",),) + files)
-        assert report._worker_count() == expected
-
-    def test_one_cpu_quota_fits_on_one_thread(self, tmp_path, monkeypatch, fitting_threads):
-        quota = tmp_path / "cpu.max"
-        quota.write_text("100000 100000\n")
-        allow_cpus(monkeypatch, 4, ((str(quota),),))
-        run_report(ScenarioConfig(), "fading", tmp_path / "o")
-        assert len(fitting_threads) == 1
 
     @pytest.fixture
     def failing_rows(self, monkeypatch):
@@ -739,7 +751,7 @@ class TestFadingPool:
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_first_failing_row_raises(self, tmp_path, monkeypatch, failing_rows, n):
-        allow_cpus(monkeypatch, n)
+        monkeypatch.setattr(report, "_FADING_THREADS", n)
         cfg = ScenarioConfig(seed=1)
         cfg = replace(cfg, geometry=replace(cfg.geometry, altitudes_km=failing_rows))
         with pytest.raises(NumericError, match="^row 3 did not converge$"):
@@ -749,7 +761,7 @@ class TestFadingPool:
     @pytest.mark.parametrize("n", [1, 4])
     def test_first_failing_row_exits_numeric(self, tmp_path, capsys, monkeypatch,
                                              failing_rows, n):
-        allow_cpus(monkeypatch, n)
+        monkeypatch.setattr(report, "_FADING_THREADS", n)
         path = tmp_path / "shadowed.yaml"
         path.write_text(yaml.safe_dump({
             "pass": {"arc_radius_km": 400.0, "altitudes_km": failing_rows}, "seed": 1,
@@ -1220,7 +1232,9 @@ class TestMissingSectionKey:
         # A bad given key is named before a missing one.
         ("pass: {altitudes_km: [50.0], gs_height_km: low}\n",
          "config key 'pass.gs_height_km' must be a number, got 'low'"),
-    ], ids=["missing", "bad-before-missing"])
+        ("pass: {arc_radius_km: 400.0}\n",
+         "pass geometry needs at least one altitude sample: pass.altitudes_km is empty"),
+    ], ids=["missing", "bad-before-missing", "no-altitudes"])
     def test_names_the_key(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
