@@ -74,8 +74,6 @@ def _wrap_deg(angle):
 
 def _af_plane_db(n: int, spacing: float, steer_deg: float, offset_deg: np.ndarray) -> np.ndarray:
     """Normalised uniform linear array factor in one plane, in dB (<= 0)."""
-    if n == 1:
-        return np.zeros_like(offset_deg)
     u = np.sin(np.radians(steer_deg + offset_deg)) - math.sin(math.radians(steer_deg))
     x = math.pi * spacing * u
     sin_x = np.sin(x)
@@ -128,14 +126,7 @@ def spatial_filter(
     evaluated at the ray's angular offset from each antenna's pointing.
     Angles are left untouched.
     """
-    g_sat = gain_dbi(
-        sat_model,
-        _wrap_deg(table.aod_az_deg - sat_model.steer_az_deg),
-        table.aod_el_deg - sat_model.steer_el_deg,
-    )
-    g_gs = gain_dbi(
-        gs_model,
-        _wrap_deg(table.aoa_az_deg - gs_model.steer_az_deg),
-        table.aoa_el_deg - gs_model.steer_el_deg,
-    )
+    g_sat, g_gs = (gain_dbi(model, _wrap_deg(az - model.steer_az_deg), el - model.steer_el_deg)
+                   for model, az, el in ((sat_model, table.aod_az_deg, table.aod_el_deg),
+                                         (gs_model, table.aoa_az_deg, table.aoa_el_deg)))
     return table.with_amplitude(table.amplitude * 10.0 ** ((g_sat + g_gs) / 20.0))

@@ -115,20 +115,23 @@ def _amplitudes(r: np.ndarray | float) -> np.ndarray:
     return r_arr
 
 
+def _rician_log_pdf(r: np.ndarray, k: float, omega: float) -> np.ndarray:
+    """Log of the Rician amplitude density at amplitudes r > 0."""
+    kp1 = k + 1.0
+    return (
+        np.log(2.0 * r * kp1 / omega)
+        - k
+        - kp1 * r * r / omega
+        + log_i0(2.0 * r * math.sqrt(k * kp1 / omega))
+    )
+
+
 def rician_pdf(r: np.ndarray | float, p: RicianParams) -> np.ndarray | float:
     """Rician amplitude density, exact and normalised; reduces to Rayleigh at K=0."""
     r_arr = _amplitudes(r)
-    kp1 = p.k + 1.0
     out = np.zeros_like(r_arr)
     pos = r_arr > 0.0
-    rp = r_arr[pos]
-    log_pdf = (
-        np.log(2.0 * rp * kp1 / p.omega)
-        - p.k
-        - kp1 * rp * rp / p.omega
-        + log_i0(2.0 * rp * np.sqrt(p.k * kp1 / p.omega))
-    )
-    out[pos] = np.exp(log_pdf)
+    out[pos] = np.exp(_rician_log_pdf(r_arr[pos], p.k, p.omega))
     return out if np.ndim(r) else float(out)
 
 
@@ -333,12 +336,7 @@ def _k_moment_estimate(r: np.ndarray) -> float:
 
 
 def _rician_negll(k: float, r: np.ndarray, omega: float) -> float:
-    kp1 = k + 1.0
-    arg = 2.0 * r * math.sqrt(max(k, 0.0) * kp1 / omega)
-    log_pdf = (
-        np.log(2.0 * r * kp1 / omega) - k - kp1 * r * r / omega + log_i0(arg)
-    )
-    return -float(np.sum(log_pdf))
+    return -float(np.sum(_rician_log_pdf(r, k, omega)))
 
 
 def _shadowed_m1_scale(k: float, mean_power: float) -> float:
@@ -415,3 +413,19 @@ def fit(
             k=k, m=1.0, omega=_shadowed_m1_scale(k, mean_power)
         )
     raise ValueError(f"unsupported regime {regime}")
+
+
+def fit_row(regime: FadingRegime, k_direct: float | None, omega: float, seed: int,
+            n_samples: int) -> tuple:
+    """(k_fit, m_fit, omega_fit, n_samples) of one pass snapshot, from its seed alone.
+
+    Fits n_samples draws of the regime's law at (k_direct, omega), m = 1 when
+    shadowed; a Rician fit has no m.  A deterministic snapshot, or an undefined
+    (None) or infinite k_direct, gives (None, None, None, 0) without drawing.
+    """
+    if regime is FadingRegime.DETERMINISTIC_LOS or k_direct is None or not math.isfinite(k_direct):
+        return None, None, None, 0
+    params = (RicianParams(k=k_direct, omega=omega) if regime is FadingRegime.RICIAN
+              else ShadowedRicianParams(k=k_direct, m=1.0, omega=omega))
+    fitted = fit(sample(params, n_samples, seed), regime)
+    return fitted.k, getattr(fitted, "m", None), fitted.omega, n_samples

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,6 @@ from .link_budget import fspl_db, sweep_pass
 from .mpc import RayTable, k_factor, running_sum
 from .synth import synth_scenario
 from .traceio import _atomic_write, _csv_chunks, _fmt, load_trace
-
-SUBCOMMANDS = ("linkbudget", "fading", "spreads", "cluster", "ntn-compare")
 
 
 def _json_safe(value):
@@ -111,14 +109,7 @@ def run_report(
         "n_snapshots": len(table),
         "source": "trace" if trace_path is not None else "synthetic",
     }
-    builder = {
-        "linkbudget": _report_linkbudget,
-        "fading": _report_fading,
-        "spreads": _report_spreads,
-        "cluster": _report_cluster,
-        "ntn-compare": _report_ntn,
-    }[subcommand]
-    columns, extra = builder(config, table)
+    columns, extra = _BUILDERS[subcommand](config, table)
     summary.update(extra)
     _atomic_write({out / f"{subcommand}.csv": _csv_chunks(columns),
                    out / "summary.json": _json_chunks(summary)})
@@ -154,33 +145,13 @@ def _report_fading(config: ScenarioConfig, table: RayTable):
         "k_direct": k_factor(table, designate_strongest=config.fading.designate_strongest_los),
         "omega": table.reduce(running_sum, table.amplitude * table.amplitude).tolist(),
     }
-
-    def fit_row(idx: int, regime, k_direct, omega) -> tuple:
-        """(k_fit, m_fit, omega_fit, n_samples) of one row, from its own seed only."""
-        fittable = (
-            regime is not fading.FadingRegime.DETERMINISTIC_LOS
-            and k_direct is not None
-            and math.isfinite(k_direct)
-        )
-        if not fittable:
-            return None, None, None, 0
-        n_samples = config.fading.fit_samples
-        if regime is fading.FadingRegime.RICIAN:
-            params = fading.RicianParams(k=k_direct, omega=omega)
-        else:
-            # m = 1, the shape that fading.fit pins.
-            params = fading.ShadowedRicianParams(k=k_direct, m=1.0, omega=omega)
-        draws = fading.sample(params, n_samples, _row_seed(config.seed, idx))
-        fitted = fading.fit(draws, regime)
-        return fitted.k, getattr(fitted, "m", None), fitted.omega, n_samples
-
-    # A row's draws and fit depend only on its own seed, and rows share no
-    # state.  scipy's i0e releases the GIL, so rows overlap on threads.  Rows
-    # keep their order, so outputs equal the serial run's on any thread count.
+    # The pool runs fading.fit_row, whose rows depend only on their own seeds
+    # and share no state.  scipy's i0e releases the GIL, so rows overlap on
+    # threads; they keep their order, so outputs equal the serial run's.
+    seeds = [_row_seed(config.seed, idx) for idx in range(len(regimes))]
     with ThreadPoolExecutor(max_workers=_FADING_THREADS) as pool:
-        rows = list(pool.map(
-            fit_row, range(len(regimes)), regimes, columns["k_direct"], columns["omega"]
-        ))
+        rows = list(pool.map(fading.fit_row, regimes, columns["k_direct"], columns["omega"],
+                             seeds, repeat(config.fading.fit_samples)))
     for i, key in enumerate(("k_fit", "m_fit", "omega_fit", "n_samples")):
         columns[key] = [row[i] for row in rows]
     # The summary repeats these columns per snapshot, in this key order.
@@ -268,3 +239,13 @@ def _report_ntn(config: ScenarioConfig, table: RayTable):
         "antenna_gains_db": gains_db,
     }
     return columns, extra
+
+
+_BUILDERS = {
+    "linkbudget": _report_linkbudget,
+    "fading": _report_fading,
+    "spreads": _report_spreads,
+    "cluster": _report_cluster,
+    "ntn-compare": _report_ntn,
+}
+SUBCOMMANDS = tuple(_BUILDERS)
