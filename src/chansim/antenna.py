@@ -49,8 +49,13 @@ class AntennaModel:
         check_fields(self)
         if self.kind not in _KINDS:
             raise ValueError(f"antenna kind must be one of {_KINDS}")
-        if self.kind == KIND_SINGLE and (self.hpbw_deg is None or self.hpbw_deg <= 0.0):
-            raise ValueError("single-element antenna needs a positive HPBW")
+        # gain_dbi divides by the HPBW squared, so the square may neither
+        # underflow to 0 nor overflow.
+        hpbw = self.hpbw_deg
+        if self.kind == KIND_SINGLE and (hpbw is None or hpbw <= 0.0
+                                         or not 0.0 < hpbw * hpbw < math.inf):
+            raise ValueError("single-element antenna needs a positive HPBW whose square is "
+                             f"positive and finite, got {hpbw!r}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("element counts must be at least 1")
         if self.spacing_wavelengths <= 0.0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
@@ -31,7 +32,7 @@ from .geometry import (
     PassGeometry,
     default_psi2,
 )
-from .link_budget import MISALIGN_AGGREGATE, MISALIGN_MODES, MISALIGN_PER_RAY
+from .link_budget import MISALIGN_AGGREGATE, MISALIGN_MODES, MISALIGN_PER_RAY, wavelength_m
 from .mpc import COHERENT_MODES, COHERENT_POWER_SUM
 from .ntn import DEFAULT_PSI1_DEG, DEFAULT_PSI2_DEG, DEFAULT_SHADOW_SIGMA_DB
 
@@ -166,6 +167,10 @@ class ScenarioConfig:
         check_fields(self)
         if self.fc_ghz <= 0.0:
             raise ValueError("fc_ghz must be positive")
+        try:
+            wavelength_m(self.fc_ghz)
+        except ValueError as exc:
+            raise ValueError(f"fc_ghz: {exc}") from None
         # The default rain coefficients are 10 GHz values; another carrier needs its own.
         rain = self.atmosphere
         if self.fc_ghz != DEFAULT_FC_GHZ and (rain.k_rn == AtmosphereParams.k_rn
@@ -206,9 +211,23 @@ class ScenarioConfig:
         return default_psi2(arc_radius_km)
 
 
+# A plain scalar with a mantissa digit and an exponent, as float() reads it.
+# YAML 1.1 reads one without a decimal point or without an exponent sign,
+# such as 2.0e1 or 4e-3, as a string.
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+
+
+def _yaml_loader(base: type) -> type:
+    """A subclass of yaml loader ``base`` that also reads _EXPONENT_FLOAT scalars as floats."""
+    loader = type(f"Chansim{base.__name__}", (base,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+                                 list("-+.0123456789"))
+    return loader
+
+
 # libyaml's parser when PyYAML was built with it: the same safe constructors
 # and values as yaml.SafeLoader, several times faster on long altitude lists.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = _yaml_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def _mapping(data, section: str, keys) -> dict:

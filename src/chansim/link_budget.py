@@ -29,15 +29,23 @@ MISALIGN_PER_RAY = "per-ray"
 MISALIGN_MODES = (MISALIGN_AGGREGATE, MISALIGN_PER_RAY)
 
 
-def fspl_db(d_km: float, fc_ghz: float) -> float:
-    """Free-space path loss 20 log10(4 pi d / lambda), in dB."""
+def wavelength_m(fc_ghz: float) -> float:
+    """Carrier wavelength c / fc, in metres, refused unless it is positive and finite."""
     # Written so that NaN fails them.
-    if not d_km > 0.0:
-        raise ValueError(f"distance must be positive, got {d_km}")
     if not 0.0 < fc_ghz < math.inf:
         raise ValueError(f"frequency must be positive and finite, got {fc_ghz}")
-    wavelength_m = SPEED_OF_LIGHT_M_S / (fc_ghz * 1e9)
-    return 20.0 * math.log10(4.0 * math.pi * d_km * 1e3 / wavelength_m)
+    wavelength = SPEED_OF_LIGHT_M_S / (fc_ghz * 1e9)
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"frequency {fc_ghz} GHz has no positive finite wavelength in metres")
+    return wavelength
+
+
+def fspl_db(d_km: float, fc_ghz: float) -> float:
+    """Free-space path loss 20 log10(4 pi d / lambda), in dB."""
+    # Written so that NaN fails it.
+    if not d_km > 0.0:
+        raise ValueError(f"distance must be positive, got {d_km}")
+    return 20.0 * math.log10(4.0 * math.pi * d_km * 1e3 / wavelength_m(fc_ghz))
 
 
 def sweep_pass(config: ScenarioConfig, table: RayTable) -> dict[str, list]:

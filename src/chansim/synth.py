@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from .geometry import ElevationAngle, PassGeometry, arc_elevations
-from .link_budget import SPEED_OF_LIGHT_M_S
+from .link_budget import SPEED_OF_LIGHT_M_S, wavelength_m
 from .mpc import RAY_COLUMNS, RayTable
 from .streams import streams
 
@@ -63,12 +63,12 @@ def synth_scenario(
     """
     d = geometry.arc_radius_km
     radius_factor = _REFERENCE_RADIUS_KM / d
-    wavelength_m = SPEED_OF_LIGHT_M_S / (fc_ghz * 1e9)
-    base_amplitude = wavelength_m / (4.0 * math.pi * d * 1e3)
+    wavelength = wavelength_m(fc_ghz)
+    base_amplitude = wavelength / (4.0 * math.pi * d * 1e3)
     # The LOS range terms are the same on the whole arc.
     d_m = d * 1e3
-    los_amplitude = wavelength_m / (4.0 * math.pi * d_m)
-    los_phase = (2.0 * math.pi * d_m / wavelength_m) % (2.0 * math.pi)
+    los_amplitude = wavelength / (4.0 * math.pi * d_m)
+    los_phase = (2.0 * math.pi * d_m / wavelength) % (2.0 * math.pi)
     los_delay = d_m / SPEED_OF_LIGHT_M_S
     ground_excess_scale = _GROUND_EXCESS_SCALE_S * radius_factor**2
     building_excess_scale = _BUILDING_EXCESS_SCALE_S * radius_factor**2

@@ -151,6 +151,12 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             AntennaModel(kind="single-element", peak_gain_dbi=10.0)
 
+    @pytest.mark.parametrize("hpbw", [1e-300, 1e200], ids=["underflow", "overflow"])
+    def test_single_hpbw_square_in_range(self, hpbw):
+        # gain_dbi divides by the HPBW squared.
+        with pytest.raises(ValueError, match="HPBW whose square is positive and finite"):
+            AntennaModel(kind="single-element", peak_gain_dbi=10.0, hpbw_deg=hpbw)
+
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             AntennaModel(kind="horn")

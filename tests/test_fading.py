@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 import sys
@@ -288,6 +289,40 @@ class TestFit:
     def test_deterministic_regime_has_no_fit(self):
         with pytest.raises(ValueError):
             fit(np.linspace(0.1, 1.0, 500), FadingRegime.DETERMINISTIC_LOS)
+
+
+class TestFitRow:
+    """fit_row: one report row's draws and fit, from its own seed."""
+
+    @pytest.mark.parametrize("regime,k_direct", [
+        (FadingRegime.DETERMINISTIC_LOS, 2.0),
+        (FadingRegime.SHADOWED_RICIAN, None),
+        (FadingRegime.RICIAN, math.inf),
+        (FadingRegime.SHADOWED_RICIAN, math.inf),
+    ], ids=["deterministic", "undefined-k", "rician-infinite-k", "shadowed-infinite-k"])
+    def test_rows_without_a_law_draw_nothing(self, monkeypatch, regime, k_direct):
+        def no_draws(*args):
+            raise AssertionError("drew amplitudes for a row without a law")
+
+        monkeypatch.setattr(fading, "sample", no_draws)
+        assert fading.fit_row(regime, k_direct, 1.0, 7, 1000) == (None, None, None, 0)
+
+    def test_fitted_rows_equal_the_report_cells(self, tmp_path):
+        from chansim import report
+        from chansim.config import FadingConfig, ScenarioConfig
+
+        cfg = ScenarioConfig(fading=FadingConfig(fit_samples=500))
+        fits = report.run_report(cfg, "fading", tmp_path)["fits"]
+        with (tmp_path / "fading.csv").open() as f:
+            omegas = [float(row["omega"]) for row in csv.DictReader(f)]
+        keys = ("k_fit", "m_fit", "omega_fit", "n_samples")
+        for regime in (FadingRegime.RICIAN, FadingRegime.SHADOWED_RICIAN):
+            idx = next(i for i, row in enumerate(fits)
+                       if row["regime"] == regime.value and row["n_samples"])
+            row = fading.fit_row(regime, fits[idx]["k_direct"], omegas[idx],
+                                 report._row_seed(cfg.seed, idx), 500)
+            assert row == tuple(fits[idx][key] for key in keys)
+            assert (row[1] is None) == (regime is FadingRegime.RICIAN)
 
 
 class TestSelectRegime:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -49,6 +50,12 @@ class TestFspl:
         assert fspl_db(2.0 * 123.0, 7.7) - fspl_db(123.0, 7.7) == pytest.approx(
             6.020599913279624, rel=1e-12
         )
+
+    @pytest.mark.parametrize("fc_ghz", [1e300, 1e-310])
+    def test_carrier_without_a_wavelength(self, fc_ghz):
+        # In metres the wavelength of these carriers is 0 or infinite.
+        with pytest.raises(ValueError, match=re.escape(f"frequency {fc_ghz} GHz has no positive")):
+            fspl_db(400.0, fc_ghz)
 
     def test_validation(self):
         for d_km in (0.0, math.nan):

@@ -136,7 +136,8 @@ class TestConfig:
         path = tmp_path / "full.yaml"
         path.write_text(
             "pass: {arc_radius_km: 500, gs_height_km: 0.023, altitudes_km: [5, 2.5e+1, 499.5]}\n"
-            "fc_ghz: 10.0\n"
+            "fc_ghz: 2.0e1\n"
+            "atmosphere: {k_rn: 6.5e-2, epsilon: 1.2E0, k_sn: 4e-3, rain_rate_mmh: .32e2}\n"
             "weather: [rain, snow]\n"
             "misalign_az_deg: -0.3\n"
             "fading: {psi2_deg: null, fit_samples: 1000}\n"
@@ -146,8 +147,29 @@ class TestConfig:
             "seed: 7\n"
         )
         fast = load_config(path)
-        monkeypatch.setattr(config_mod, "_YAML_LOADER", yaml.SafeLoader)
+        assert (fast.fc_ghz, fast.atmosphere.k_sn, fast.atmosphere.rain_rate_mmh) == (
+            20.0, 4e-3, 32.0)
+        monkeypatch.setattr(config_mod, "_YAML_LOADER", config_mod._yaml_loader(yaml.SafeLoader))
         assert load_config(path) == fast
+
+    @pytest.mark.parametrize("spelling", ["4e-3", "4E-3", "+4e-3", "40e-4", "0.0004e1", ".0004e1"])
+    def test_exponent_without_point_or_sign_is_a_number(self, tmp_path, spelling):
+        # YAML 1.1 reads these as strings: its floats need a decimal point and a signed exponent.
+        path = tmp_path / "exponent.yaml"
+        path.write_text(f"atmosphere: {{k_sn: {spelling}}}\n")
+        assert load_config(path).atmosphere.k_sn == 0.004
+
+    def test_exponent_carrier_runs(self, tmp_path):
+        path = tmp_path / "exponent.yaml"
+        path.write_text("fc_ghz: 2.0e1\natmosphere: {k_rn: 6.5e-2, epsilon: 1.2e0}\n")
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["fc_ghz"] == 20.0
+
+    def test_quoted_exponent_stays_a_string(self, tmp_path):
+        path = tmp_path / "quoted.yaml"
+        path.write_text("fc_ghz: '2e1'\n")
+        with pytest.raises(ConfigError, match="config key 'fc_ghz' must be a number, got '2e1'"):
+            load_config(path)
 
     def test_flag_overrides_beat_file(self, config_file):
         cfg = load_config(config_file)
@@ -387,6 +409,29 @@ class TestConfig:
         assert f"{key} must be in (0, 90] deg" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("hpbw", ["1.0e-300", "1.0e+200"], ids=["underflow", "overflow"])
+    def test_hpbw_square_out_of_range_names_section(self, tmp_path, capsys, hpbw):
+        # gain_dbi divides by the HPBW squared: 0/0 wrote nan cells, and an
+        # overflowing square raised OverflowError mid-run.
+        path = tmp_path / "hpbw.yaml"
+        path.write_text(f"antennas: {{ground: {{kind: single-element, hpbw_deg: {hpbw}}}}}\n")
+        out = tmp_path / "o"
+        assert main(["linkbudget", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "antennas.ground" in err and "HPBW whose square is positive and finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", report.SUBCOMMANDS)
+    def test_carrier_without_a_wavelength_names_key(self, tmp_path, capsys, sub):
+        # 1e300 GHz overflows in Hz, so the wavelength would be 0.
+        path = tmp_path / "huge-fc.yaml"
+        path.write_text("fc_ghz: 1.0e+300\natmosphere: {k_rn: 0.1, epsilon: 1.0}\n")
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(path), "--out", str(out)]) == 2
+        assert "fc_ghz: frequency 1e+300 GHz has no positive finite wavelength" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_rain_needs_gs_below_rain_height(self, tmp_path, capsys):
         # The rain slant path runs from the GS up to the rain height.
         path = tmp_path / "high-gs.yaml"
@@ -428,6 +473,8 @@ class TestConfigTypes:
          "rain needs pass.gs_height_km 6.0 below atmosphere.h_rain_km 5.0"),
         ({"weather": frozenset({"rain"}), "atmosphere": AtmosphereParams(h_rain_km=0.023)},
          "rain needs pass.gs_height_km 0.023 below atmosphere.h_rain_km 0.023"),
+        ({"fc_ghz": 1e-310, "atmosphere": AtmosphereParams(k_rn=0.1, epsilon=1.0)},
+         "fc_ghz: frequency 1e-310 GHz has no positive finite wavelength"),
     ])
     def test_scenario_checked_at_construction_and_replace(self, changes, match):
         with pytest.raises(ValueError, match=match):
