@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from chansim import fading
+from chansim import fading, report
+from chansim.config import FadingConfig, ScenarioConfig
 from chansim.errors import NumericError
 from chansim.fading import (
     FadingRegime,
@@ -308,9 +309,6 @@ class TestFitRow:
         assert fading.fit_row(regime, k_direct, 1.0, 7, 1000) == (None, None, None, 0)
 
     def test_fitted_rows_equal_the_report_cells(self, tmp_path):
-        from chansim import report
-        from chansim.config import FadingConfig, ScenarioConfig
-
         cfg = ScenarioConfig(fading=FadingConfig(fit_samples=500))
         fits = report.run_report(cfg, "fading", tmp_path)["fits"]
         with (tmp_path / "fading.csv").open() as f:

@@ -159,12 +159,6 @@ class TestConfig:
         path.write_text(f"atmosphere: {{k_sn: {spelling}}}\n")
         assert load_config(path).atmosphere.k_sn == 0.004
 
-    def test_exponent_carrier_runs(self, tmp_path):
-        path = tmp_path / "exponent.yaml"
-        path.write_text("fc_ghz: 2.0e1\natmosphere: {k_rn: 6.5e-2, epsilon: 1.2e0}\n")
-        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-        assert json.loads((tmp_path / "o" / "summary.json").read_text())["fc_ghz"] == 20.0
-
     def test_quoted_exponent_stays_a_string(self, tmp_path):
         path = tmp_path / "quoted.yaml"
         path.write_text("fc_ghz: '2e1'\n")
