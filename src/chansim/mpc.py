@@ -102,15 +102,15 @@ class RayTable:
     non-decreasing delay.  ``altitude_km`` holds one value per snapshot,
     each on the arc of ``arc_radius_km``, and ``psi_deg`` the elevation
     derived from it.  Iterating a table yields each snapshot's rows as a
-    ``range``; ``take`` selects snapshots.  Construction validates every
+    ``range``; ``take`` selects snapshots.  Construction, which builds
+    every table, ``take``'s and ``with_amplitude``'s too, validates every
     field, normalises phases into [0, 2*pi) and sorts each snapshot's
     rays by delay, keeping the input order of ties.  A broken pass rule
     raises a ``RayRowError`` naming the input ray row: ray fields first,
     then per snapshot a second LOS ray, then an altitude off the arc.
     """
 
-    __slots__ = (*RAY_COLUMNS, "is_los", "offsets", "psi_deg", "altitude_km",
-                 "arc_radius_km", "_blocks")
+    __slots__ = (*RAY_COLUMNS, "is_los", "offsets", "psi_deg", "altitude_km", "arc_radius_km")
 
     def __init__(
         self,
@@ -157,16 +157,6 @@ class RayTable:
         self.psi_deg = _readonly(np.array(arc_elevations(altitude.tolist(), radius), dtype=float))
         self.altitude_km = _readonly(altitude.copy())
         self.arc_radius_km = radius
-        self._blocks = None
-
-    @classmethod
-    def _trusted(cls, source: "RayTable", **changes) -> "RayTable":
-        """Copy of ``source`` with fields replaced by already-valid arrays."""
-        table = object.__new__(cls)
-        for name in cls.__slots__:
-            value = changes.get(name, getattr(source, name))
-            setattr(table, name, _readonly(value) if isinstance(value, np.ndarray) else value)
-        return table
 
     @property
     def n_rays(self) -> int:
@@ -187,10 +177,8 @@ class RayTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RayTable):
             return NotImplemented
-        return self.arc_radius_km == other.arc_radius_km and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in (*RAY_COLUMNS, "is_los", "offsets", "psi_deg", "altitude_km")
-        )
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in self.__slots__)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -205,14 +193,9 @@ class RayTable:
         counts = self.counts[idx]
         rows = np.repeat(self.offsets[idx] - np.concatenate([[0], np.cumsum(counts)[:-1]]),
                          counts) + np.arange(int(counts.sum()))
-        return RayTable._trusted(
-            self,
-            **{name: getattr(self, name)[rows] for name in (*RAY_COLUMNS, "is_los")},
-            offsets=np.concatenate([[0], np.cumsum(counts)]),
-            psi_deg=self.psi_deg[idx],
-            altitude_km=self.altitude_km[idx],
-            _blocks=None,
-        )
+        return RayTable({name: getattr(self, name)[rows] for name in RAY_COLUMNS},
+                        self.is_los[rows], np.concatenate([[0], np.cumsum(counts)]),
+                        self.altitude_km[idx], self.arc_radius_km)
 
     def sorted_by_altitude(self) -> "RayTable":
         """Snapshots in non-decreasing altitude; equal altitudes keep their order."""
@@ -222,8 +205,10 @@ class RayTable:
         return self.take(order)
 
     def with_amplitude(self, amplitude: np.ndarray) -> "RayTable":
-        """Same rays with new non-negative linear amplitudes."""
-        return RayTable._trusted(self, amplitude=np.array(amplitude, dtype=float))
+        """Same rays with new linear amplitudes, checked as the constructor checks any."""
+        return RayTable({**{name: getattr(self, name) for name in RAY_COLUMNS},
+                         "amplitude": amplitude},
+                        self.is_los, self.offsets, self.altitude_km, self.arc_radius_km)
 
     def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(snapshots, rows)`` blocks of snapshots of one ray count ``n``.
@@ -233,20 +218,19 @@ class RayTable:
         ``_BLOCK_RAYS`` rays, or one snapshot of more; the snapshots of one
         count are split into consecutive blocks in table order.
         """
-        if self._blocks is None:
-            counts = self.counts
-            # Snapshots by ray count, each count's in table order.  (np.unique
-            # would do, but its first call imports numpy.ma: 1.5 MB resident.)
-            order = np.argsort(counts, kind="stable")
-            self._blocks = []
-            for snaps in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
-                # An empty table gets one empty block, so results keep their shape.
-                n = int(counts[snaps[0]]) if snaps.size else 1
-                step = max(1, _BLOCK_RAYS // n)
-                for lo in range(0, max(1, snaps.size), step):
-                    part = snaps[lo:lo + step]
-                    self._blocks.append((part, self.offsets[part][:, None] + np.arange(n)))
-        return self._blocks
+        counts = self.counts
+        # Snapshots by ray count, each count's in table order.  (np.unique
+        # would do, but its first call imports numpy.ma: 1.5 MB resident.)
+        order = np.argsort(counts, kind="stable")
+        blocks = []
+        for snaps in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+            # An empty table gets one empty block, so results keep their shape.
+            n = int(counts[snaps[0]]) if snaps.size else 1
+            step = max(1, _BLOCK_RAYS // n)
+            for lo in range(0, max(1, snaps.size), step):
+                part = snaps[lo:lo + step]
+                blocks.append((part, self.offsets[part][:, None] + np.arange(n)))
+        return blocks
 
     def reduce(self, fn: Callable[..., np.ndarray], *columns: np.ndarray) -> np.ndarray:
         """Apply ``fn`` to (snapshots, rays) blocks of per-ray ``columns``.
