@@ -21,7 +21,7 @@ from pathlib import Path
 import yaml
 
 from .antenna import AntennaModel
-from .atmosphere import ALL_WEATHER, DEFAULT_FC_GHZ, AtmosphereParams
+from .atmosphere import ALL_WEATHER, DEFAULT_FC_GHZ, AtmosphereParams, specific_rain_attenuation
 from .clustering import DEFAULT_XI, DEFAULT_ZETA
 from .errors import ConfigError, FieldError, as_float, check_fields, checked
 from .geometry import (
@@ -129,6 +129,14 @@ class SynthConfig:
                              f"got {self.max_extra_rays}")
 
 
+def _overflows(compute) -> bool:
+    """Whether ``compute()`` overflows float range or gives a value that is not finite."""
+    try:
+        return not math.isfinite(compute())
+    except OverflowError:
+        return True
+
+
 # The pass of a config that sets none.  A trace run takes its pass geometry
 # from the trace, and a config with any other pass must agree with the trace.
 DEFAULT_GEOMETRY = PassGeometry(
@@ -178,6 +186,12 @@ class ScenarioConfig:
             raise ValueError(f"fc_ghz {self.fc_ghz!r} needs its own rain coefficients: set both "
                              "atmosphere.k_rn and atmosphere.epsilon (the defaults are for "
                              f"{DEFAULT_FC_GHZ!r} GHz)")
+        # antenna.spatial_filter scales each ray's amplitude by at most both peak gains.
+        g_sat, g_gs = self.sat_antenna.peak_gain_dbi, self.gs_antenna.peak_gain_dbi
+        if _overflows(lambda: 10.0 ** ((g_sat + g_gs) / 20.0)):
+            raise ValueError(f"antennas.satellite.peak_gain_dbi {g_sat!r} and "
+                             f"antennas.ground.peak_gain_dbi {g_gs!r} scale amplitudes by "
+                             "10^((G_sat + G_gs)/20), which is not finite")
         if not self.geometry.altitudes_km:
             raise ValueError("pass geometry needs at least one altitude sample: "
                              "pass.altitudes_km is empty")
@@ -190,6 +204,10 @@ class ScenarioConfig:
         if "rain" in self.weather and self.geometry.gs_height_km >= rain.h_rain_km:
             raise ValueError(f"rain needs pass.gs_height_km {self.geometry.gs_height_km!r} "
                              f"below atmosphere.h_rain_km {rain.h_rain_km!r}")
+        if "rain" in self.weather and _overflows(lambda: specific_rain_attenuation(rain)):
+            raise ValueError("rain needs a finite atmosphere.k_rn * atmosphere.rain_rate_mmh "
+                             f"** atmosphere.epsilon, got {rain.k_rn!r} * "
+                             f"{rain.rain_rate_mmh!r} ** {rain.epsilon!r}")
         # Each mode's choices are those of the module that branches on it.
         for key, value, choices in (("coherent", self.coherent_mode, COHERENT_MODES),
                                     ("slant", self.slant_mode, SLANT_MODES),

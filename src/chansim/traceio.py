@@ -12,7 +12,6 @@ is also the report's.
 
 from __future__ import annotations
 
-import codecs
 import math
 import os
 import re
@@ -183,26 +182,17 @@ def load_trace(path: str | Path) -> RayTable:
 
 def _utf8_fault(path: Path) -> str | None:
     """The file's first UTF-8 fault, or None, as ``bytes.decode`` of the whole
-    file words it; a text stream counts the position from its current chunk."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    offset = 0
-    with path.open("rb") as handle:
-        while True:
-            chunk = handle.read(1 << 16)
-            # Bytes of a character split across chunks wait in the decoder.
-            pending = len(decoder.getstate()[0])
-            try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                start = offset - pending + exc.start
-                if exc.end - exc.start == 1:
-                    where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
-                else:
-                    where = f"bytes in position {start}-{start + exc.end - exc.start - 1}"
-                return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
-            if not chunk:
-                return None
-            offset += len(chunk)
+    file words it; only a file that holds one is read whole."""
+    try:
+        with path.open(encoding="utf-8") as handle:
+            while handle.read(1 << 16):
+                pass
+    except UnicodeDecodeError:
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return str(exc)
+    return None
 
 
 def _next_filled(handle, lineno: int, path: Path) -> tuple[int, str]:

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import random
 import re
 import threading
 import time
@@ -437,6 +438,45 @@ class TestConfig:
         assert main(["linkbudget", "--config", str(path), "--out", str(out), "--rain"]) == 2
         err = capsys.readouterr().err
         assert "pass.gs_height_km" in err and "atmosphere.h_rain_km" in err
+        assert not out.exists()
+        assert main(["linkbudget", "--config", str(path), "--out", str(out),
+                     "--clouds", "--snow"]) == 0
+
+    @pytest.mark.parametrize("gains", [(0.0, 1.0e5), (1.0e308, 1.0e308)],
+                             ids=["power-overflows", "sum-infinite"])
+    def test_antenna_gains_that_overflow_name_both_keys(self, tmp_path, capsys, gains):
+        # spatial_filter scales amplitudes by 10^((G_sat + G_gs)/20): beyond
+        # float range every power became an 'unbounded' cell.
+        g_sat, g_gs = gains
+        path = tmp_path / "huge-gain.yaml"
+        path.write_text(f"antennas: {{satellite: {{kind: phased-array, peak_gain_dbi: {g_sat!r}}},"
+                        f" ground: {{kind: single-element, peak_gain_dbi: {g_gs!r},"
+                        " hpbw_deg: 2.0}}\n")
+        keys = ("antennas.satellite.peak_gain_dbi", "antennas.ground.peak_gain_dbi")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert all(key in str(err.value) for key in keys)
+        out = tmp_path / "o"
+        assert main(["linkbudget", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys) and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("atmosphere", [
+        "{rain_rate_mmh: 1.0e+300, epsilon: 5.0}",
+        "{k_rn: 1.0e+300, rain_rate_mmh: 1.0e+10, epsilon: 1.0}",
+    ], ids=["power-overflows", "product-infinite"])
+    def test_rain_attenuation_that_overflows_names_keys(self, tmp_path, capsys, atmosphere):
+        # k_rn * rain_rate ** epsilon raised OverflowError mid-run.
+        path = tmp_path / "huge-rain.yaml"
+        path.write_text(f"atmosphere: {atmosphere}\n")
+        with pytest.raises(ConfigError, match=r"atmosphere\.k_rn \* atmosphere\.rain_rate_mmh "
+                                              r"\*\* atmosphere\.epsilon"):
+            apply_overrides(load_config(path), weather_add={"rain"})
+        out = tmp_path / "o"
+        assert main(["linkbudget", "--config", str(path), "--out", str(out), "--rain"]) == 2
+        err = capsys.readouterr().err
+        assert "atmosphere.rain_rate_mmh" in err and "Traceback" not in err
         assert not out.exists()
         assert main(["linkbudget", "--config", str(path), "--out", str(out),
                      "--clouds", "--snow"]) == 0
@@ -1306,3 +1346,69 @@ class TestSavedTraceRelation:
                      for run in ("synthetic", "traced")]
         assert [s.pop("source") for s in summaries] == ["synthetic", "trace"]
         assert summaries[0] == summaries[1]
+
+
+class TestSavedTraceRelations:
+    """Runs on the default pass saved with save_trace whose outputs must not see
+    how the file orders its rows, the seed, or a common scale of the amplitudes."""
+
+    CFG = ScenarioConfig(fading=FadingConfig(fit_samples=200))
+    SUBCOMMANDS = ("linkbudget", "fading", "spreads", "cluster", "ntn-compare")
+
+    @staticmethod
+    def outputs(cfg, trace, out, subs) -> dict[str, bytes]:
+        """Each subcommand's CSV and summary.json bytes from a run on ``trace``."""
+        for sub in subs:
+            run_report(cfg, sub, out / sub, trace_path=trace)
+        return {f"{sub}/{name}": (out / sub / name).read_bytes()
+                for sub in subs for name in (f"{sub}.csv", "summary.json")}
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        """The saved trace's lines and the outputs of every subcommand on it."""
+        from chansim.report import gather_snapshots
+        from chansim.traceio import save_trace
+
+        tmp = tmp_path_factory.mktemp("saved")
+        save_trace(gather_snapshots(self.CFG, None), tmp / "pass.trace.csv")
+        lines = (tmp / "pass.trace.csv").read_text().splitlines(keepends=True)
+        return lines, self.outputs(self.CFG, tmp / "pass.trace.csv", tmp, self.SUBCOMMANDS)
+
+    def test_shuffled_snapshots_and_rays(self, saved, tmp_path):
+        (header, columns, *rows), expected = saved
+        snapshots = {}
+        for row in rows:
+            snapshots.setdefault(row.split(",", 1)[0], []).append(row)
+        rng = random.Random(0)
+        shuffled = list(snapshots.values())
+        rng.shuffle(shuffled)
+        for rays in shuffled:
+            rng.shuffle(rays)
+        shuffled_rows = [row for rays in shuffled for row in rays]
+        assert [r.split(",", 1)[0] for r in shuffled_rows] != [r.split(",", 1)[0] for r in rows]
+        assert any(rays != [r for r in rows if r in rays] for rays in shuffled)
+        trace = tmp_path / "shuffled.trace.csv"
+        trace.write_text("".join([header, columns, *shuffled_rows]))
+        assert self.outputs(self.CFG, trace, tmp_path, self.SUBCOMMANDS) == expected
+
+    def test_seed_changes_no_trace_output_but_fading(self, saved, tmp_path):
+        lines, expected = saved
+        trace = tmp_path / "pass.trace.csv"
+        trace.write_text("".join(lines))
+        subs = ("linkbudget", "spreads", "cluster")
+        got = self.outputs(apply_overrides(self.CFG, seed=9), trace, tmp_path, subs)
+        assert {f"{sub}/{sub}.csv": got[f"{sub}/{sub}.csv"] for sub in subs} == {
+            f"{sub}/{sub}.csv": expected[f"{sub}/{sub}.csv"] for sub in subs}
+
+    def test_doubled_amplitudes_keep_spreads_and_clusters(self, saved, tmp_path):
+        (header, columns, *rows), expected = saved
+        doubled = []
+        for row in rows:
+            altitude, amplitude, rest = row.split(",", 2)
+            doubled.append(f"{altitude},{2.0 * float(amplitude)!r},{rest}")
+        trace = tmp_path / "doubled.trace.csv"
+        trace.write_text("".join([header, columns, *doubled]))
+        subs = ("spreads", "cluster")
+        got = self.outputs(self.CFG, trace, tmp_path, subs)
+        assert {f"{sub}/{sub}.csv": got[f"{sub}/{sub}.csv"] for sub in subs} == {
+            f"{sub}/{sub}.csv": expected[f"{sub}/{sub}.csv"] for sub in subs}
