@@ -182,7 +182,8 @@ def load_trace(path: str | Path) -> RayTable:
 
 def _utf8_fault(path: Path) -> str | None:
     """The file's first UTF-8 fault, or None, as ``bytes.decode`` of the whole
-    file words it; only a file that holds one is read whole."""
+    file words it.  A text stream counts a fault's position from its current
+    chunk, so only a file that holds a fault is decoded whole."""
     try:
         with path.open(encoding="utf-8") as handle:
             while handle.read(1 << 16):

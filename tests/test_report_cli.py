@@ -1363,19 +1363,24 @@ class TestSavedTraceRelations:
         return {f"{sub}/{name}": (out / sub / name).read_bytes()
                 for sub in subs for name in (f"{sub}.csv", "summary.json")}
 
+    @staticmethod
+    def csvs(outputs, subs) -> list[bytes]:
+        return [outputs[f"{sub}/{sub}.csv"] for sub in subs]
+
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
-        """The saved trace's lines and the outputs of every subcommand on it."""
+        """The saved trace and the outputs of every subcommand on it."""
         from chansim.report import gather_snapshots
         from chansim.traceio import save_trace
 
         tmp = tmp_path_factory.mktemp("saved")
-        save_trace(gather_snapshots(self.CFG, None), tmp / "pass.trace.csv")
-        lines = (tmp / "pass.trace.csv").read_text().splitlines(keepends=True)
-        return lines, self.outputs(self.CFG, tmp / "pass.trace.csv", tmp, self.SUBCOMMANDS)
+        trace = tmp / "pass.trace.csv"
+        save_trace(gather_snapshots(self.CFG, None), trace)
+        return trace, self.outputs(self.CFG, trace, tmp, self.SUBCOMMANDS)
 
     def test_shuffled_snapshots_and_rays(self, saved, tmp_path):
-        (header, columns, *rows), expected = saved
+        trace, expected = saved
+        header, columns, *rows = trace.read_text().splitlines(keepends=True)
         snapshots = {}
         for row in rows:
             snapshots.setdefault(row.split(",", 1)[0], []).append(row)
@@ -1387,28 +1392,25 @@ class TestSavedTraceRelations:
         shuffled_rows = [row for rays in shuffled for row in rays]
         assert [r.split(",", 1)[0] for r in shuffled_rows] != [r.split(",", 1)[0] for r in rows]
         assert any(rays != [r for r in rows if r in rays] for rays in shuffled)
-        trace = tmp_path / "shuffled.trace.csv"
-        trace.write_text("".join([header, columns, *shuffled_rows]))
-        assert self.outputs(self.CFG, trace, tmp_path, self.SUBCOMMANDS) == expected
+        shuffled_trace = tmp_path / "shuffled.trace.csv"
+        shuffled_trace.write_text("".join([header, columns, *shuffled_rows]))
+        assert self.outputs(self.CFG, shuffled_trace, tmp_path, self.SUBCOMMANDS) == expected
 
     def test_seed_changes_no_trace_output_but_fading(self, saved, tmp_path):
-        lines, expected = saved
-        trace = tmp_path / "pass.trace.csv"
-        trace.write_text("".join(lines))
+        trace, expected = saved
         subs = ("linkbudget", "spreads", "cluster")
         got = self.outputs(apply_overrides(self.CFG, seed=9), trace, tmp_path, subs)
-        assert {f"{sub}/{sub}.csv": got[f"{sub}/{sub}.csv"] for sub in subs} == {
-            f"{sub}/{sub}.csv": expected[f"{sub}/{sub}.csv"] for sub in subs}
+        assert self.csvs(got, subs) == self.csvs(expected, subs)
 
     def test_doubled_amplitudes_keep_spreads_and_clusters(self, saved, tmp_path):
-        (header, columns, *rows), expected = saved
+        trace, expected = saved
+        header, columns, *rows = trace.read_text().splitlines(keepends=True)
         doubled = []
         for row in rows:
             altitude, amplitude, rest = row.split(",", 2)
             doubled.append(f"{altitude},{2.0 * float(amplitude)!r},{rest}")
-        trace = tmp_path / "doubled.trace.csv"
-        trace.write_text("".join([header, columns, *doubled]))
+        doubled_trace = tmp_path / "doubled.trace.csv"
+        doubled_trace.write_text("".join([header, columns, *doubled]))
         subs = ("spreads", "cluster")
-        got = self.outputs(self.CFG, trace, tmp_path, subs)
-        assert {f"{sub}/{sub}.csv": got[f"{sub}/{sub}.csv"] for sub in subs} == {
-            f"{sub}/{sub}.csv": expected[f"{sub}/{sub}.csv"] for sub in subs}
+        got = self.outputs(self.CFG, doubled_trace, tmp_path, subs)
+        assert self.csvs(got, subs) == self.csvs(expected, subs)
