@@ -134,4 +134,7 @@ def spatial_filter(
     g_sat, g_gs = (gain_dbi(model, _wrap_deg(az - model.steer_az_deg), el - model.steer_el_deg)
                    for model, az, el in ((sat_model, table.aod_az_deg, table.aod_el_deg),
                                          (gs_model, table.aoa_az_deg, table.aoa_el_deg)))
-    return table.with_amplitude(table.amplitude * 10.0 ** ((g_sat + g_gs) / 20.0))
+    # An amplitude scaled beyond float range is infinite, which with_amplitude refuses.
+    with np.errstate(over="ignore"):
+        amplitude = table.amplitude * 10.0 ** ((g_sat + g_gs) / 20.0)
+    return table.with_amplitude(amplitude)

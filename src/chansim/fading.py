@@ -29,12 +29,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import NumericError, check_fields
 from .geometry import ElevationAngle
 from .mpc import RayTable
-from .special import hyp1f1_neg, hyp1f1_neg_array, integer_order, log_i0
+from .numerics import bounded_minimum, qagi
+from .special import hyp1f1_neg_array, integer_order, log_i0
 
 # Quality gates for the numerically measured mass of the shadowed density.
 # The quadrature error estimate is conservative by orders of magnitude on
@@ -143,7 +143,7 @@ def _shadowed_constants(k: float, m: float, omega: float) -> tuple[float, float,
 
 
 def _log_envelope(r, k: float, omega: float, beta: float, shift: float):
-    """log(2r(K+1)/Omega) - shift + log I0(2 beta r), on an array or a float r > 0."""
+    """log(2r(K+1)/Omega) - shift + log I0(2 beta r), on an array r > 0."""
     return np.log(2.0 * r * (k + 1.0) / omega) - shift + log_i0(2.0 * beta * r)
 
 
@@ -192,30 +192,21 @@ def shadowed_rician_mass(p: ShadowedRicianParams) -> float:
             "normalisation is impossible"
         )
 
-    beta, c, shift = _shadowed_constants(k, m, 1.0)
-    scale = math.exp(-shift)
+    unit = ShadowedRicianParams(k=k, m=m, omega=1.0)
+    scale = math.exp(-_shadowed_constants(k, m, 1.0)[2])
 
-    def signed(r: float) -> float:
-        # _verbatim_terms at omega = 1 on one float, with the same numpy
-        # ufuncs (np.log and math.log differ in the last bit), so the
-        # masses match the array density's bit for bit.
-        if not r > 0.0:
-            return 0.0
-        f11 = hyp1f1_neg(m, c * r * r)
-        if f11 == 0.0:
-            return 0.0
-        value = float(np.exp(_log_envelope(r, k, 1.0, beta, shift) + np.log(abs(f11))))
-        return math.copysign(value, f11) / scale
+    def signed(r: np.ndarray) -> np.ndarray:
+        # The array density at omega = 1, zero where an abscissa rounds to 0.
+        out = np.zeros_like(r)
+        pos = r > 0.0
+        out[pos] = _verbatim_terms(r[pos], unit) / scale
+        return out
 
     # The constant exponential factor is divided out during integration to
     # keep the quadrature relative-accurate for strongly shadowed settings.
-    # full_output returns QUADPACK's message instead of warning it: the
-    # gates below judge the result, and a warnings filter is process-wide
-    # state that rows fitted on other threads would race on.
-    net, net_err = integrate.quad(signed, 0.0, np.inf, limit=400, full_output=1)[:2]
+    net, net_err = qagi(signed)
     # For m = 1 the integrand is non-negative, so |signed| is signed at every node.
-    gross = net if m == 1.0 else integrate.quad(
-        lambda r: abs(signed(r)), 0.0, np.inf, limit=400, full_output=1)[0]
+    gross = net if m == 1.0 else qagi(lambda r: np.abs(signed(r)))[0]
     if gross <= 0.0 or not math.isfinite(net):
         raise NumericError(f"shadowed mass quadrature failed for K={k}, m={m}")
     if abs(net) < _MASS_CANCELLATION_LIMIT * gross:
@@ -364,13 +355,9 @@ def _refine_k(negll, r: np.ndarray, omega: float) -> float:
     # flat likelihood resolve toward the smaller K end of the bracket.
     k_init = _k_moment_estimate(r)
     upper = min(_K_FIT_MAX, 100.0 * k_init + 10.0)
-    res = optimize.minimize_scalar(
-        lambda u: negll(float(np.expm1(u)), r, omega),
-        bounds=(0.0, math.log1p(upper)),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(np.expm1(res.x))
+    u = bounded_minimum(lambda u: negll(float(np.expm1(u)), r, omega),
+                        0.0, math.log1p(upper))
+    return float(np.expm1(u))
 
 
 def fit(

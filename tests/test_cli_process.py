@@ -150,3 +150,21 @@ def test_fault_trace_exits_3_with_one_stderr_line(tmp_path, name):
     [line] = run.stderr.splitlines()
     assert line.startswith(f"chansim: input error: {trace}: {FAULTS[name]}")
     assert run.stdout == "" and run.outputs == {}
+
+
+def test_filtered_amplitude_overflow_leaves_one_stderr_line(tmp_path):
+    # One amplitude of 1e308 is finite in the trace but not under a 20 dBi
+    # ground antenna.  Which exit code names the fault is left open here.
+    lines = save_default_pass(tmp_path / "pass.trace.csv").read_text().splitlines()
+    altitude, _, rest = lines[2].split(",", 2)
+    lines[2] = f"{altitude},1e308,{rest}"
+    (tmp_path / "overflow.trace.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "ground.yaml").write_text(
+        "antennas:\n  ground: {kind: single-element, peak_gain_dbi: 20.0, hpbw_deg: 10.0}\n")
+    run = run_cli(tmp_path, "linkbudget", "--config", "ground.yaml",
+                  "--trace", "overflow.trace.csv")
+    assert run.code != 0
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+    [line] = run.stderr.splitlines()
+    assert line.startswith("chansim: ")
+    assert run.stdout == "" and run.outputs == {}

@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import math
 import pickle
@@ -1414,3 +1416,28 @@ class TestSavedTraceRelations:
         subs = ("spreads", "cluster")
         got = self.outputs(self.CFG, doubled_trace, tmp_path, subs)
         assert self.csvs(got, subs) == self.csvs(expected, subs)
+
+    def test_doubled_amplitudes_scale_powers_by_6_dB_and_omega_by_4(self, saved, tmp_path):
+        trace, expected = saved
+        header, columns, *rows = trace.read_text().splitlines(keepends=True)
+        doubled = []
+        for row in rows:
+            altitude, amplitude, rest = row.split(",", 2)
+            doubled.append(f"{altitude},{2.0 * float(amplitude)!r},{rest}")
+        doubled_trace = tmp_path / "doubled.trace.csv"
+        doubled_trace.write_text("".join([header, columns, *doubled]))
+        subs = ("linkbudget", "fading")
+        got = self.outputs(self.CFG, doubled_trace, tmp_path, subs)
+        base, twice = ({sub: list(csv.DictReader(io.StringIO(out[f"{sub}/{sub}.csv"].decode())))
+                        for sub in subs} for out in (expected, got))
+        assert [len(twice[sub]) for sub in subs] == [len(base[sub]) for sub in subs]
+        for old, new in zip(base["fading"], twice["fading"]):
+            assert new["k_direct"] == old["k_direct"]
+            assert float(new["omega"]) == 4.0 * float(old["omega"])
+        six_db = 20.0 * math.log10(2.0)
+        for old, new in zip(base["linkbudget"], twice["linkbudget"]):
+            for name in ("l_hd_db", "l_am_db", "l_atm_db", "fspl_db"):
+                assert new[name] == old[name]
+            for name, sign in (("p_coh_dbm", 1.0), ("p_rx_dbm", 1.0), ("l_total_db", -1.0)):
+                shift = float(new[name]) - float(old[name])
+                assert abs(shift - sign * six_db) <= 1e-12, (name, shift)

@@ -1,4 +1,4 @@
-"""Start-up cost: only the fading fits may pull in scipy."""
+"""Start-up cost: only the fading fits may pull in scipy, and only scipy.special."""
 
 import json
 import subprocess
@@ -23,6 +23,9 @@ PUBLIC_NAMES = [
 
 PROBE = """
 import json, sys
+# scipy.special, and the subpackages that scipy.integrate and scipy.optimize load.
+SCIPY = ["scipy.constants", "scipy.fft", "scipy.integrate", "scipy.linalg",
+         "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special"]
 import chansim.cli
 scipy_after_cli = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import chansim
@@ -30,6 +33,7 @@ from chansim import FadingRegime, fit
 import chansim.fading
 print(json.dumps({
     "scipy_after_cli": scipy_after_cli,
+    "scipy_after_fading": [m for m in SCIPY if m in sys.modules],
     "fit": chansim.fit is chansim.fading.fit is fit,
     "regime": FadingRegime is chansim.fading.FadingRegime,
     "default_psi2": chansim.geometry.default_psi2(400.0).psi_deg,
@@ -46,6 +50,7 @@ def test_cli_import_loads_no_scipy_and_keeps_public_names():
     )
     probe = json.loads(out.stdout)
     assert probe["scipy_after_cli"] == []
+    assert probe["scipy_after_fading"] == ["scipy.special"]
     assert probe["fit"] and probe["regime"]
     assert probe["default_psi2"] == 14.477512185929925
     assert probe["all"] == PUBLIC_NAMES
