@@ -19,6 +19,16 @@ from .clustering import build_features, cluster_snapshot, dbscan
 from .config import ScenarioConfig, load_config
 from .dispersion import azimuth_spread, elevation_spread, spread_report
 from .errors import ChansimError, ConfigError, ElevationFloorError, NumericError, TraceError
+from .fading import (
+    FadingRegime,
+    RicianParams,
+    ShadowedRicianParams,
+    fit,
+    rician_pdf,
+    sample,
+    select_regime,
+    shadowed_rician_pdf,
+)
 from .geometry import ElevationAngle, PassGeometry, altitude_to_elevation, rain_slant_length
 from .link_budget import fspl_db, sweep_pass
 from .mpc import RayTable, coherent_power_dbm, k_factor
@@ -28,27 +38,6 @@ from .synth import synth_scenario
 from .traceio import load_trace, save_trace
 
 __version__ = "0.1.0"
-
-# The fading names are resolved on first use (PEP 562) so that importing
-# chansim, or any subcommand but ``fading``, does not import scipy.
-_FADING_NAMES = frozenset({
-    "FadingRegime",
-    "RicianParams",
-    "ShadowedRicianParams",
-    "fit",
-    "rician_pdf",
-    "sample",
-    "select_regime",
-    "shadowed_rician_pdf",
-})
-
-
-def __getattr__(name: str):
-    if name in _FADING_NAMES:
-        from . import fading
-
-        return getattr(fading, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AntennaModel",

@@ -236,11 +236,37 @@ _EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0
 
 
 def _yaml_loader(base: type) -> type:
-    """A subclass of yaml loader ``base`` that also reads _EXPONENT_FLOAT scalars as floats."""
-    loader = type(f"Chansim{base.__name__}", (base,), {})
-    loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+    """A subclass of yaml loader ``base`` that also reads _EXPONENT_FLOAT scalars as
+    floats and refuses a key given twice in one mapping."""
+
+    class Loader(base):
+        def __init__(self, stream) -> None:
+            super().__init__(stream)
+            self.flattened = set()
+
+        def flatten_mapping(self, node) -> None:
+            # Keys merged in by ``<<`` may repeat, and an explicit key overrides
+            # them.  A mapping merged into others is flattened again, after its
+            # merged keys were added to it, so it is checked the first time only.
+            explicit = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            super().flatten_mapping(node)
+            if node in self.flattened:
+                return
+            self.flattened.add(node)
+            lines = {}
+            for key_node in explicit:
+                if isinstance(key_node, yaml.ScalarNode):
+                    key = self.construct_object(key_node)
+                    line = key_node.start_mark.line + 1
+                    if key in lines:
+                        raise ConfigError(f"config key {key!r} given twice, on lines "
+                                          f"{lines[key]} and {line}")
+                    lines[key] = line
+
+    Loader.__name__ = Loader.__qualname__ = f"Chansim{base.__name__}"
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
                                  list("-+.0123456789"))
-    return loader
+    return Loader
 
 
 # libyaml's parser when PyYAML was built with it: the same safe constructors

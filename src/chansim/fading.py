@@ -130,8 +130,10 @@ def rician_pdf(r: np.ndarray | float, p: RicianParams) -> np.ndarray | float:
     """Rician amplitude density, exact and normalised; reduces to Rayleigh at K=0."""
     r_arr = _amplitudes(r)
     out = np.zeros_like(r_arr)
-    pos = r_arr > 0.0
-    out[pos] = np.exp(_rician_log_pdf(r_arr[pos], p.k, p.omega))
+    pos = (r_arr > 0.0) & (r_arr < np.inf)
+    # r * r overflows to inf far in the tail, where the density is 0 as at r = inf.
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(_rician_log_pdf(r_arr[pos], p.k, p.omega))
     return out if np.ndim(r) else float(out)
 
 
@@ -242,9 +244,10 @@ def shadowed_rician_pdf(
     """
     r_arr = _amplitudes(r)
     out = np.zeros_like(r_arr)
-    pos = r_arr > 0.0
+    pos = (r_arr > 0.0) & (r_arr < np.inf)
     if np.any(pos):
-        out[pos] = _verbatim_terms(r_arr[pos], p)
+        with np.errstate(over="ignore"):
+            out[pos] = _verbatim_terms(r_arr[pos], p)
     if normalized:
         if "_measured_mass" not in vars(p):
             object.__setattr__(p, "_measured_mass", shadowed_rician_mass(p))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import clustering, dispersion, ntn
+from . import clustering, dispersion, fading, ntn
 from .config import DEFAULT_GEOMETRY, ScenarioConfig
 from .errors import ConfigError
 from .link_budget import fspl_db, sweep_pass
@@ -130,11 +130,8 @@ def _report_linkbudget(config: ScenarioConfig, table: RayTable):
 
 
 def _report_fading(config: ScenarioConfig, table: RayTable):
-    # Imported here so that only this subcommand pays scipy's and the pool's
-    # import time.
+    # Imported here so that only this subcommand pays the pool's import time.
     from concurrent.futures import ThreadPoolExecutor
-
-    from . import fading
 
     psi2 = config.psi2(table.arc_radius_km)
     regimes = fading.select_regime(table, psi2)

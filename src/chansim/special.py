@@ -9,8 +9,11 @@ recurrence returns at m = 1.  Every other order uses
     1F1(m; 1; -z) = exp(-z) * L_{m-1}(z)
 
 with the Laguerre polynomial from its three-term recurrence, rescaled by
-2^±500 to stay in range, so it is stable at any degree and argument.  A
-non-integer order raises NumericError naming it.
+2^±500 to stay in range, so it is stable at any degree and argument, and
+cut to 0 past z = 1490, where |1F1| <= exp(-z/2) underflows.  A
+non-integer order raises NumericError naming it.  ``log_i0`` is the one
+user of scipy (``scipy.special.i0e``) and imports it at the call, so scipy
+loads at the first fading fit, not with this module.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp_special
 
 from .errors import NumericError
 
@@ -76,7 +78,9 @@ def hyp1f1_neg(m: float, z: float) -> float:
     order = integer_order(m)
     if order is None:
         raise NumericError(f"1F1(m; 1; -z) is evaluated for integer shapes only, got m={m}")
-    return _laguerre_scaled(order, z)
+    # |L_n(z)| <= exp(z/2) for z >= 0 (Szego), so |1F1| <= exp(-z/2) is below
+    # the smallest subnormal past z = 1490, where the recurrence overflows.
+    return 0.0 if z > 1490.0 else _laguerre_scaled(order, z)
 
 
 def hyp1f1_neg_array(m: float, z: np.ndarray) -> np.ndarray:
@@ -88,4 +92,7 @@ def hyp1f1_neg_array(m: float, z: np.ndarray) -> np.ndarray:
 
 def log_i0(x: np.ndarray | float) -> np.ndarray | float:
     """log(I0(x)) for x >= 0, an array or a float, stable for large arguments."""
-    return np.log(sp_special.i0e(x)) + x
+    # Imported at the call, so that only a fading fit loads scipy.
+    from scipy.special import i0e
+
+    return np.log(i0e(x)) + x

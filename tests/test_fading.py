@@ -81,6 +81,35 @@ class TestRicianPdf:
             rician_pdf(np.array([0.5, math.nan]), RicianParams(1.0, 1.0))
 
 
+class TestFarTail:
+    """Both densities are exactly 0 where r * r overflows, and at r = inf."""
+
+    @pytest.mark.parametrize("r", [1e100, 1e155, 1e200, math.inf])
+    def test_shadowed_raw_density_is_zero(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert shadowed_rician_pdf(r, ShadowedRicianParams(2.0, 3.0, 1.0),
+                                       normalized=False) == 0.0
+            assert shadowed_rician_pdf(r, ShadowedRicianParams(2.0, 1.0, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("r", [1e155, 1e200, math.inf])
+    def test_rician_density_is_zero(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rician_pdf(r, RicianParams(2.0, 1.0)) == 0.0
+
+    def test_tail_leaves_other_amplitudes_alone(self):
+        r = np.array([0.0, 0.7, 1e200, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rician = rician_pdf(r, RicianParams(2.0, 1.0))
+            shadowed = shadowed_rician_pdf(r, ShadowedRicianParams(2.0, 3.0, 1.0),
+                                           normalized=False)
+        assert rician.tolist() == [0.0, rician_pdf(0.7, RicianParams(2.0, 1.0)), 0.0, 0.0]
+        assert shadowed.tolist() == [0.0, shadowed_rician_pdf(
+            0.7, ShadowedRicianParams(2.0, 3.0, 1.0), normalized=False), 0.0, 0.0]
+
+
 class TestParamsNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["k", "omega"])

@@ -155,6 +155,37 @@ class TestConfig:
         monkeypatch.setattr(config_mod, "_YAML_LOADER", config_mod._yaml_loader(yaml.SafeLoader))
         assert load_config(path) == fast
 
+    @pytest.mark.parametrize("base", [getattr(yaml, "CSafeLoader", yaml.SafeLoader),
+                                      yaml.SafeLoader], ids=["libyaml", "python"])
+    @pytest.mark.parametrize("text,message", [
+        ("seed: 3\npass: {arc_radius_km: 400.0}\nseed: 5\n",
+         "config key 'seed' given twice, on lines 1 and 3"),
+        ("pass:\n  arc_radius_km: 400.0\n  gs_height_km: 0.023\n  arc_radius_km: 500.0\n",
+         "config key 'arc_radius_km' given twice, on lines 2 and 4"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_refused(self, tmp_path, capsys, monkeypatch, base, text, message):
+        monkeypatch.setattr(config_mod, "_YAML_LOADER", config_mod._yaml_loader(base))
+        path = tmp_path / "twice.yaml"
+        path.write_text(text)
+        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"chansim: config error: {message}\n"
+
+    @pytest.mark.parametrize("base", [getattr(yaml, "CSafeLoader", yaml.SafeLoader),
+                                      yaml.SafeLoader], ids=["libyaml", "python"])
+    def test_merged_keys_may_repeat(self, tmp_path, monkeypatch, base):
+        # An explicit key overrides a merged one, and a mapping merged before it
+        # is constructed is not refused for the keys merged into it.
+        text = ("outer:\n  b: &b {<<: &a {x: 1}, x: 2}\n"
+                "c: {<<: *b, y: 3}\nd: {<<: [*a, *b], x: 4}\n")
+        assert yaml.load(text, Loader=config_mod._yaml_loader(base)) == {
+            "outer": {"b": {"x": 2}}, "c": {"x": 2, "y": 3}, "d": {"x": 4}}
+        monkeypatch.setattr(config_mod, "_YAML_LOADER", config_mod._yaml_loader(base))
+        path = tmp_path / "merged.yaml"
+        path.write_text("pass: {<<: {arc_radius_km: 500.0, gs_height_km: 0.05},"
+                        " arc_radius_km: 450.0, altitudes_km: [5.0]}\n")
+        geometry = load_config(path).geometry
+        assert (geometry.arc_radius_km, geometry.gs_height_km) == (450.0, 0.05)
+
     @pytest.mark.parametrize("spelling", ["4e-3", "4E-3", "+4e-3", "40e-4", "0.0004e1", ".0004e1"])
     def test_exponent_without_point_or_sign_is_a_number(self, tmp_path, spelling):
         # YAML 1.1 reads these as strings: its floats need a decimal point and a signed exponent.

@@ -51,6 +51,27 @@ class TestHyp1F1Neg:
         assert hyp1f1_neg(5.0, 757.0) == pytest.approx(reference(5.0, 757.0), rel=1e-9)
         assert hyp1f1_neg(500.0, 3000.0) == reference(500.0, 3000.0) == 0.0
 
+    @pytest.mark.parametrize("m,z", [(3.0, 1e155), (3.0, math.inf), (50.0, 1e70),
+                                     (500.0, 1e60), (2.0, 1e300)])
+    def test_far_tail_is_zero(self, m, z):
+        # |L_n(z)| <= exp(z/2) (Szego), so |1F1(m; 1; -z)| <= exp(-z/2) is below
+        # the smallest subnormal past z = 1490, where the recurrence overflows.
+        assert hyp1f1_neg(m, z) == 0.0
+        assert math.isnan(hyp1f1_neg(m, math.nan))
+
+    def test_far_tail_cut_keeps_the_recurrence_bits(self):
+        rng = np.random.default_rng(5)
+        grid = np.concatenate([np.geomspace(math.nextafter(1490.0, math.inf), 1e150, 150),
+                               rng.uniform(1490.0, 3000.0, 50)]).tolist()
+        finite = 0
+        for m in (2, 3, 5, 7, 50, 500):
+            for z in grid:
+                recurrence = special._laguerre_scaled(m, z)
+                if math.isfinite(recurrence):
+                    finite += 1
+                    assert hyp1f1_neg(float(m), z).hex() == recurrence.hex(), (m, z)
+        assert finite > 600
+
     def test_noninteger_order_raises_naming_it(self):
         # Only integer shapes have a normalisable shadowed density, so no
         # other order is evaluated, in the raw density either.

@@ -1,4 +1,4 @@
-"""Start-up cost: only the fading fits may pull in scipy, and only scipy.special."""
+"""Start-up cost: only a fading fit may pull in scipy, and only scipy.special."""
 
 import json
 import subprocess
@@ -31,9 +31,13 @@ scipy_after_cli = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import chansim
 from chansim import FadingRegime, fit
 import chansim.fading
+scipy_after_fading = [m for m in SCIPY if m in sys.modules]
+draws = chansim.sample(chansim.RicianParams(k=2.0, omega=1.0), 200, seed=1)
+chansim.fit(draws, FadingRegime.RICIAN)
 print(json.dumps({
     "scipy_after_cli": scipy_after_cli,
-    "scipy_after_fading": [m for m in SCIPY if m in sys.modules],
+    "scipy_after_fading": scipy_after_fading,
+    "scipy_after_fit": [m for m in SCIPY if m in sys.modules],
     "fit": chansim.fit is chansim.fading.fit is fit,
     "regime": FadingRegime is chansim.fading.FadingRegime,
     "default_psi2": chansim.geometry.default_psi2(400.0).psi_deg,
@@ -50,7 +54,8 @@ def test_cli_import_loads_no_scipy_and_keeps_public_names():
     )
     probe = json.loads(out.stdout)
     assert probe["scipy_after_cli"] == []
-    assert probe["scipy_after_fading"] == ["scipy.special"]
+    assert probe["scipy_after_fading"] == []
+    assert probe["scipy_after_fit"] == ["scipy.special"]
     assert probe["fit"] and probe["regime"]
     assert probe["default_psi2"] == 14.477512185929925
     assert probe["all"] == PUBLIC_NAMES
