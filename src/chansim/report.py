@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import islice, repeat
+from operator import is_not
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,16 @@ from .traceio import _atomic_write, _csv_chunks, _fmt, load_trace
 
 
 def _json_safe(value):
+    """``value`` with each non-finite float made its ``_fmt`` text.  A dict,
+    list or tuple is copied only if it holds such a float, so a summary of
+    finite numbers is encoded as it is, not copied whole."""
     if isinstance(value, float) and not math.isfinite(value):
         return _fmt(value)
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+    if isinstance(value, (dict, list, tuple)):
+        items = value.values() if isinstance(value, dict) else value
+        safe = list(map(_json_safe, items))
+        if any(map(is_not, safe, items)):
+            return dict(zip(value, safe)) if isinstance(value, dict) else safe
     return value
 
 

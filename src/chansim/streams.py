@@ -1,11 +1,11 @@
-"""Per-row random streams of a whole pass, seeded in one step.
+"""Per-row random streams of a whole pass, seeded a chunk of rows per step.
 
 ``np.random.default_rng(entropy)`` hashes the entropy with a SeedSequence
 and seeds a PCG64 from four of its 64-bit words.  Building one such
 generator per row costs tens of microseconds.  ``streams`` runs the same
-documented hash on uint32 columns for every row at once, does each row's
-PCG64 seeding step in 128-bit integer arithmetic, and writes the result
-into one generator, so each row draws exactly what
+documented hash on uint32 columns for a chunk of rows at once, does each
+row's PCG64 seeding step in 128-bit integer arithmetic, and writes the
+result into one generator, so each row draws exactly what
 ``default_rng(entropy)`` would have drawn.  The uint32 arithmetic uses
 ``np.uint32`` operands throughout, so it wraps the same way under numpy
 1.x's value-based casting and numpy 2's rules.
@@ -14,6 +14,7 @@ into one generator, so each row draws exactly what
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import islice
 
 import numpy as np
 
@@ -27,6 +28,10 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
+
+# Rows hashed and seeded per step: the word and seed columns of one chunk
+# are alive at once, never the whole pass's.
+_CHUNK_ROWS = 1024
 
 # PCG64's 128-bit LCG multiplier.
 _PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
@@ -106,25 +111,26 @@ def streams(entropies: Iterable) -> Iterator[np.random.Generator]:
     An entropy is a non-negative integer or a flat sequence of them, as
     ``default_rng`` takes it.  Every row gets the same generator object,
     set to that row's state, so a caller must finish its row's draws
-    before it advances the iterator.  Raises ``ValueError`` for a negative
-    and ``TypeError`` for a non-integer entropy, as numpy does.
+    before it advances the iterator.  Entropies are read and seeded
+    ``_CHUNK_ROWS`` at a time, so memory follows the chunk, not the pass.
+    Raises ``ValueError`` for a negative and ``TypeError`` for a
+    non-integer entropy, as numpy does, once the iterator reaches its chunk.
     """
-    rows = [_words(entropy) for entropy in entropies]
-    if not rows:
-        return
-    width = max(_POOL_SIZE, *map(len, rows))
-    lengths = np.array([len(row) for row in rows])
-    words = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.uint32)
+    entropies = iter(entropies)
     rng = np.random.default_rng(0)
     bit_generator = rng.bit_generator
-    for s_hi, s_lo, i_hi, i_lo in zip(*_seed_words(_pools(words, lengths))):
-        # pcg64_set_seed: state 0, step, add the seed, step.
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    while rows := [_words(entropy) for entropy in islice(entropies, _CHUNK_ROWS)]:
+        width = max(_POOL_SIZE, *map(len, rows))
+        lengths = np.array([len(row) for row in rows])
+        words = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.uint32)
+        for s_hi, s_lo, i_hi, i_lo in zip(*_seed_words(_pools(words, lengths))):
+            # pcg64_set_seed: state 0, step, add the seed, step.
+            inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng

@@ -15,7 +15,7 @@ sub-unity K-factors.  Everything is a pure function of
 from __future__ import annotations
 
 import math
-from itertools import chain
+from array import array
 
 import numpy as np
 
@@ -42,6 +42,9 @@ _BUILDING_AMP_PSI_SCALE_DEG = 35.0
 
 _GROUND_EXCESS_SCALE_S = 0.4e-9
 _BUILDING_EXCESS_SCALE_S = 0.8e-9
+
+# Floats a ray takes in the generator's buffer: the ray columns and is_los.
+_RAY_FLOATS = len(RAY_COLUMNS) + 1
 
 
 def synth_scenario(
@@ -73,14 +76,16 @@ def synth_scenario(
     ground_excess_scale = _GROUND_EXCESS_SCALE_S * radius_factor**2
     building_excess_scale = _BUILDING_EXCESS_SCALE_S * radius_factor**2
     two_pi = 2.0 * math.pi
-    # Rows in the ray table's column order plus is_los.  numpy computes
+    # Rays in the ray table's column order plus is_los (1.0 or 0.0), in one
+    # flat buffer, so a pass holds no Python object per ray and the table is
+    # built from views of it.  numpy computes
     # uniform(a, b) as a + (b - a) * random() (b * random() for a = 0),
     # normal(0, s) as s * standard_normal() and exponential(s) as
     # s * standard_exponential(), so the draws below are those of the
     # distribution methods, bit for bit.  Every draw is evaluated left to
     # right, which fixes the draw sequence.
-    rows: list[tuple] = []
-    offsets = [0]
+    rays = array("d")
+    offsets = array("q", [0])
     altitudes = geometry.altitudes_km
     rngs = streams([seed, idx] for idx in range(len(altitudes)))
     for psi, rng in zip(arc_elevations(altitudes, d), rngs):
@@ -88,14 +93,14 @@ def synth_scenario(
         if psi < psi2.psi_deg:
             depth = _SHADOW_MAX_DB + _SHADOW_JITTER_DB * rng.standard_normal()
             shadow_db = max(0.0, depth) * (1.0 - psi / psi2.psi_deg) ** 1.5
-        rows.append((los_amplitude * 10.0 ** (-shadow_db / 20.0), los_phase, los_delay,
-                     180.0, -psi, 0.0, psi, True))
+        rays.extend((los_amplitude * 10.0 ** (-shadow_db / 20.0), los_phase, los_delay,
+                     180.0, -psi, 0.0, psi, 1.0))
         if not los_only:
             if rng.random() < min(1.0, 1.05 * math.exp(-psi / 30.0) * radius_factor):
                 atten = math.exp(-psi / _GROUND_AMP_PSI_SCALE_DEG) * radius_factor
                 amplitude = base_amplitude * (0.45 + (0.85 - 0.45) * rng.random()) * atten
                 excess = ground_excess_scale * rng.standard_exponential() + 0.05e-9
-                rows.append((
+                rays.extend((
                     amplitude,
                     two_pi * rng.random(),
                     los_delay + excess,
@@ -103,7 +108,7 @@ def synth_scenario(
                     min(90.0, max(-90.0, -psi + 0.005 * rng.standard_normal())),
                     (0.5 * rng.standard_normal()) % 360.0,
                     min(90.0, max(-90.0, -psi * (0.8 + (1.0 - 0.8) * rng.random()))),
-                    False,
+                    0.0,
                 ))
             mean_extra = (
                 _BUILDING_MEAN_AT_HORIZON
@@ -131,7 +136,7 @@ def synth_scenario(
                 atten = math.exp(-psi / _BUILDING_AMP_PSI_SCALE_DEG) * radius_factor**2
                 for j in range(count):
                     aoa_az, aoa_el, aod_az, aod_el, excess, amp = sources[j % len(sources)]
-                    rows.append((
+                    rays.extend((
                         base_amplitude * amp * (0.7 + (1.0 - 0.7) * rng.random()) * atten,
                         two_pi * rng.random(),
                         los_delay + excess + abs(0.03e-9 * rng.standard_normal()),
@@ -141,7 +146,7 @@ def synth_scenario(
                         min(90.0, max(-90.0, aoa_el + 0.5 * rng.standard_normal())),
                         False,
                     ))
-        offsets.append(len(rows))
-    columns = np.fromiter(chain.from_iterable(rows), dtype=float).reshape(-1, len(RAY_COLUMNS) + 1)
+        offsets.append(len(rays) // _RAY_FLOATS)
+    columns = np.frombuffer(rays, dtype=float).reshape(-1, _RAY_FLOATS)
     return RayTable(dict(zip(RAY_COLUMNS, columns.T)), columns[:, -1] != 0.0, offsets,
                     altitudes, d)

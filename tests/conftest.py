@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,6 +43,16 @@ def child_env(**variables: str) -> dict:
     env = {**os.environ, **variables}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (CHANSIM_ROOT, os.environ.get("PYTHONPATH"))))
     return env
+
+
+def tracemalloc_peak(call) -> int:
+    """The ``tracemalloc`` peak, in bytes, of ``call()``, traced from its start."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def rows_of(columns: dict) -> list[SimpleNamespace]:

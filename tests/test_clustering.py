@@ -1,5 +1,4 @@
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from chansim.clustering import (
     cluster_snapshot,
     dbscan,
 )
-from conftest import make_snapshot
+from conftest import make_snapshot, tracemalloc_peak
 from test_traceio import generated_table
 
 
@@ -299,15 +298,6 @@ class TestBoundedMemory:
     """DBSCAN holds one bool per point pair of a batch, not float64 (k, n, n)
     buffers, and a pass is clustered a block of the table at a time."""
 
-    @staticmethod
-    def peak_mb(call) -> float:
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
-
     def test_dbscan_on_4000_points(self):
         # Eight Gaussian clusters in 7-D: about 17 B per point pair, 272 MB,
         # with the batched float64 kernel.
@@ -315,10 +305,10 @@ class TestBoundedMemory:
         centres = rng.normal(0.0, 1.5, size=(8, 7))
         pts = centres[rng.integers(0, 8, 4000)] + rng.normal(0.0, 0.2, size=(4000, 7))
         labels = []
-        assert self.peak_mb(lambda: labels.append(dbscan(pts, xi=0.3, zeta=2))) < 40.0
+        assert tracemalloc_peak(lambda: labels.append(dbscan(pts, xi=0.3, zeta=2))) < 40e6
         assert cluster_count(labels[0]) > 0
 
     def test_cluster_snapshot_on_100_x_300_rays(self):
         # About 8 MB when the whole pass's features were built before clustering.
         table = generated_table(n_snapshots=100, n_rays=300)
-        assert self.peak_mb(lambda: cluster_snapshot(table)) < 4.0
+        assert tracemalloc_peak(lambda: cluster_snapshot(table)) < 4e6

@@ -614,6 +614,18 @@ class TestRunReport:
         assert {path.name: path.read_bytes() for path in old.iterdir()} == before
         assert list((tmp_path / "new").iterdir()) == []
 
+    def test_symlink_to_directory_replaced_as_a_file(self, tmp_path):
+        # A rename replaces the link itself, so only a real directory is refused.
+        linked = tmp_path / "linked"
+        linked.mkdir()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").symlink_to(linked, target_is_directory=True)
+        run_report(ScenarioConfig(), "linkbudget", out)
+        assert not (out / "summary.json").is_symlink()
+        assert json.loads((out / "summary.json").read_text())["subcommand"] == "linkbudget"
+        assert list(linked.iterdir()) == []
+
     def test_cluster_counts_in_expected_range(self, tmp_path):
         summary = run_report(ScenarioConfig(), "cluster", tmp_path)
         counts = [p["n_clusters"] for p in summary["per_snapshot"]]
@@ -971,6 +983,17 @@ class TestWriteCsv:
         assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
 
 
+def _sentinels_as_text(value):
+    """A deep copy of ``value`` with each non-finite float as its CSV text."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return traceio._fmt(value)
+    if isinstance(value, dict):
+        return {k: _sentinels_as_text(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_sentinels_as_text(v) for v in value]
+    return value
+
+
 class TestWriteJson:
     """summary.json is encoded in batches of pieces, byte-identical to json.dumps."""
 
@@ -990,8 +1013,20 @@ class TestWriteJson:
             monkeypatch.setattr(report, "_JSON_BATCH_PIECES", batch)
         payload = self.PAYLOADS[name]
         write_json(tmp_path / "summary.json", payload)
-        expected = json.dumps(report._json_safe(payload), indent=2) + "\n"
+        expected = json.dumps(_sentinels_as_text(payload), indent=2) + "\n"
         assert (tmp_path / "summary.json").read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("name", ["empty", "nested", "long"])
+    def test_finite_payload_not_copied(self, name):
+        payload = self.PAYLOADS[name]
+        assert report._json_safe(payload) is payload
+
+    def test_only_containers_of_sentinels_copied(self):
+        payload = self.PAYLOADS["sentinels"]
+        safe = report._json_safe(payload)
+        assert safe == _sentinels_as_text(payload)
+        assert safe["cdf"]["n"] is payload["cdf"]["n"]
+        assert payload["x"] == math.inf and payload["cdf"]["values"] == [0.5, math.inf]
 
     def test_every_batch_boundary(self, tmp_path, monkeypatch):
         monkeypatch.setattr(report, "_JSON_BATCH_PIECES", 4)
@@ -1243,6 +1278,22 @@ class TestUnreadablePaths:
         code, err = self._run(capsys, "--trace", str(unreadable), "--out", str(tmp_path / "o"))
         assert code == 3
         assert err.startswith("chansim: input error:") and str(unreadable) in err
+
+    @pytest.mark.parametrize("old_csv", [True, False], ids=["old-csv", "no-csv"])
+    def test_summary_naming_a_directory_exits_3(self, tmp_path, capsys, old_csv):
+        # Neither file is renamed into place: no new CSV beside the old summary path.
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        (out / "summary.json" / "kept").write_text("kept\n")
+        if old_csv:
+            (out / "linkbudget.csv").write_text("old\n")
+        code, err = self._run(capsys, "--out", str(out))
+        assert code == 3
+        assert err.startswith("chansim: input error:") and str(out / "summary.json") in err
+        assert sorted(p.name for p in out.iterdir()) == (
+            ["linkbudget.csv", "summary.json"] if old_csv else ["summary.json"])
+        assert not old_csv or (out / "linkbudget.csv").read_text() == "old\n"
+        assert [p.name for p in (out / "summary.json").iterdir()] == ["kept"]
 
     def test_out_naming_a_file_exits_3(self, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chansim import streams as streams_module
 from chansim.streams import streams
 
 # Word boundaries of numpy's entropy coercion, plus integers of many words.
@@ -43,6 +44,29 @@ def test_pass_of_mixed_word_counts():
         [2**200, i] for i in range(3)]
     for seed, rng in zip(entropies, streams(entropies), strict=True):
         assert_same_stream(rng, seed)
+
+
+def test_rows_across_chunks():
+    # Several chunks; only the second and the last hold entropies of more
+    # words than the pool's four, so their word rows are wider than the rest.
+    chunk = streams_module._CHUNK_ROWS
+    entropies = [[7, i] for i in range(3 * chunk + 5)]
+    for i in (chunk, chunk + 1, 2 * chunk - 1):
+        entropies[i] = [2**64 + i, 2**32 + i]
+    entropies[3 * chunk + 2] = [2**130 + 3, 2**64, 1]
+    for seed, rng in zip(entropies, streams(entropies), strict=True):
+        want = np.random.default_rng(seed)
+        assert rng.bit_generator.state == want.bit_generator.state, seed
+
+
+def test_entropies_read_a_chunk_at_a_time():
+    # A fault is raised when its chunk is reached, after the rows before it.
+    chunk = streams_module._CHUNK_ROWS
+    rngs = streams([[1, i] for i in range(chunk)] + [-1])
+    for i in range(chunk):
+        assert_same_stream(next(rngs), [1, i])
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        next(rngs)
 
 
 def test_one_shared_generator():

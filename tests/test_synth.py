@@ -7,6 +7,7 @@ from chansim.geometry import ElevationAngle, PassGeometry, altitude_to_elevation
 from chansim.link_budget import SPEED_OF_LIGHT_M_S
 from chansim.mpc import RAY_COLUMNS, RayTable, k_factor
 from chansim.synth import synth_scenario
+from conftest import tracemalloc_peak
 
 PSI_GRID = (0.75, 1.5, 3.0, 5.0, 7.0, 10.0, 14.0, 20.0, 28.0, 38.0, 50.0, 65.0, 80.0)
 
@@ -290,3 +291,33 @@ class TestMatchesPerSnapshotGenerators:
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             synth_scenario(make_geometry(400.0), 10.0, default_psi2(400.0), seed=-1)
+
+
+class TestBoundedMemory:
+    """A pass is built in one flat float buffer and seeded a chunk of rows at a
+    time, so synthesis holds no Python object per ray or per snapshot."""
+
+    # The buffer takes eight floats a ray, about the table's own bytes (seven
+    # float columns, a bool column and three per-snapshot arrays).  Building
+    # the table adds its sorted copy, the phase, snapshot and sort-order
+    # columns and the elevation lists: three tables in all at 20 000
+    # altitudes, 3.2 at 5000, where a stream chunk counts more.  A list of
+    # one tuple of floats a ray peaked at 8.5 tables.
+    LIMIT = 4.0
+
+    @staticmethod
+    def table_bytes(table: RayTable) -> int:
+        return sum(getattr(table, name).nbytes for name in
+                   (*RAY_COLUMNS, "is_los", "offsets", "psi_deg", "altitude_km"))
+
+    @pytest.mark.parametrize("n_altitudes", [5000, 20_000])
+    def test_peak_is_a_few_tables(self, n_altitudes):
+        d_km = 400.0
+        alts = tuple(d_km * (i + 1) / n_altitudes for i in range(n_altitudes))
+        geo = PassGeometry(arc_radius_km=d_km, gs_height_km=0.023, altitudes_km=alts)
+        psi2 = default_psi2(d_km)
+        # A first pass, so that the peak counts no one-off allocation of numpy's.
+        synth_scenario(make_geometry(d_km), 10.0, psi2)
+        tables = []
+        peak = tracemalloc_peak(lambda: tables.append(synth_scenario(geo, 10.0, psi2, seed=1)))
+        assert peak <= self.LIMIT * self.table_bytes(tables[0])

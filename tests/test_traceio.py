@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +9,7 @@ from chansim.geometry import PassGeometry, default_psi2
 from chansim.mpc import RAY_COLUMNS, RayTable, first_bad_ray
 from chansim.synth import synth_scenario
 from chansim.traceio import load_trace, save_trace
+from conftest import tracemalloc_peak
 
 
 def sample_snapshots():
@@ -543,25 +543,16 @@ class TestBoundedMemory:
 
     LIMIT = 1.5
 
-    @staticmethod
-    def peak_bytes(call) -> int:
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_load_peak(self, tmp_path):
         path = tmp_path / "t.csv"
         save_trace(generated_table(), path)
         size = path.stat().st_size
-        assert self.peak_bytes(lambda: load_trace(path)) <= self.LIMIT * size
+        assert tracemalloc_peak(lambda: load_trace(path)) <= self.LIMIT * size
 
     def test_save_peak(self, tmp_path):
         table = generated_table()
         path = tmp_path / "t.csv"
-        peak = self.peak_bytes(lambda: save_trace(table, path))
+        peak = tracemalloc_peak(lambda: save_trace(table, path))
         assert peak <= self.LIMIT * path.stat().st_size
         assert load_trace(path) == table
 
