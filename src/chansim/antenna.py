@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import check_fields
+from .errors import check_fields, ranged
 from .mpc import RayTable
 
 KIND_ISOTROPIC = "isotropic"
@@ -35,20 +35,20 @@ class AntennaModel:
     angle convention as the ray angles they are compared against.
     """
 
-    kind: str = KIND_ISOTROPIC
+    kind: str = ranged(_KINDS, KIND_ISOTROPIC)
     peak_gain_dbi: float = 0.0
     hpbw_deg: float | None = None
-    nx: int = 1
-    ny: int = 1
-    spacing_wavelengths: float = 0.5
+    nx: int = ranged("[1, inf)", 1)
+    ny: int = ranged("[1, inf)", 1)
+    spacing_wavelengths: float = ranged("(0, inf)", 0.5)
     steer_az_deg: float = 0.0
-    steer_el_deg: float = 0.0
-    floor_db: float = DEFAULT_PATTERN_FLOOR_DB
+    # Ray elevations lie in [-90, 90], so every offset from such a pointing
+    # lies in [-180, 180], the range gain_dbi takes.
+    steer_el_deg: float = ranged("[-90, 90]", 0.0)
+    floor_db: float = ranged("(0, inf)", DEFAULT_PATTERN_FLOOR_DB)
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.kind not in _KINDS:
-            raise ValueError(f"antenna kind must be one of {_KINDS}")
         # gain_dbi divides by the HPBW squared, so the square may neither
         # underflow to 0 nor overflow.
         hpbw = self.hpbw_deg
@@ -56,16 +56,6 @@ class AntennaModel:
                                          or not 0.0 < hpbw * hpbw < math.inf):
             raise ValueError("single-element antenna needs a positive HPBW whose square is "
                              f"positive and finite, got {hpbw!r}")
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("element counts must be at least 1")
-        if self.spacing_wavelengths <= 0.0:
-            raise ValueError("element spacing must be positive")
-        if self.floor_db <= 0.0:
-            raise ValueError("pattern floor must be positive")
-        # Ray elevations lie in [-90, 90], so every offset from such a pointing
-        # lies in [-180, 180], the range gain_dbi takes.
-        if not -90.0 <= self.steer_el_deg <= 90.0:
-            raise ValueError(f"steer_el_deg must be in [-90, 90] deg, got {self.steer_el_deg}")
 
     def steered(self, az_deg: float, el_deg: float) -> "AntennaModel":
         """New model pointing at the given direction."""

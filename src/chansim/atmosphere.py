@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_fields
+from .errors import check_fields, ranged
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
@@ -44,25 +44,21 @@ class AtmosphereParams:
     atmospheric loss.
     """
 
-    k_rn: float = 0.0363
-    epsilon: float = 1.095
-    rain_rate_mmh: float = 32.0
-    beta_db: float = 3.0
-    h_rain_km: float = 5.0
-    k_cl: float = 0.072
-    cloud_thickness_km: float = 1.5
-    lwc_gm3: float = 0.35
-    k_sn: float = 0.004
-    snow_rate_mmh: float = 4.0
-    h_snow_km: float = 5.0
-    l_fixed_db: float = 1.5
-    r_earth_km: float = 6371.0
+    k_rn: float = ranged("[0, inf)", 0.0363)
+    epsilon: float = ranged("[0, inf)", 1.095)
+    rain_rate_mmh: float = ranged("[0, inf)", 32.0)
+    beta_db: float = ranged("[0, inf)", 3.0)
+    h_rain_km: float = ranged("[0, inf)", 5.0)
+    k_cl: float = ranged("[0, inf)", 0.072)
+    cloud_thickness_km: float = ranged("[0, inf)", 1.5)
+    lwc_gm3: float = ranged("[0, inf)", 0.35)
+    k_sn: float = ranged("[0, inf)", 0.004)
+    snow_rate_mmh: float = ranged("[0, inf)", 4.0)
+    h_snow_km: float = ranged("[0, inf)", 5.0)
+    l_fixed_db: float = ranged("[0, inf)", 1.5)
+    r_earth_km: float = ranged("[0, inf)", 6371.0)
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-        for f in fields(self):
-            if getattr(self, f.name) < 0.0:
-                raise ValueError(f"{f.name} must be non-negative")
+    __post_init__ = check_fields
 
 
 def specific_rain_attenuation(p: AtmosphereParams) -> float:

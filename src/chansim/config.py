@@ -4,15 +4,16 @@ Precedence is CLI flags > config file > built-in defaults.  The built-in
 defaults describe a 400 km circular pass of a 10 GHz, 30 dBm downlink
 with isotropic antennas and clear sky.
 
-Each config type checks its own fields (``errors.check_fields``) and its
-own rules, however it is built; the YAML loader only maps keys to
+Each config type declares a field's interval or choices beside the field
+(``errors.ranged``) and checks every field by its type and range
+(``errors.check_fields``), however it is built; its ``__post_init__`` adds
+only the rules that join fields.  The YAML loader only maps keys to
 constructors and names the config key of a value that breaks a rule.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, replace
@@ -23,7 +24,7 @@ import yaml
 from .antenna import AntennaModel
 from .atmosphere import ALL_WEATHER, DEFAULT_FC_GHZ, AtmosphereParams, specific_rain_attenuation
 from .clustering import DEFAULT_XI, DEFAULT_ZETA
-from .errors import ConfigError, FieldError, as_float, check_fields, checked
+from .errors import ConfigError, FieldError, check_fields, checked, ranged
 from .geometry import (
     DEFAULT_ELEVATION_FLOOR_DEG,
     SLANT_AS_PRINTED,
@@ -42,16 +43,11 @@ DEFAULT_ALTITUDES_KM = (5.0, 25.0, 50.0, 90.0, 136.0, 200.0, 264.0, 330.0, 371.0
 
 @dataclass(frozen=True)
 class FadingConfig:
-    psi2_deg: float | None = None      # None -> elevation of the 100 km point
-    fit_samples: int = 20000
+    psi2_deg: float | None = ranged("(0, 90]", None)  # None -> elevation of the 100 km point
+    fit_samples: int = ranged("[100, inf)", 20000)
     designate_strongest_los: bool = False
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.psi2_deg is not None and not 0.0 < self.psi2_deg <= 90.0:
-            raise ValueError("fading.psi2_deg must be in (0, 90]")
-        if self.fit_samples < 100:
-            raise ValueError("fading.fit_samples must be at least 100")
+    __post_init__ = check_fields
 
 
 class _Sigmas(Mapping):
@@ -78,55 +74,36 @@ class _Sigmas(Mapping):
 
 @dataclass(frozen=True)
 class NtnConfig:
-    psi1_deg: float = DEFAULT_PSI1_DEG
-    psi2_deg: float = DEFAULT_PSI2_DEG
-    sigma_db: Mapping[str, float] = field(default_factory=dict)
+    # psi1 lies below psi2, which is at most 90 deg.
+    psi1_deg: float = ranged("(0, 90)", DEFAULT_PSI1_DEG)
+    psi2_deg: float = ranged("(0, 90]", DEFAULT_PSI2_DEG)
+    sigma_db: Mapping[str, float] = ranged("[0, inf)", default_factory=dict)
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for key in ("psi1_deg", "psi2_deg"):
-            value = getattr(self, key)
-            if not 0.0 < value <= 90.0:
-                raise ValueError(f"ntn.{key} must be in (0, 90] deg, got {value!r}")
         if self.psi1_deg >= self.psi2_deg:
             raise ValueError("ntn.psi1_deg must be below ntn.psi2_deg")
         # Given sigmas override the defaults profile by profile.
-        if not isinstance(self.sigma_db, Mapping):
-            raise ValueError("sigma_db must map profile names to sigmas")
         unknown = self.sigma_db.keys() - DEFAULT_SHADOW_SIGMA_DB.keys()
         if unknown:
             raise ValueError(f"unknown profile names {sorted(unknown, key=str)} in sigma_db")
-        merged = dict(DEFAULT_SHADOW_SIGMA_DB)
-        for name, sigma in self.sigma_db.items():
-            if (number := as_float(sigma)) is None:
-                raise ValueError(f"sigma_db[{name!r}] must be a number, got {sigma!r}")
-            if not (math.isfinite(number) and number >= 0.0):
-                raise ValueError(f"sigma_db[{name!r}] must be finite and non-negative")
-            merged[name] = number
-        object.__setattr__(self, "sigma_db", _Sigmas(merged))
+        object.__setattr__(self, "sigma_db", _Sigmas({**DEFAULT_SHADOW_SIGMA_DB, **self.sigma_db}))
 
 
 @dataclass(frozen=True)
 class ClusteringConfig:
-    xi: float = DEFAULT_XI
-    zeta: int = DEFAULT_ZETA
+    xi: float = ranged("(0, inf)", DEFAULT_XI)
+    zeta: int = ranged("[1, inf)", DEFAULT_ZETA)
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.xi <= 0.0 or self.zeta < 1:
-            raise ValueError("clustering needs xi > 0 and zeta >= 1")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     los_only: bool = False
-    max_extra_rays: int = 8
+    max_extra_rays: int = ranged("[0, inf)", 8)
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.max_extra_rays < 0:
-            raise ValueError("synth.max_extra_rays must be non-negative, "
-                             f"got {self.max_extra_rays}")
+    __post_init__ = check_fields
 
 
 def _overflows(compute) -> bool:
@@ -147,34 +124,28 @@ DEFAULT_GEOMETRY = PassGeometry(
 @dataclass(frozen=True)
 class ScenarioConfig:
     geometry: PassGeometry = DEFAULT_GEOMETRY
-    fc_ghz: float = DEFAULT_FC_GHZ
+    fc_ghz: float = ranged("(0, inf)", DEFAULT_FC_GHZ)
     p_tx_dbm: float = 30.0
     l_hd_db: float = 1.5
     sat_antenna: AntennaModel = field(default_factory=AntennaModel)
     gs_antenna: AntennaModel = field(default_factory=AntennaModel)
     atmosphere: AtmosphereParams = field(default_factory=AtmosphereParams)
-    weather: frozenset[str] = frozenset()
-    misalign_az_deg: float = 0.0
-    misalign_el_deg: float = 0.0
+    weather: frozenset[str] = ranged(tuple(sorted(ALL_WEATHER)), frozenset())
+    misalign_az_deg: float = ranged("[-180, 180]", 0.0)
+    misalign_el_deg: float = ranged("[-180, 180]", 0.0)
     fading: FadingConfig = field(default_factory=FadingConfig)
     ntn: NtnConfig = field(default_factory=NtnConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
-    coherent_mode: str = COHERENT_POWER_SUM
-    slant_mode: str = SLANT_AS_PRINTED
-    misalign_mode: str = MISALIGN_AGGREGATE
+    # Each mode's choices are those of the module that branches on it.
+    coherent_mode: str = ranged(COHERENT_MODES, COHERENT_POWER_SUM)
+    slant_mode: str = ranged(SLANT_MODES, SLANT_AS_PRINTED)
+    misalign_mode: str = ranged(MISALIGN_MODES, MISALIGN_AGGREGATE)
     elevation_floor_deg: float = DEFAULT_ELEVATION_FLOOR_DEG
-    seed: int = 1
+    seed: int = ranged("[0, inf)", 1)
 
     def __post_init__(self) -> None:
-        # An infinite offset is named by its range; NaN and non-numbers go on to the field rule.
-        for key in ("misalign_az_deg", "misalign_el_deg"):
-            value = getattr(self, key)
-            if isinstance(value, numbers.Real) and abs(value) > 180.0:
-                raise ValueError(f"{key} must be in [-180, 180] deg, got {float(value)}")
         check_fields(self)
-        if self.fc_ghz <= 0.0:
-            raise ValueError("fc_ghz must be positive")
         try:
             wavelength_m(self.fc_ghz)
         except ValueError as exc:
@@ -197,9 +168,6 @@ class ScenarioConfig:
                              "pass.altitudes_km is empty")
         if self.fading.psi2_deg is None and self.geometry.arc_radius_km <= 100.0:
             raise ValueError("set fading.psi2_deg explicitly for arc radii of 100 km or less")
-        bad = set(self.weather) - ALL_WEATHER
-        if bad:
-            raise ValueError(f"unknown weather terms {sorted(bad)}")
         # Rain attenuates the slant path from the GS up to the rain height.
         if "rain" in self.weather and self.geometry.gs_height_km >= rain.h_rain_km:
             raise ValueError(f"rain needs pass.gs_height_km {self.geometry.gs_height_km!r} "
@@ -208,19 +176,11 @@ class ScenarioConfig:
             raise ValueError("rain needs a finite atmosphere.k_rn * atmosphere.rain_rate_mmh "
                              f"** atmosphere.epsilon, got {rain.k_rn!r} * "
                              f"{rain.rain_rate_mmh!r} ** {rain.epsilon!r}")
-        # Each mode's choices are those of the module that branches on it.
-        for key, value, choices in (("coherent", self.coherent_mode, COHERENT_MODES),
-                                    ("slant", self.slant_mode, SLANT_MODES),
-                                    ("misalignment", self.misalign_mode, MISALIGN_MODES)):
-            if value not in choices:
-                raise ValueError(f"mode {key!r} must be one of {choices}, got {value!r}")
         # Per-ray misalignment steers the ground antenna by the offset.
         steer_el = self.gs_antenna.steer_el_deg + self.misalign_el_deg
         if self.misalign_mode == MISALIGN_PER_RAY and not -90.0 <= steer_el <= 90.0:
             raise ValueError(f"misalign_el_deg {self.misalign_el_deg} steers the ground antenna "
                              f"to elevation {steer_el}, outside [-90, 90] deg")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
     def psi2(self, arc_radius_km: float) -> ElevationAngle:
         """Shadowing threshold: configured value or the 100 km point of the arc."""

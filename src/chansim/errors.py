@@ -1,6 +1,11 @@
 """Exception hierarchy shared by the chansim modules and CLI, and the field rule
 that every config type applies first in ``__post_init__`` (``check_fields``),
 so a YAML file, a constructor call and ``dataclasses.replace`` meet one rule.
+
+A field's rule is its type annotation, and for a field declared with
+``ranged`` also the interval or the choices its values lie in.  A value that
+breaks it raises ``FieldError`` in one form, "psi1_deg must be in (0, 90),
+got -5.0", which the YAML loader prefixes with the key.
 """
 
 import functools
@@ -8,7 +13,7 @@ import math
 import types
 import typing
 from collections.abc import Mapping
-from dataclasses import fields
+from dataclasses import MISSING, field, fields
 
 import numpy as np
 
@@ -42,11 +47,32 @@ class RayRowError(ValueError):
 
 
 class FieldError(ValueError):
-    """A value that does not fit its field's type; ``field`` names the field, ``rule`` the rest."""
+    """A value that breaks its field's rule; ``field`` names the field, ``rule`` the rest."""
 
     def __init__(self, field: str, rule: str) -> None:
         super().__init__(f"{field} {rule}")
         self.field, self.rule = field, rule
+
+
+class Interval:
+    """The numbers between two ends, each open or closed, written "(0, 90]" or "[1, inf)"."""
+
+    def __init__(self, text: str) -> None:
+        low, high = text[1:-1].split(", ")
+        self.text, self.low, self.high = text, float(low), float(high)
+        self.low_closed, self.high_closed = text[0] == "[", text[-1] == "]"
+
+    def __contains__(self, x) -> bool:
+        return ((self.low < x or self.low_closed and x == self.low)
+                and (x < self.high or self.high_closed and x == self.high))
+
+
+def ranged(allowed: str | tuple, default=MISSING, **kwargs):
+    """A dataclass field whose values lie in ``allowed``: an ``Interval``'s text or a
+    tuple of choices.  It holds for the value, each item of a list or set field,
+    and each entry of a mapping field; None, where the type admits it, is exempt."""
+    rule = Interval(allowed) if isinstance(allowed, str) else allowed
+    return field(default=default, metadata={"allowed": rule}, **kwargs)
 
 
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
@@ -68,21 +94,19 @@ def _stored(value, hint):
         items = origin(_stored(v, args[0]) for v in value)
         return _MISFIT if _MISFIT in items else items
     if origin is Mapping:
-        return value  # a mapping field checks its own entries and names the bad one
+        return _MISFIT  # _fit takes a mapping entry by entry
     if isinstance(value, bool) and hint is not bool:
         return _MISFIT
     if hint in _SCALARS:
+        if not isinstance(value, _SCALARS[hint]):
+            return _MISFIT
         try:
-            return hint(value) if isinstance(value, _SCALARS[hint]) else _MISFIT
+            stored = hint(value)
         except OverflowError:  # an int beyond the range of a float
             return _MISFIT
+        # NaN passes range checks written as comparisons, infinity one-sided bounds.
+        return stored if hint is int or math.isfinite(stored) else _MISFIT
     return value if isinstance(value, hint) else _MISFIT
-
-
-def as_float(value) -> float | None:
-    """``value`` as a float field stores it, a Python float, or None if it does not fit."""
-    stored = _stored(value, float)
-    return None if stored is _MISFIT else stored
 
 
 def _describe(hint) -> str:
@@ -91,33 +115,47 @@ def _describe(hint) -> str:
         return " or ".join(map(_describe, args))
     if origin in _COLLECTIONS:
         return f"a list, each item {_describe(args[0])}"
+    if origin is Mapping:
+        return f"a mapping, each value {_describe(args[1])}"
     return _TYPE_NAMES.get(hint) or f"a {hint.__name__}"
 
 
+def _fit(name: str, value, hint, allowed):
+    """``value`` as field ``name`` of type ``hint`` and rule ``allowed`` stores it, or
+    FieldError naming the field, or a mapping field's entry, and the value."""
+    if typing.get_origin(hint) is Mapping and isinstance(value, Mapping):
+        item_hint = typing.get_args(hint)[1]
+        return {key: _fit(f"{name}.{key}", item, item_hint, allowed)
+                for key, item in value.items()}
+    stored = _stored(value, hint)
+    if stored is _MISFIT:
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise FieldError(name, f"must be {_describe(hint)}, got {shown!r}")
+    if allowed is None or stored is None:
+        return stored
+    # Sorted, so that a set names the same bad item under any string hash seed.
+    for x in sorted(stored) if typing.get_origin(hint) in _COLLECTIONS else (stored,):
+        if x not in allowed:
+            rule = f"in {allowed.text}" if isinstance(allowed, Interval) else f"one of {allowed}"
+            raise FieldError(name, f"must be {rule}, got {x!r}")
+    return stored
+
+
 @functools.cache
-def _field_hints(cls) -> dict:
+def _field_rules(cls) -> dict:
+    """Each field's name -> its type hint and its ``ranged`` rule, or None."""
     hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
+    return {f.name: (hints[f.name], f.metadata.get("allowed")) for f in fields(cls)}
 
 
 def checked(cls, values: dict) -> dict:
     """``values`` as the fields of dataclass ``cls`` store them: a Python float or int.
 
-    Raises FieldError naming the first value that does not fit its field's type,
-    and ValueError naming the first float that is NaN or infinite: NaN passes
-    range checks written as comparisons, infinity one-sided bounds.
+    Raises FieldError naming the first value, in the order of ``values``, that
+    does not fit its field's type or rule.
     """
-    hints = _field_hints(cls)
-    out = {}
-    for name, value in values.items():
-        stored = _stored(value, hints[name])
-        if stored is _MISFIT:
-            raise FieldError(name, f"must be {_describe(hints[name])}, got {value!r}")
-        for x in stored if isinstance(stored, tuple) else (stored,):
-            if type(x) is float and not math.isfinite(x):
-                raise ValueError(f"{name} must be a number, got {x}")
-        out[name] = stored
-    return out
+    rules = _field_rules(cls)
+    return {name: _fit(name, value, *rules[name]) for name, value in values.items()}
 
 
 def check_fields(instance) -> None:

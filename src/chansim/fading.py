@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, check_fields
+from .errors import NumericError, check_fields, ranged
 from .geometry import ElevationAngle
 from .mpc import RayTable
 from .numerics import bounded_minimum, qagi
@@ -57,33 +57,21 @@ class FadingRegime(enum.Enum):
 class RicianParams:
     """Rician amplitude distribution: K-factor and mean power, both linear."""
 
-    k: float
-    omega: float
+    k: float = ranged("[0, inf)")
+    omega: float = ranged("(0, inf)")
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.k < 0.0:
-            raise ValueError("K-factor must be non-negative")
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ShadowedRicianParams:
     """Shadowed Rician parameters: K-factor, shadowing shape m, mean power."""
 
-    k: float
-    m: float
-    omega: float
+    k: float = ranged("[0, inf)")
+    m: float = ranged("(0, inf)")
+    omega: float = ranged("(0, inf)")
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.k < 0.0:
-            raise ValueError("K-factor must be non-negative")
-        if self.m <= 0.0:
-            raise ValueError("shape m must be positive")
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+    __post_init__ = check_fields
 
 
 def select_regime(table: RayTable, psi2: ElevationAngle) -> list[FadingRegime]:

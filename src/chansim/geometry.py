@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ElevationFloorError, check_fields
+from .errors import ElevationFloorError, check_fields, ranged
 
 DEFAULT_ELEVATION_FLOOR_DEG = 0.5
 
@@ -42,16 +42,13 @@ class PassGeometry:
     lie in (0, arc_radius] so that arcsin(h/d) is defined.
     """
 
-    arc_radius_km: float
-    gs_height_km: float = 0.0
+    arc_radius_km: float = ranged("(0, inf)")
+    gs_height_km: float = ranged("[0, inf)", 0.0)
     altitudes_km: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         check_fields(self)
-        d = check_arc_radius(self.arc_radius_km)
-        if self.gs_height_km < 0.0:
-            raise ValueError("GS height must be non-negative")
-        bad = first_off_arc(np.array(self.altitudes_km), d)
+        bad = first_off_arc(np.array(self.altitudes_km), self.arc_radius_km)
         if bad is not None:
             raise ValueError(bad[1])
 

@@ -7,6 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 import chansim
+from chansim.cli import main
+from chansim.config import load_config
+from chansim.errors import ConfigError
 from chansim.mpc import RAY_COLUMNS, RayTable
 
 
@@ -53,6 +56,22 @@ def tracemalloc_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def assert_config_refused(tmp_path, capsys, text: str, match: str, key: str,
+                          sub: str = "linkbudget", flags=()) -> None:
+    """Config file ``text`` makes ``load_config`` raise a ConfigError matching
+    ``match``, and ``chansim sub`` exit 2 with one stderr line naming ``key``
+    and nothing written."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        load_config(path)
+    out = tmp_path / "o"
+    assert main([sub, "--config", str(path), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def rows_of(columns: dict) -> list[SimpleNamespace]:

@@ -163,9 +163,9 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("el", [90.5, -90.5, 150.0])
     def test_steering_beyond_ray_elevations(self, el):
-        with pytest.raises(ValueError, match=r"steer_el_deg must be in \[-90, 90\] deg"):
+        with pytest.raises(ValueError, match=rf"steer_el_deg must be in \[-90, 90\], got {el}"):
             AntennaModel(steer_el_deg=el)
-        with pytest.raises(ValueError, match=r"steer_el_deg must be in \[-90, 90\] deg"):
+        with pytest.raises(ValueError, match=rf"steer_el_deg must be in \[-90, 90\], got {el}"):
             AntennaModel().steered(0.0, el)
 
     def test_steered_copy(self):

@@ -8,7 +8,9 @@ import random
 import re
 import threading
 import time
-from dataclasses import replace
+import typing
+from collections.abc import Mapping
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +33,11 @@ from chansim.config import (
     apply_overrides,
     load_config,
 )
-from chansim.errors import ConfigError, NumericError
+from chansim.errors import ConfigError, FieldError, Interval, NumericError
+from chansim.fading import RicianParams, ShadowedRicianParams
 from chansim.geometry import PassGeometry
 from chansim.report import run_report
+from conftest import assert_config_refused
 
 BASE_CONFIG = {
     "pass": {
@@ -95,10 +99,11 @@ class TestConfig:
         path = tmp_path / "bad.yaml"
         path.write_text(f"modes: {{{key}: octopus}}\n")
         assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert f"mode '{key}' must be one of" in capsys.readouterr().err
+        assert f"config key 'modes.{key}' must be one of" in capsys.readouterr().err
 
     @pytest.mark.parametrize("terms,message", [
-        ("[rain, hail]", "unknown weather terms ['hail']"),
+        ("[rain, hail]",
+         "config key 'weather' must be one of ('clouds', 'rain', 'snow'), got 'hail'"),
         ("[[rain]]", "config key 'weather' must be a list, each item a string"),
         ("rain", "config key 'weather' must be a list, each item a string"),
     ], ids=["unknown", "nested", "scalar"])
@@ -111,13 +116,13 @@ class TestConfig:
     def test_negative_seed_in_file_names_seed(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("seed: -1\n")
-        with pytest.raises(ConfigError, match="seed must be non-negative"):
+        with pytest.raises(ConfigError, match=r"config key 'seed' must be in \[0, inf\), got -1"):
             load_config(path)
         assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "seed" in capsys.readouterr().err
 
     def test_negative_seed_flag_names_seed(self, tmp_path, capsys):
-        with pytest.raises(ConfigError, match="seed must be non-negative"):
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, inf\), got -1"):
             apply_overrides(ScenarioConfig(), seed=-1)
         assert main(["linkbudget", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
         assert "seed" in capsys.readouterr().err
@@ -236,11 +241,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("sigma_db,match", [
         ("{A: 8.0}", "unknown profile names"),
-        ("{NTN-TDL-B: -1.0}", "non-negative"),
-        ("{NTN-TDL-B: .nan}", "non-negative"),
+        ("{NTN-TDL-B: -1.0}", r"'ntn.sigma_db.NTN-TDL-B' must be in \[0, inf\), got -1.0"),
+        ("{NTN-TDL-B: .nan}", "'ntn.sigma_db.NTN-TDL-B' must be a number, got nan"),
         ("{NTN-TDL-C: loud}", "must be a number"),
         ("{NTN-TDL-C: true}", "must be a number"),
-        ("[8.0, 6.0, 4.0]", "must map profile names"),
+        ("[8.0, 6.0, 4.0]", "'ntn.sigma_db' must be a mapping"),
     ], ids=["unknown-name", "negative", "nan", "string", "bool", "list"])
     def test_ntn_sigma_rejected(self, tmp_path, sigma_db, match):
         path = tmp_path / "sigma.yaml"
@@ -255,7 +260,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("flag", [True, np.True_])
     def test_ntn_sigma_refuses_bools(self, flag):
-        with pytest.raises(ValueError, match=r"sigma_db\['NTN-TDL-A'\] must be a number"):
+        with pytest.raises(ValueError, match=r"^sigma_db\.NTN-TDL-A must be a number, got True$"):
             NtnConfig(sigma_db={"NTN-TDL-A": flag})
 
     def test_ntn_sigma_int_beyond_float_range_exits_2(self, tmp_path, capsys):
@@ -294,12 +299,7 @@ class TestConfig:
     ])
     @pytest.mark.parametrize("value", ["ten", "true", "[1.0]", "{a: 1}", "null"])
     def test_top_level_scalar_types_rejected(self, tmp_path, capsys, key, value):
-        path = tmp_path / "bad.yaml"
-        path.write_text(f"{key}: {value}\n")
-        with pytest.raises(ConfigError, match=key):
-            load_config(path)
-        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert key in capsys.readouterr().err
+        assert_config_refused(tmp_path, capsys, f"{key}: {value}\n", key, key)
 
     @pytest.mark.parametrize("text,key", [
         ("fading: {fit_samples: abc}", "fading.fit_samples"),
@@ -315,12 +315,8 @@ class TestConfig:
         ("pass: {altitudes_km: [5.0, true]}", "pass.altitudes_km"),
     ])
     def test_section_field_types_rejected(self, tmp_path, capsys, text, key):
-        path = tmp_path / "bad.yaml"
-        path.write_text(text + "\n")
-        with pytest.raises(ConfigError, match=f"config key '{re.escape(key)}' must be"):
-            load_config(path)
-        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert key in capsys.readouterr().err
+        assert_config_refused(tmp_path, capsys, text + "\n",
+                              f"config key '{re.escape(key)}' must be", key)
 
     def test_float_fields_stay_floats(self, tmp_path):
         path = tmp_path / "ints.yaml"
@@ -386,23 +382,22 @@ class TestConfig:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key,text", [
-        ("misalign_az_deg", "misalign_az_deg: .inf\n"),
-        ("misalign_az_deg", "misalign_az_deg: 200\nmodes: {misalignment: per-ray}\n"),
-        ("misalign_el_deg", "misalign_el_deg: -180.5\n"),
-    ], ids=["inf", "per-ray-200", "el-below"])
-    def test_misalignment_range_checked_at_load(self, tmp_path, capsys, key, text):
-        path = tmp_path / "misalign.yaml"
-        path.write_text(text)
-        with pytest.raises(ConfigError, match=rf"{key} must be in \[-180, 180\] deg"):
-            load_config(path)
-        assert main(["linkbudget", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert key in capsys.readouterr().err
+    @pytest.mark.parametrize("key,text,rule", [
+        ("misalign_az_deg", "misalign_az_deg: .inf\n", "a number, got inf"),
+        ("misalign_az_deg", "misalign_az_deg: 200\nmodes: {misalignment: per-ray}\n",
+         "in [-180, 180], got 200.0"),
+        ("misalign_el_deg", "misalign_el_deg: -180.5\n", "in [-180, 180], got -180.5"),
+        # An int beyond float range raised OverflowError from the range check.
+        ("misalign_az_deg", f"misalign_az_deg: {10**400}\n", f"a number, got {10**400}"),
+    ], ids=["inf", "per-ray-200", "el-below", "int-beyond-float"])
+    def test_misalignment_range_checked_at_load(self, tmp_path, capsys, key, text, rule):
+        assert_config_refused(tmp_path, capsys, text,
+                              re.escape(f"config key '{key}' must be {rule}"), key)
 
     def test_misalignment_flag_range_names_key(self, tmp_path, capsys):
         code = main(["linkbudget", "--misalign-az", "200", "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "misalign_az_deg must be in [-180, 180] deg, got 200.0" in capsys.readouterr().err
+        assert "misalign_az_deg must be in [-180, 180], got 200.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,text,flags", [
         ("steer_el_deg", "antennas: {ground: {steer_el_deg: 150}}\n", []),
@@ -424,17 +419,17 @@ class TestConfig:
     def test_aggregate_misalignment_takes_any_elevation_offset(self, tmp_path):
         assert main(["linkbudget", "--misalign-el", "-150", "--out", str(tmp_path / "o")]) == 0
 
-    @pytest.mark.parametrize("text,key", [
-        ("ntn: {psi1_deg: -5, psi2_deg: 200}\n", "ntn.psi1_deg"),
-        ("ntn: {psi1_deg: 10, psi2_deg: 200}\n", "ntn.psi2_deg"),
+    @pytest.mark.parametrize("text,message", [
+        ("ntn: {psi1_deg: -5, psi2_deg: 200}\n", "'ntn.psi1_deg' must be in (0, 90), got -5.0"),
+        ("ntn: {psi1_deg: 10, psi2_deg: 200}\n", "'ntn.psi2_deg' must be in (0, 90], got 200.0"),
     ], ids=["psi1-negative", "psi2-above"])
-    def test_ntn_thresholds_beyond_elevations_name_key(self, tmp_path, capsys, text, key):
+    def test_ntn_thresholds_beyond_elevations_name_key(self, tmp_path, capsys, text, message):
         # select_profile would label every row by one profile, whatever the elevation.
         path = tmp_path / "ntn.yaml"
         path.write_text(text)
         out = tmp_path / "o"
         assert main(["ntn-compare", "--config", str(path), "--out", str(out)]) == 2
-        assert f"{key} must be in (0, 90] deg" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("hpbw", ["1.0e-300", "1.0e+200"], ids=["underflow", "overflow"])
@@ -519,21 +514,21 @@ class TestConfigTypes:
     """Every config type checks its own fields, however it is built."""
 
     @pytest.mark.parametrize("changes,match", [
-        ({"coherent_mode": "octopus"}, "mode 'coherent'"),
-        ({"slant_mode": "octopus"}, "mode 'slant'"),
-        ({"misalign_mode": "octopus"}, "mode 'misalignment'"),
-        ({"weather": frozenset({"hail"})}, "unknown weather terms"),
-        ({"fc_ghz": 0.0}, "fc_ghz must be positive"),
-        ({"fc_ghz": -5.0}, "fc_ghz must be positive"),
-        ({"seed": -1}, "seed must be non-negative"),
+        ({"coherent_mode": "octopus"}, r"mode must be one of \('power-sum', 'phasor-sum'\)"),
+        ({"slant_mode": "octopus"}, r"mode must be one of \('as-printed', 'itu-piecewise'\)"),
+        ({"misalign_mode": "octopus"}, r"mode must be one of \('aggregate', 'per-ray'\)"),
+        ({"weather": frozenset({"hail"})}, "weather must be one of"),
+        ({"fc_ghz": 0.0}, r"fc_ghz must be in \(0, inf\), got 0.0"),
+        ({"fc_ghz": -5.0}, r"fc_ghz must be in \(0, inf\), got -5.0"),
+        ({"seed": -1}, r"seed must be in \[0, inf\), got -1"),
         ({"geometry": PassGeometry(arc_radius_km=400.0)}, "at least one altitude sample"),
         ({"fc_ghz": math.nan}, "fc_ghz must be a number, got nan"),
         ({"p_tx_dbm": math.nan}, "p_tx_dbm must be a number"),
         ({"l_hd_db": math.nan}, "l_hd_db must be a number"),
         ({"elevation_floor_deg": math.nan}, "elevation_floor_deg must be a number"),
         ({"misalign_az_deg": math.nan}, "misalign_az_deg must be a number"),
-        ({"misalign_az_deg": math.inf}, r"misalign_az_deg must be in \[-180, 180\] deg"),
-        ({"misalign_el_deg": 180.5}, r"misalign_el_deg must be in \[-180, 180\] deg"),
+        ({"misalign_az_deg": math.inf}, "misalign_az_deg must be a number, got inf"),
+        ({"misalign_el_deg": 180.5}, r"misalign_el_deg must be in \[-180, 180\], got 180.5"),
         ({"misalign_mode": "per-ray", "misalign_el_deg": -90.5}, "misalign_el_deg -90.5 steers"),
         ({"weather": frozenset({"rain"}),
           "geometry": PassGeometry(arc_radius_km=400.0, gs_height_km=6.0, altitudes_km=(100.0,))},
@@ -557,19 +552,112 @@ class TestConfigTypes:
         assert cfg.psi2(80.0).psi_deg == 10.0
 
     @pytest.mark.parametrize("build,match", [
-        (lambda: ClusteringConfig(xi=0), "xi > 0"),
-        (lambda: ClusteringConfig(zeta=0), "zeta >= 1"),
-        (lambda: FadingConfig(fit_samples=10), "at least 100"),
+        (lambda: ClusteringConfig(xi=0), r"xi must be in \(0, inf\), got 0.0"),
+        (lambda: ClusteringConfig(zeta=0), r"zeta must be in \[1, inf\), got 0"),
+        (lambda: FadingConfig(fit_samples=10), r"fit_samples must be in \[100, inf\), got 10"),
         (lambda: FadingConfig(psi2_deg=91.0), r"\(0, 90\]"),
         (lambda: NtnConfig(psi1_deg=20, psi2_deg=15), "psi1_deg must be below"),
-        (lambda: NtnConfig(psi1_deg=-5, psi2_deg=200), r"ntn.psi1_deg must be in \(0, 90\]"),
-        (lambda: NtnConfig(psi1_deg=0.0), r"ntn.psi1_deg must be in \(0, 90\] deg, got 0.0"),
-        (lambda: NtnConfig(psi2_deg=90.5), r"ntn.psi2_deg must be in \(0, 90\] deg, got 90.5"),
+        (lambda: NtnConfig(psi1_deg=-5, psi2_deg=200), r"psi1_deg must be in \(0, 90\), got -5.0"),
+        (lambda: NtnConfig(psi1_deg=0.0), r"psi1_deg must be in \(0, 90\), got 0.0"),
+        (lambda: NtnConfig(psi2_deg=90.5), r"psi2_deg must be in \(0, 90\], got 90.5"),
     ], ids=["xi", "zeta", "fit_samples", "psi2_deg", "ntn-order", "ntn-psi1-negative",
             "ntn-psi1-zero", "ntn-psi2-above"])
     def test_sections_checked_at_construction(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
+
+
+# Every config type; a field declared with errors.ranged carries its rule in its metadata.
+CONFIG_TYPES = (ScenarioConfig, PassGeometry, AtmosphereParams, FadingConfig, NtnConfig,
+                ClusteringConfig, SynthConfig, AntennaModel, RicianParams, ShadowedRicianParams)
+RANGED = [(cls, f.name, f.metadata["allowed"])
+          for cls in CONFIG_TYPES for f in fields(cls) if "allowed" in f.metadata]
+# Required fields, and the pass's one altitude, at values no joint rule refuses.
+REQUIRED = {PassGeometry: {"arc_radius_km": 400.0, "altitudes_km": [5.0]},
+            RicianParams: {"k": 1.0, "omega": 1.0},
+            ShadowedRicianParams: {"k": 1.0, "m": 1.0, "omega": 1.0}}
+
+
+def _config_key(cls, name: str) -> str | None:
+    """The config file key that sets field ``name`` of ``cls``, or None if none does."""
+    if cls is ScenarioConfig:
+        return config_mod._MODE_KEYS.get(name, name)
+    if cls is AntennaModel:
+        return f"antennas.ground.{name}"
+    return next((f"{key}.{name}" for key, (_, section) in config_mod._SECTIONS.items()
+                 if section is cls), None)
+
+
+class TestDeclaredRanges:
+    """Each field's declared interval or choices, read from its metadata, is the rule a
+    constructor and a config file meet, and a refusal names the key and the value."""
+
+    @pytest.mark.parametrize("cls,name,allowed", RANGED,
+                             ids=[f"{cls.__name__}.{name}" for cls, name, _ in RANGED])
+    def test_ends_and_just_outside(self, tmp_path, capsys, cls, name, allowed):
+        hint = typing.get_type_hints(cls)[name]
+        origin = typing.get_origin(hint)
+        key = _config_key(cls, name)
+        if origin is Mapping:  # a mapping field's rule holds for each entry
+            def given(x):
+                return {"NTN-TDL-A": x}
+            named = f"{key}.NTN-TDL-A"
+        else:
+            def given(x):
+                return [x] if origin is frozenset else x
+            named = key
+
+        def build(x):
+            return cls(**{**REQUIRED.get(cls, {}), name: given(x)})
+
+        def config_text(x):
+            *sections, leaf = key.split(".")
+            data = node = {}
+            for section in sections:
+                node = node.setdefault(section, {})
+            node.update({**REQUIRED.get(cls, {}), leaf: given(x)})
+            return yaml.safe_dump(data)
+
+        if isinstance(allowed, Interval):
+            rule, outside = f"in {allowed.text}", []
+            for end, closed, away in ((allowed.low, allowed.low_closed, -1),
+                                      (allowed.high, allowed.high_closed, 1)):
+                if hint is int and math.isfinite(end):
+                    end = int(end)
+                if closed:
+                    build(end)
+                    if key:
+                        path = tmp_path / "ok.yaml"
+                        path.write_text(config_text(end))
+                        load_config(path)
+                else:
+                    with pytest.raises(FieldError):
+                        build(end)
+                if math.isfinite(end):
+                    outside.append(end + away if hint is int
+                                   else math.nextafter(end, away * math.inf))
+        else:
+            rule, outside = f"one of {allowed!r}", ["octopus"]
+        for x in outside:
+            with pytest.raises(FieldError, match=re.escape(f"must be {rule}, got {x!r}")):
+                build(x)
+            if key:
+                message = f"config key '{named}' must be {rule}, got {x!r}"
+                assert_config_refused(tmp_path, capsys, config_text(x),
+                                      f"^{re.escape(message)}$", f"'{named}'")
+
+    def test_every_config_type_declares_some(self):
+        assert {cls for cls, _, _ in RANGED} == set(CONFIG_TYPES)
+
+    def test_readme_table_is_the_declared_rules(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = {key: values.split(" (the")[0] for key, values in
+                 re.findall(r"^  \| `([^`]+)`[^|]* \| (.+?) \|$", readme, re.MULTILINE)}
+        assert table == {
+            _config_key(cls, name).replace("antennas.ground.", "antennas.*."):
+                allowed.text if isinstance(allowed, Interval)
+                else ", ".join(f"`{choice}`" for choice in allowed)
+            for cls, name, allowed in RANGED if _config_key(cls, name)}
 
 
 class TestRunReport:
@@ -1191,21 +1279,17 @@ class TestSectionTypesRejectInfinity:
 
     @pytest.mark.parametrize("text,key,sub,flags", [
         ("antennas: {ground: {kind: single-element, peak_gain_dbi: .inf, hpbw_deg: 2.0}}\n",
-         "peak_gain_dbi", "linkbudget", []),
-        ("clustering: {xi: .inf}\n", "xi", "cluster", []),
-        ("atmosphere: {rain_rate_mmh: .inf}\n", "rain_rate_mmh", "linkbudget", ["--rain"]),
-        ("pass: {arc_radius_km: .inf, altitudes_km: [5.0]}\n", "arc_radius_km",
+         "antennas.ground.peak_gain_dbi", "linkbudget", []),
+        ("clustering: {xi: .inf}\n", "clustering.xi", "cluster", []),
+        ("atmosphere: {rain_rate_mmh: .inf}\n", "atmosphere.rain_rate_mmh", "linkbudget",
+         ["--rain"]),
+        ("pass: {arc_radius_km: .inf, altitudes_km: [5.0]}\n", "pass.arc_radius_km",
          "linkbudget", []),
     ], ids=["antenna-gain", "clustering-xi", "rain-rate", "arc-radius"])
     def test_file_exits_2_naming_key(self, tmp_path, capsys, text, key, sub, flags):
-        path = tmp_path / "bad.yaml"
-        path.write_text(text)
-        with pytest.raises(ConfigError, match=re.escape(f"{key} must be a number, got inf")):
-            load_config(path)
-        out = tmp_path / "o"
-        assert main([sub, "--config", str(path), "--out", str(out), *flags]) == 2
-        assert key in capsys.readouterr().err
-        assert not out.exists()
+        assert_config_refused(tmp_path, capsys, text,
+                              re.escape(f"config key '{key}' must be a number, got inf"), key,
+                              sub, flags)
 
 
 class TestSectionTypesRejectNan:
@@ -1237,12 +1321,12 @@ class TestSectionTypesRejectNan:
         (lambda: AntennaModel(kind="single-element", peak_gain_dbi=math.nan, hpbw_deg=2.0),
          "peak_gain_dbi must be a number, got nan"),
         (lambda: AntennaModel(kind="single-element", hpbw_deg=math.nan),
-         "hpbw_deg must be a number, got nan"),
+         "hpbw_deg must be a number or null, got nan"),
         (lambda: AntennaModel(steer_az_deg=math.nan), "steer_az_deg must be a number, got nan"),
         (lambda: PassGeometry(arc_radius_km=400.0, gs_height_km=math.nan),
          "gs_height_km must be a number, got nan"),
         (lambda: PassGeometry(arc_radius_km=math.nan), "arc_radius_km must be a number, got nan"),
-        (lambda: SynthConfig(max_extra_rays=-1), "synth.max_extra_rays must be non-negative"),
+        (lambda: SynthConfig(max_extra_rays=-1), r"max_extra_rays must be in \[0, inf\), got -1"),
     ])
     def test_checked_at_construction(self, build, match):
         with pytest.raises(ValueError, match=match):

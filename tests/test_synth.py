@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chansim import streams
 from chansim.geometry import ElevationAngle, PassGeometry, altitude_to_elevation, default_psi2
 from chansim.link_budget import SPEED_OF_LIGHT_M_S
 from chansim.mpc import RAY_COLUMNS, RayTable, k_factor
@@ -300,8 +301,8 @@ class TestBoundedMemory:
     # The buffer takes eight floats a ray, about the table's own bytes (seven
     # float columns, a bool column and three per-snapshot arrays).  Building
     # the table adds its sorted copy, the phase, snapshot and sort-order
-    # columns and the elevation lists: three tables in all at 20 000
-    # altitudes, 3.2 at 5000, where a stream chunk counts more.  A list of
+    # columns and the elevation lists: about three tables in all, at any
+    # pass length once a stream chunk is small beside the pass.  A list of
     # one tuple of floats a ray peaked at 8.5 tables.
     LIMIT = 4.0
 
@@ -310,8 +311,11 @@ class TestBoundedMemory:
         return sum(getattr(table, name).nbytes for name in
                    (*RAY_COLUMNS, "is_los", "offsets", "psi_deg", "altitude_km"))
 
-    @pytest.mark.parametrize("n_altitudes", [5000, 20_000])
-    def test_peak_is_a_few_tables(self, n_altitudes):
+    # 64-row stream chunks put 16 and 32 chunks in these passes, as 1024-row
+    # chunks do in passes of 16 000 and 32 000 altitudes.
+    @pytest.mark.parametrize("n_altitudes", [1000, 2000])
+    def test_peak_is_a_few_tables(self, monkeypatch, n_altitudes):
+        monkeypatch.setattr(streams, "_CHUNK_ROWS", 64)
         d_km = 400.0
         alts = tuple(d_km * (i + 1) / n_altitudes for i in range(n_altitudes))
         geo = PassGeometry(arc_radius_km=d_km, gs_height_km=0.023, altitudes_km=alts)
